@@ -29,7 +29,6 @@ from .game import (
     PlayRecord,
     PreOne,
     WindowCover,
-    evaluate_target,
     make_game,
     play,
 )
@@ -79,6 +78,7 @@ from .solver import (
     selection_principle_holds,
     solve,
     verify,
+    winner,
 )
 from .transforms import (
     Direction,

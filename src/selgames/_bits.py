@@ -6,7 +6,7 @@ algebra is plain integer arithmetic throughout the package.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 def mask_of(items: Iterable[int]) -> int:
@@ -30,23 +30,3 @@ def items_of(mask: int) -> tuple[int, ...]:
 
 def is_subset(a: int, b: int) -> bool:
     return a & ~b == 0
-
-
-def popcount(mask: int) -> int:
-    return bin(mask).count("1")
-
-
-def proper_subsets_of_universe(full: int) -> Iterator[int]:
-    """All masks strictly below ``full``, ascending."""
-    for m in range(full):
-        yield m
-
-
-def submasks(mask: int) -> Iterator[int]:
-    """All submasks of ``mask`` including 0 and itself, ascending."""
-    sub = 0
-    while True:
-        yield sub
-        if sub == mask:
-            return
-        sub = (sub - mask) & mask

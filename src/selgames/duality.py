@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from .errors import ChoiceSpaceTooLarge
 from .game import GameSpec, Not, Player
-from .solver import find_markov_two, find_predetermined_one, solve
+from .solver import find_markov_two, find_predetermined_one, winner
 
 Family = Sequence[frozenset]
 
@@ -125,8 +125,8 @@ def check_duality(game_over_fam: GameSpec, game_over_refl: GameSpec) -> DualityR
         raise ValueError("games must share a horizon")
     if game_over_refl.target != Not(game_over_fam.target):
         raise ValueError("mirror game must carry the negated target")
-    one_fam = solve(game_over_fam).winner is Player.ONE
-    one_refl = solve(game_over_refl).winner is Player.ONE
+    one_fam = winner(game_over_fam) is Player.ONE
+    one_refl = winner(game_over_refl) is Player.ONE
     pre_fam = find_predetermined_one(game_over_fam) is not None
     pre_refl = find_predetermined_one(game_over_refl) is not None
     markov_fam = find_markov_two(game_over_fam) is not None

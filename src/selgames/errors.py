@@ -32,10 +32,6 @@ class EmptyMove(SelGamesError):
     """A move family contains an empty move set."""
 
 
-class UnsoundHint(SelGamesError):
-    """A declared target hint was falsified by sampling."""
-
-
 class IllegalMove(SelGamesError):
     """A strategy produced an output outside the legal set.
 

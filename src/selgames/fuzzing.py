@@ -68,6 +68,7 @@ from .solver import (
     selection_principle_holds,
     solve,
     verify,
+    winner,
 )
 from .transforms import (
     Direction,
@@ -470,10 +471,9 @@ def suite_cofinality(rng: random.Random, count: int, profile: FuzzProfile) -> Su
                 (pre is not None) == cof.at_most(horizon),
                 payload,
             )
-            det = solve(game)
             res.check(
                 "cofinality/full-win-iff-pre-win",
-                (det.winner is Player.ONE) == (pre is not None),
+                (winner(game) is Player.ONE) == (pre is not None),
                 payload,
             )
         res.instances += 1
@@ -649,15 +649,7 @@ def suite_tukey(rng: random.Random, count: int, profile: FuzzProfile) -> SuiteRe
 def _ideal_base_family(rng: random.Random, space, max_seed: int = 3) -> SetFamily:
     full = space.full
     seeds = rng.sample(range(1, full), min(rng.randint(1, max_seed), full - 1))
-    members = set(seeds)
-    changed = True
-    while changed:
-        changed = False
-        for a, b in itertools.combinations(sorted(members), 2):
-            if a | b not in members:
-                members.add(a | b)
-                changed = True
-    return SetFamily.build(space, sorted(members), name="ideal-base")
+    return SetFamily.build(space, _union_closure(seeds), name="ideal-base")
 
 
 def suite_gamma(rng: random.Random, count: int, profile: FuzzProfile) -> SuiteResult:
@@ -699,7 +691,7 @@ def suite_gamma(rng: random.Random, count: int, profile: FuzzProfile) -> SuiteRe
         )
         low = None
         for h in range(1, n + 1):
-            if solve(game.truncated(h)).winner is Player.ONE:
+            if winner(game.truncated(h)) is Player.ONE:
                 low = h
                 break
         if low is None:
@@ -793,7 +785,7 @@ def suite_ground(rng: random.Random, count: int, profile: FuzzProfile) -> SuiteR
         if rng.random() < 0.6 and not fam.covers_universe:
             extra = space.full & ~_union(fam.members)
             fam = SetFamily.build(space, fam.members + (extra | fam.members[0],), name="f")
-            fam = _close_unions(space, fam)
+            fam = SetFamily.build(space, _union_closure(fam.members), name=fam.name)
         payload = {
             "space": {"size": size, "subbasis": [list(items_of(1 << i)) for i in range(size)]},
             "family": [list(items_of(m)) for m in fam.members],
@@ -860,8 +852,9 @@ def _powerset_min_covers(space, fam: SetFamily) -> tuple:
     return tuple(sorted(tuple(sorted(g)) for g in minimal))
 
 
-def _close_unions(space, fam: SetFamily) -> SetFamily:
-    members = set(fam.members)
+def _union_closure(masks) -> list[int]:
+    """The masks closed under pairwise union, ascending."""
+    members = set(masks)
     changed = True
     while changed:
         changed = False
@@ -869,7 +862,7 @@ def _close_unions(space, fam: SetFamily) -> SetFamily:
             if a | b not in members:
                 members.add(a | b)
                 changed = True
-    return SetFamily.build(space, sorted(members), name=fam.name)
+    return sorted(members)
 
 
 def suite_open_question_gamma_two(
@@ -895,8 +888,8 @@ def suite_open_question_gamma_two(
         singles = SetFamily.build(space, [1 << i for i in range(size)], name="s")
         plain = build_point_open(space, singles, singles, horizon)
         window = build_point_open(space, singles, singles, horizon, window=w)
-        two_plain = solve(plain).winner is Player.TWO
-        two_window = solve(window).winner is Player.TWO
+        two_plain = winner(plain) is Player.TWO
+        two_window = winner(window) is Player.TWO
         res.instances += 1
         if two_plain != two_window:
             res.findings.append(

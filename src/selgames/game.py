@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import enum
 import itertools
-import random
+from functools import reduce
+from operator import or_
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
 from ._bits import is_subset
-from .errors import EmptyMove, IllegalMove, UnsoundHint
+from .errors import EmptyMove, IllegalMove
 
 
 class Kind(enum.Enum):
@@ -32,158 +33,170 @@ class Player(enum.Enum):
 
 # -- targets -----------------------------------------------------------
 #
-# A target evaluates an item sequence.  Items are plain ints; cover-style
-# targets read them as subset bitmasks.  ``order_insensitive`` promises
-# invariance under permutation of the selection; ``set_determined``
-# additionally promises duplicate-insensitivity (evaluation depends on
-# the selected set only).  Hints must be sound: make_game spot-checks
-# them by sampling.
+# A target reads an item sequence one item at a time, as a deterministic
+# automaton: ``start`` is its state before any item, ``step(state, item)``
+# the state after one more, and ``accept(state)`` the verdict.  States are
+# hashable and determine every future verdict, so the solver memoizes on
+# (round, state) with no further promise from the target.  Items are plain
+# ints; cover-style targets read them as subset bitmasks.
+
+
+def _members_inside(members: tuple[int, ...], item: int) -> int:
+    """Bitmask of the indices of the members that ``item`` contains."""
+    hit = 0
+    for k, a in enumerate(members):
+        if is_subset(a, item):
+            hit |= 1 << k
+    return hit
+
+
+class _Automaton:
+    def evaluate(self, selection: Sequence[int]) -> bool:
+        state = self.start
+        for item in selection:
+            state = self.step(state, item)
+        return self.accept(state)
+
+
+class _SelectedSet(_Automaton):
+    """State: the set of items selected so far."""
+
+    start = frozenset()
+
+    def step(self, state: frozenset, item: int) -> frozenset:
+        return state | {item}
 
 
 @dataclass(frozen=True)
-class CoversFamily:
-    """True when the full set is absent and every member has a listed superset."""
+class CoversFamily(_Automaton):
+    """True when the full set is absent and every member has a listed superset.
+
+    State: the bitmask of covered members, or None once the full set is listed.
+    """
 
     full: int
     members: tuple[int, ...]
 
-    order_insensitive = True
-    set_determined = True
-    monotone_up = False
+    start = 0
 
-    def evaluate(self, selection: Sequence[int]) -> bool:
-        if self.full in selection:
-            return False
-        return all(
-            any(is_subset(a, u) for u in selection) for a in self.members
-        )
+    def step(self, state, item: int):
+        if state is None or item == self.full:
+            return None
+        return state | _members_inside(self.members, item)
+
+    def accept(self, state) -> bool:
+        return state == (1 << len(self.members)) - 1
 
 
 @dataclass(frozen=True)
-class MultiCover:
+class MultiCover(_SelectedSet):
     """Cover with multiplicity: every member inside >= m distinct listed sets."""
 
     full: int
     members: tuple[int, ...]
     m: int
 
-    order_insensitive = True
-    set_determined = True
-    monotone_up = False
-
-    def evaluate(self, selection: Sequence[int]) -> bool:
-        if self.full in selection:
-            return False
-        if not all(any(is_subset(a, u) for u in selection) for a in self.members):
+    def accept(self, state: frozenset) -> bool:
+        if self.full in state:
             return False
         if not self.members:
             return self.m <= 0
-        distinct = set(selection)
+        need = max(self.m, 1)
         return all(
-            sum(1 for u in distinct if is_subset(a, u)) >= self.m
-            for a in self.members
+            sum(1 for u in state if is_subset(a, u)) >= need for a in self.members
         )
 
 
 @dataclass(frozen=True)
-class WindowCover:
+class WindowCover(_Automaton):
     """Cover whose every w-long run of consecutive sets already covers.
 
     Genuinely order-sensitive; the finite stand-in for cofinite
-    ("tail") containment.
+    ("tail") containment.  State: the covered-member bitmask plus, for
+    each of the last w-1 items, the bitmask of members inside it; None
+    once the full set is listed or a completed window misses a member.
     """
 
     full: int
     members: tuple[int, ...]
     w: int
 
-    order_insensitive = False
-    set_determined = False
-    monotone_up = False
+    @property
+    def start(self):
+        # no window shorter than one item covers a member
+        if self.w < (1 if self.members else 0):
+            return None
+        return (0, ())
 
-    def evaluate(self, selection: Sequence[int]) -> bool:
-        if self.full in selection:
-            return False
-        if not all(any(is_subset(a, u) for u in selection) for a in self.members):
-            return False
-        if not self.members:
-            return 0 <= self.w
-        n = len(selection)
-        for w in range(1, n + 1):
-            if w > self.w:
-                return False
-            if all(
-                any(is_subset(a, u) for u in selection[i : i + w])
-                for i in range(n - w + 1)
-                for a in self.members
-            ):
-                return True
-        return False
+    def step(self, state, item: int):
+        if state is None or item == self.full:
+            return None
+        covered, tail = state
+        window = tail + (_members_inside(self.members, item),)
+        covered |= window[-1]
+        if len(window) < self.w:
+            return (covered, window)
+        if reduce(or_, window) != (1 << len(self.members)) - 1:
+            return None
+        return (covered, window[1:])
+
+    def accept(self, state) -> bool:
+        return state is not None and state[0] == (1 << len(self.members)) - 1
 
 
 @dataclass(frozen=True)
-class ExplicitSet:
+class ExplicitSet(_SelectedSet):
     """True when the selected set is one of an explicit list of winning sets."""
 
     winning: tuple[frozenset[int], ...]
 
-    order_insensitive = True
-    set_determined = True
-    monotone_up = False
-
-    def evaluate(self, selection: Sequence[int]) -> bool:
-        return frozenset(selection) in self.winning
+    def accept(self, state: frozenset) -> bool:
+        return state in self.winning
 
 
 @dataclass(frozen=True)
-class EverySubsequence:
-    """True when every subsequence of length >= m satisfies the inner target."""
+class EverySubsequence(_Automaton):
+    """True when every subsequence of length >= m satisfies the inner target.
+
+    State: the item tuple itself, since duplicates and (for an
+    order-sensitive inner target) order change which subsequences pass.
+    """
 
     inner: "Target"
     m: int
 
-    monotone_up = False
+    start = ()
 
-    @property
-    def order_insensitive(self) -> bool:
-        return self.inner.order_insensitive
+    def step(self, state: tuple, item: int) -> tuple:
+        return state + (item,)
 
-    # Duplicate counts matter (they change which subsequences exist), so
-    # never set-determined even over a set-determined inner target.
-    set_determined = False
-
-    def evaluate(self, selection: Sequence[int]) -> bool:
-        n = len(selection)
+    def accept(self, state: tuple) -> bool:
+        n = len(state)
         for r in range(self.m, n + 1):
             for idxs in itertools.combinations(range(n), r):
-                if not self.inner.evaluate([selection[i] for i in idxs]):
+                if not self.inner.evaluate([state[i] for i in idxs]):
                     return False
         return True
 
 
 @dataclass(frozen=True)
-class Not:
+class Not(_Automaton):
+    """The inner target's automaton with the verdict negated."""
+
     inner: "Target"
 
-    monotone_up = False
-
     @property
-    def order_insensitive(self) -> bool:
-        return self.inner.order_insensitive
+    def start(self):
+        return self.inner.start
 
-    @property
-    def set_determined(self) -> bool:
-        return self.inner.set_determined
+    def step(self, state, item: int):
+        return self.inner.step(state, item)
 
-    def evaluate(self, selection: Sequence[int]) -> bool:
-        return not self.inner.evaluate(selection)
+    def accept(self, state) -> bool:
+        return not self.inner.accept(state)
 
 
 Target = Union[CoversFamily, MultiCover, WindowCover, ExplicitSet, EverySubsequence, Not]
-
-
-def evaluate_target(target: Target, selection: Sequence[int]) -> bool:
-    return target.evaluate(selection)
 
 
 # -- game specs --------------------------------------------------------
@@ -209,12 +222,6 @@ class GameSpec:
     target: Target
     universe: frozenset[int]
 
-    def family(self, r: int) -> tuple[MoveSet, ...]:
-        return self.moves[r]
-
-    def move_set(self, r: int, index: int) -> MoveSet:
-        return self.moves[r][index]
-
     def truncated(self, h: int) -> "GameSpec":
         """The same game stopped after ``h`` rounds."""
         if not 0 <= h <= self.horizon:
@@ -228,18 +235,6 @@ class GameSpec:
         )
 
 
-def _sample_selection(game: GameSpec, rng: random.Random) -> list:
-    sel = []
-    for r in range(game.horizon):
-        ms = rng.choice(game.moves[r])
-        if game.kind is Kind.SINGLE:
-            sel.append(rng.choice(sorted(ms)))
-        else:
-            k = rng.randint(1, len(ms))
-            sel.append(frozenset(rng.sample(sorted(ms), k)))
-    return sel
-
-
 def flatten_selections(kind: Kind, selections: Sequence) -> tuple[int, ...]:
     """Item sequence a target sees: finite-kind subsets flatten in item order."""
     if kind is Kind.SINGLE:
@@ -250,14 +245,21 @@ def flatten_selections(kind: Kind, selections: Sequence) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _check_target(target) -> None:
+    if not isinstance(target, Target):
+        raise TypeError(f"not a built-in target: {target!r}")
+    if isinstance(target, (Not, EverySubsequence)):
+        _check_target(target.inner)
+
+
 def make_game(
     moves: Sequence[Sequence[MoveSet]],
     horizon: int,
     kind: Kind,
     target: Target,
-    hint_samples: int = 64,
 ) -> GameSpec:
-    """Validate structure and spot-check the target's declared hints."""
+    """Validate the move families, and the target as built from the six classes above."""
+    _check_target(target)
     if not 0 <= horizon <= HORIZON_CAP:
         raise ValueError(f"horizon outside 0..{HORIZON_CAP}")
     if len(moves) != horizon:
@@ -275,33 +277,13 @@ def make_game(
             fam.append(fs)
             universe.update(fs)
         packed.append(tuple(fam))
-    game = GameSpec(
+    return GameSpec(
         moves=tuple(packed),
         horizon=horizon,
         kind=kind,
         target=target,
         universe=frozenset(universe),
     )
-    rng = random.Random(0)
-    for _ in range(min(hint_samples, 64)):
-        if game.horizon == 0:
-            break
-        sel = _sample_selection(game, rng)
-        flat = flatten_selections(kind, sel)
-        base = target.evaluate(flat)
-        if target.order_insensitive:
-            perm = list(flat)
-            rng.shuffle(perm)
-            if target.evaluate(perm) != base:
-                raise UnsoundHint("order_insensitive falsified by permutation")
-        if target.set_determined:
-            if flat and target.evaluate(list(flat) + [flat[0]]) != base:
-                raise UnsoundHint("set_determined falsified by duplication")
-        if target.monotone_up and base:
-            extra = rng.choice(sorted(game.universe)) if game.universe else None
-            if extra is not None and not target.evaluate(list(flat) + [extra]):
-                raise UnsoundHint("monotone_up falsified by extension")
-    return game
 
 
 # -- strategies --------------------------------------------------------

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from ._bits import is_subset, items_of, mask_of
+from ._bits import is_subset, mask_of
 from .errors import CapExceeded, NotOpen, TopologyTooLarge
 
 SIZE_CAP = 16
@@ -150,12 +150,6 @@ class SetFamily:
             all_open=all(space.is_open(m) for m in ordered),
             all_closed=all(space.is_closed(m) for m in ordered),
         )
-
-    def as_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(items_of(m)) for m in self.members)
-
-    def member_items(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(items_of(m) for m in self.members)
 
 
 def family_of(space: GroundSpace, sets: Iterable[Iterable[int]], name: str = "") -> SetFamily:

@@ -1,11 +1,11 @@
 """Exact winner determination and limited-information strategy synthesis.
 
-solve() runs backward induction over the full game tree, memoizing on a
-canonical selection key when the target's hints make that sound: a
-permutation-insensitive target is memoized on the sorted selection
-multiset, and a duplicate-insensitive one on the selected set.  Witness
-extraction always prefers the least move index / least selection, so
-results are reproducible across platforms and schedules.
+solve() runs backward induction over the full game tree, memoizing on
+(round, target state): every target is a deterministic automaton whose
+state decides all future verdicts, so histories that reach the same
+state share one value, soundly by construction.  Witness extraction
+always prefers the least move index / least selection, so results are
+reproducible across platforms and schedules.
 """
 
 from __future__ import annotations
@@ -36,15 +36,6 @@ MARKOV_CELL_CAP = 24
 MAX_EXHIBITS = 16
 
 
-def _canonical_key(game: GameSpec, flat: tuple) -> tuple:
-    t = game.target
-    if t.set_determined:
-        return (len(flat), frozenset(flat))
-    if t.order_insensitive:
-        return (len(flat), tuple(sorted(flat)))
-    return flat
-
-
 def _choices(game: GameSpec, move_set: frozenset) -> Iterator:
     """Two's legal selections from one move set, in canonical order."""
     items = sorted(move_set)
@@ -56,10 +47,14 @@ def _choices(game: GameSpec, move_set: frozenset) -> Iterator:
                 yield frozenset(combo)
 
 
-def _contrib(game: GameSpec, x) -> tuple:
+def _advance(game: GameSpec, state, x):
+    """Target state after Two's selection ``x``; a subset steps in item order."""
+    step = game.target.step
     if game.kind is Kind.SINGLE:
-        return (x,)
-    return tuple(sorted(x))
+        return step(state, x)
+    for item in sorted(x):
+        state = step(state, item)
+    return state
 
 
 @dataclass(frozen=True)
@@ -77,18 +72,18 @@ class _Solver:
         self.nodes = 0
         self.hits = 0
 
-    def two_wins(self, r: int, flat: tuple) -> bool:
+    def two_wins(self, r: int, state) -> bool:
         game = self.game
         if r == game.horizon:
-            return game.target.evaluate(flat)
-        key = (r, _canonical_key(game, flat))
+            return game.target.accept(state)
+        key = (r, state)
         if key in self.memo:
             self.hits += 1
             return self.memo[key]
         self.nodes += 1
         result = all(
             any(
-                self.two_wins(r + 1, flat + _contrib(game, x))
+                self.two_wins(r + 1, _advance(game, state, x))
                 for x in _choices(game, ms)
             )
             for ms in game.moves[r]
@@ -100,13 +95,13 @@ class _Solver:
         game = self.game
         table: dict = {}
 
-        def walk(r: int, hist: tuple, flat: tuple) -> None:
+        def walk(r: int, hist: tuple, state) -> None:
             if r == game.horizon:
                 return
             best = None
             for i, ms in enumerate(game.moves[r]):
                 if not any(
-                    self.two_wins(r + 1, flat + _contrib(game, x))
+                    self.two_wins(r + 1, _advance(game, state, x))
                     for x in _choices(game, ms)
                 ):
                     best = i
@@ -114,70 +109,76 @@ class _Solver:
             assert best is not None, "extraction from a lost position"
             table[hist] = best
             for x in _choices(game, game.moves[r][best]):
-                walk(r + 1, hist + (x,), flat + _contrib(game, x))
+                walk(r + 1, hist + (x,), _advance(game, state, x))
 
-        walk(0, (), ())
+        walk(0, (), game.target.start)
         return FullOne(table=table)
 
     def extract_two(self) -> FullTwo:
         game = self.game
         table: dict = {}
 
-        def walk(r: int, idx_hist: tuple, flat: tuple) -> None:
+        def walk(r: int, idx_hist: tuple, state) -> None:
             if r == game.horizon:
                 return
             for i, ms in enumerate(game.moves[r]):
                 chosen = None
                 for x in _choices(game, ms):
-                    if self.two_wins(r + 1, flat + _contrib(game, x)):
+                    if self.two_wins(r + 1, _advance(game, state, x)):
                         chosen = x
                         break
                 assert chosen is not None, "extraction from a lost position"
                 table[idx_hist + (i,)] = chosen
-                walk(r + 1, idx_hist + (i,), flat + _contrib(game, chosen))
+                walk(r + 1, idx_hist + (i,), _advance(game, state, chosen))
 
-        walk(0, (), ())
+        walk(0, (), game.target.start)
         return FullTwo(table=table)
 
 
 def solve(game: GameSpec) -> Determination:
     """Winner by backward induction plus a verified-by-construction witness."""
     s = _Solver(game)
-    if s.two_wins(0, ()):
-        witness: Union[FullOne, FullTwo] = s.extract_two()
-        winner = Player.TWO
+    if s.two_wins(0, game.target.start):
+        side, witness = Player.TWO, s.extract_two()
     else:
-        witness = s.extract_one()
-        winner = Player.ONE
+        side, witness = Player.ONE, s.extract_one()
     return Determination(
-        winner=winner, witness=witness, nodes_explored=s.nodes, memo_hits=s.hits
+        winner=side, witness=witness, nodes_explored=s.nodes, memo_hits=s.hits
     )
+
+
+def winner(game: GameSpec) -> Player:
+    """The winner alone: backward induction without witness extraction."""
+    if _Solver(game).two_wins(0, game.target.start):
+        return Player.TWO
+    return Player.ONE
 
 
 def find_predetermined_one(game: GameSpec) -> Optional[PreOne]:
     """Lexicographically least winning script for One, or None.
 
     Enumerates move-index tuples; for each, exhausts Two's replies with
-    memoization shared across tuples via the (suffix, selections) key.
+    memoization shared across tuples via the (suffix, round, target state)
+    key.
     """
     memo: dict = {}
 
-    def two_can_win(idx: tuple, r: int, flat: tuple) -> bool:
+    def two_can_win(idx: tuple, r: int, state) -> bool:
         if r == game.horizon:
-            return game.target.evaluate(flat)
-        key = (idx[r:], r, _canonical_key(game, flat))
+            return game.target.accept(state)
+        key = (idx[r:], r, state)
         if key in memo:
             return memo[key]
         ms = game.moves[r][idx[r]]
         result = any(
-            two_can_win(idx, r + 1, flat + _contrib(game, x))
+            two_can_win(idx, r + 1, _advance(game, state, x))
             for x in _choices(game, ms)
         )
         memo[key] = result
         return result
 
     for idx in itertools.product(*(range(len(f)) for f in game.moves)):
-        if not two_can_win(idx, 0, ()):
+        if not two_can_win(idx, 0, game.target.start):
             return PreOne(indices=idx)
     return None
 
@@ -205,7 +206,7 @@ def find_markov_two(
         )
     if game.horizon == 0:
         return MarkovTwo(table={}) if game.target.evaluate(()) else None
-    if solve(game).winner is Player.ONE:
+    if winner(game) is Player.ONE:
         return None
 
     assigned: dict = {}
@@ -263,8 +264,8 @@ def one_side_plays(
     def walk(r: int, idx_hist: tuple, sel_hist: tuple) -> Iterator[PlayRecord]:
         if r == game.horizon:
             flat = flatten_selections(game.kind, sel_hist)
-            winner = Player.TWO if game.target.evaluate(flat) else Player.ONE
-            yield PlayRecord(idx_hist, sel_hist, winner)
+            won = Player.TWO if game.target.evaluate(flat) else Player.ONE
+            yield PlayRecord(idx_hist, sel_hist, won)
             return
         i = one_move_index(one, sel_hist, r)
         if not 0 <= i < len(game.moves[r]):
@@ -332,14 +333,14 @@ def selection_principle_holds(game: GameSpec) -> bool:
     """
     for idx in itertools.product(*(range(len(f)) for f in game.moves)):
 
-        def beatable(r: int, flat: tuple) -> bool:
+        def beatable(r: int, state) -> bool:
             if r == game.horizon:
-                return game.target.evaluate(flat)
+                return game.target.accept(state)
             return any(
-                beatable(r + 1, flat + _contrib(game, x))
+                beatable(r + 1, _advance(game, state, x))
                 for x in _choices(game, game.moves[r][idx[r]])
             )
 
-        if not beatable(0, ()):
+        if not beatable(0, game.target.start):
             return False
     return True

@@ -13,13 +13,12 @@ from selgames import (
     PreOne,
     WindowCover,
     build_point_open,
-    evaluate_target,
     make_game,
     play,
     solve,
     verify,
 )
-from selgames.errors import EmptyMove, IllegalMove, UnsoundHint
+from selgames.errors import EmptyMove, IllegalMove
 from selgames.game import (
     embed_two_into_finite,
     flatten_selections,
@@ -62,9 +61,6 @@ class TestTargets:
         assert not t.evaluate([0])
         assert t.evaluate([1])
 
-    def test_evaluate_target_helper(self):
-        assert evaluate_target(ExplicitSet(winning=(frozenset(),)), [])
-
 
 class TestMakeGame:
     def test_horizon_zero(self):
@@ -85,22 +81,15 @@ class TestMakeGame:
         with pytest.raises(ValueError):
             make_game([family] * 9, 9, Kind.SINGLE, ExplicitSet(winning=()))
 
-    def test_unsound_hint_caught(self):
-        class LyingTarget:
-            order_insensitive = True
-            set_determined = False
-            monotone_up = False
-
+    def test_non_builtin_target_rejected(self):
+        class CustomTarget:
             def evaluate(self, selection):
                 return len(selection) >= 2 and selection[0] < selection[1]
 
-        with pytest.raises(UnsoundHint):
-            make_game(
-                [[frozenset({0, 1})], [frozenset({0, 1})]],
-                2,
-                Kind.SINGLE,
-                LyingTarget(),
-            )
+        family = [frozenset({0, 1})]
+        for target in (CustomTarget(), Not(inner=CustomTarget())):
+            with pytest.raises(TypeError):
+                make_game([family, family], 2, Kind.SINGLE, target)
 
 
 class TestPlay:
@@ -257,5 +246,4 @@ def test_order_insensitive_targets_really_are(selection, data):
     ]
     perm = data.draw(st.permutations(selection))
     for t in targets:
-        assert t.order_insensitive
         assert t.evaluate(selection) == t.evaluate(perm)

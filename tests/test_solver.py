@@ -11,6 +11,7 @@ from selgames import (
     build_point_open,
     build_rothberger,
     build_topology,
+    check_duality,
     discrete_space,
     find_markov_two,
     find_predetermined_one,
@@ -21,6 +22,7 @@ from selgames import (
     singleton_family,
     solve,
     verify,
+    winner,
 )
 from selgames.errors import BudgetExceeded, IllegalMove
 from selgames.fuzzing import FuzzProfile, _random_game
@@ -76,6 +78,26 @@ class TestSolve:
         det = solve(g)
         assert det.winner == brute_winner(g)
         assert verify(g, det.witness).valid
+
+    def test_memo_merges_histories_with_equal_target_state(self, d3, singles3):
+        # the solver expands each (round, target state) pair at most once,
+        # however many histories reach it; count the pairs by a plain walk
+        g = build_point_open(d3, singles3, singles3, 6, window=3)
+        pairs = set()
+        states = {g.target.start}
+        for r in range(g.horizon):
+            pairs.update((r, q) for q in states)
+            states = {
+                g.target.step(q, x) for q in states for ms in g.moves[r] for x in ms
+            }
+        assert solve(g).nodes_explored <= len(pairs)
+
+    def test_winner_matches_solve(self):
+        rng = random.Random(19)
+        profile = FuzzProfile()
+        for _ in range(25):
+            g = _random_game(rng, profile)
+            assert winner(g) == solve(g).winner
 
 
 class TestFindPredeterminedOne:
@@ -138,6 +160,22 @@ class TestFindMarkovTwo:
         g = build_point_open(d3, fam, singleton_family(d3), 5)
         with pytest.raises(BudgetExceeded):
             find_markov_two(g)
+
+    def test_winner_only_callers_skip_witness_extraction(
+        self, d2, singles2, monkeypatch
+    ):
+        from selgames import duality, solver
+
+        def no_witness(game):
+            raise AssertionError("solve() extracts a witness nobody reads")
+
+        monkeypatch.setattr(solver, "solve", no_witness)
+        monkeypatch.setattr(duality, "solve", no_witness, raising=False)
+        rothberger = build_rothberger(d2, singles2, singles2, 2)
+        point_open = build_point_open(d2, singles2, singles2, 2)
+        assert find_markov_two(rothberger) is not None
+        assert find_markov_two(point_open) is None
+        assert check_duality(rothberger, point_open).all_hold
 
 
 class TestVerify:
