@@ -56,6 +56,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -305,7 +315,7 @@ def _build_parser() -> _Parser:
     p.add_argument("scenario")
     p.add_argument("strategy")
     p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--max-exhibits", type=int, default=MAX_EXHIBITS)
+    p.add_argument("--max-exhibits", type=_non_negative_int, default=MAX_EXHIBITS)
     common(p)
     p.set_defaults(func=_cmd_verify)
 

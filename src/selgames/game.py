@@ -15,7 +15,7 @@ import itertools
 from functools import reduce
 from operator import or_
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 from ._bits import is_subset
 from .errors import EmptyMove, IllegalMove
@@ -350,6 +350,33 @@ def two_selection(
     return two[r]
 
 
+def two_choices(game: GameSpec, move_set: MoveSet) -> Iterator:
+    """Two's legal selections from one move set, in canonical order."""
+    items = sorted(move_set)
+    if game.kind is Kind.SINGLE:
+        yield from items
+    else:
+        for r in range(1, len(items) + 1):
+            for combo in itertools.combinations(items, r):
+                yield frozenset(combo)
+
+
+def legal_selection(game: GameSpec, r: int, move_set: MoveSet, x):
+    """Two's selection ``x`` at round ``r``, a finite-kind one as a frozenset.
+
+    Raises IllegalMove unless ``x`` is an item of the move set (single
+    kind) or a nonempty subset of it (finite kind).
+    """
+    if game.kind is Kind.SINGLE:
+        if x not in move_set:
+            raise IllegalMove(r, f"selection {x!r} outside the offered move set")
+        return x
+    x = frozenset(x)
+    if not x or not x <= move_set:
+        raise IllegalMove(r, "selection not a nonempty subset of the move set")
+    return x
+
+
 @dataclass(frozen=True)
 class PlayRecord:
     one_moves: tuple[int, ...]
@@ -369,16 +396,8 @@ def play(
         i = one_move_index(one, sel_hist, r)
         if not 0 <= i < len(game.moves[r]):
             raise IllegalMove(r, f"move index {i} out of range")
-        ms = game.moves[r][i]
         idx_hist = idx_hist + (i,)
-        x = two_selection(two, idx_hist, r)
-        if game.kind is Kind.SINGLE:
-            if x not in ms:
-                raise IllegalMove(r, f"selection {x!r} outside the offered move set")
-        else:
-            x = frozenset(x)
-            if not x or not x <= ms:
-                raise IllegalMove(r, "selection not a nonempty subset of the move set")
+        x = legal_selection(game, r, game.moves[r][i], two_selection(two, idx_hist, r))
         sel_hist = sel_hist + (x,)
     flat = flatten_selections(game.kind, sel_hist)
     winner = Player.TWO if game.target.evaluate(flat) else Player.ONE
@@ -391,17 +410,11 @@ def is_one_play(game: GameSpec, one: Union[StrategyOne, Sequence[int]], selectio
     for r, x in enumerate(selections):
         try:
             i = one_move_index(one, hist, r)
+            if not 0 <= i < len(game.moves[r]):
+                return False
+            legal_selection(game, r, game.moves[r][i], x)
         except IllegalMove:
             return False
-        if not 0 <= i < len(game.moves[r]):
-            return False
-        ms = game.moves[r][i]
-        if game.kind is Kind.SINGLE:
-            if x not in ms:
-                return False
-        else:
-            if not x or not frozenset(x) <= ms:
-                return False
         hist = hist + (x,)
     return True
 
@@ -420,16 +433,7 @@ def pre_as_full_one(game: GameSpec, pre: PreOne) -> FullOne:
         if r == game.horizon:
             return
         table[hist] = pre.indices[r]
-        ms = game.moves[r][pre.indices[r]]
-        if game.kind is Kind.SINGLE:
-            nexts = sorted(ms)
-        else:
-            nexts = [
-                frozenset(c)
-                for k in range(1, len(ms) + 1)
-                for c in itertools.combinations(sorted(ms), k)
-            ]
-        for x in nexts:
+        for x in two_choices(game, game.moves[r][pre.indices[r]]):
             walk(hist + (x,), r + 1)
 
     walk((), 0)

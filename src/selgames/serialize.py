@@ -146,6 +146,13 @@ def _item_from_json(value, kind: Kind):
     return value
 
 
+def _history_key(row: dict) -> str:
+    # The order of json.dumps(row, sort_keys=True): every row's text starts
+    # with its history, histories are unique, and no JSON array text is a
+    # proper prefix of another, so the history text alone decides.
+    return json.dumps(row["history"])
+
+
 def strategy_to_json(strategy, kind: Kind = Kind.SINGLE) -> dict:
     if isinstance(strategy, PreOne):
         return {"class": "pre-one", "kind": kind.value, "indices": list(strategy.indices)}
@@ -153,14 +160,14 @@ def strategy_to_json(strategy, kind: Kind = Kind.SINGLE) -> dict:
         rows = sorted(
             ({"history": [_item_to_json(x) for x in hist], "move": move}
              for hist, move in strategy.table.items()),
-            key=lambda r: json.dumps(r, sort_keys=True),
+            key=_history_key,
         )
         return {"class": "full-one", "kind": kind.value, "table": rows}
     if isinstance(strategy, FullTwo):
         rows = sorted(
             ({"history": list(hist), "item": _item_to_json(item)}
              for hist, item in strategy.table.items()),
-            key=lambda r: json.dumps(r, sort_keys=True),
+            key=_history_key,
         )
         return {"class": "full-two", "kind": kind.value, "table": rows}
     if isinstance(strategy, MarkovTwo):

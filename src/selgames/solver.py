@@ -5,7 +5,11 @@ solve() runs backward induction over the full game tree, memoizing on
 state decides all future verdicts, so histories that reach the same
 state share one value, soundly by construction.  Witness extraction
 always prefers the least move index / least selection, so results are
-reproducible across platforms and schedules.
+reproducible across platforms and schedules; that choice depends only on
+(round, state), so extraction decides it once per state and the walk over
+histories only writes table rows.  verify() walks the play tree once,
+depth first, carrying the target state and checking each move once per
+node.
 """
 
 from __future__ import annotations
@@ -27,24 +31,15 @@ from .game import (
     StrategyOne,
     StrategyTwo,
     flatten_selections,
+    legal_selection,
     one_move_index,
-    play,
+    two_choices,
+    two_selection,
 )
 
 DEFAULT_NODE_BUDGET = 10**7
 MARKOV_CELL_CAP = 24
 MAX_EXHIBITS = 16
-
-
-def _choices(game: GameSpec, move_set: frozenset) -> Iterator:
-    """Two's legal selections from one move set, in canonical order."""
-    items = sorted(move_set)
-    if game.kind is Kind.SINGLE:
-        yield from items
-    else:
-        for r in range(1, len(items) + 1):
-            for combo in itertools.combinations(items, r):
-                yield frozenset(combo)
 
 
 def _advance(game: GameSpec, state, x):
@@ -84,7 +79,7 @@ class _Solver:
         result = all(
             any(
                 self.two_wins(r + 1, _advance(game, state, x))
-                for x in _choices(game, ms)
+                for x in two_choices(game, ms)
             )
             for ms in game.moves[r]
         )
@@ -94,22 +89,29 @@ class _Solver:
     def extract_one(self) -> FullOne:
         game = self.game
         table: dict = {}
+        plans: dict = {}  # (r, state) -> (least winning index, [(reply, next state)])
+
+        def plan(r: int, state):
+            for i, ms in enumerate(game.moves[r]):
+                if not any(
+                    self.two_wins(r + 1, _advance(game, state, x))
+                    for x in two_choices(game, ms)
+                ):
+                    return i, [
+                        (x, _advance(game, state, x)) for x in two_choices(game, ms)
+                    ]
+            raise AssertionError("extraction from a lost position")
 
         def walk(r: int, hist: tuple, state) -> None:
             if r == game.horizon:
                 return
-            best = None
-            for i, ms in enumerate(game.moves[r]):
-                if not any(
-                    self.two_wins(r + 1, _advance(game, state, x))
-                    for x in _choices(game, ms)
-                ):
-                    best = i
-                    break
-            assert best is not None, "extraction from a lost position"
+            key = (r, state)
+            if key not in plans:
+                plans[key] = plan(r, state)
+            best, replies = plans[key]
             table[hist] = best
-            for x in _choices(game, game.moves[r][best]):
-                walk(r + 1, hist + (x,), _advance(game, state, x))
+            for x, nxt in replies:
+                walk(r + 1, hist + (x,), nxt)
 
         walk(0, (), game.target.start)
         return FullOne(table=table)
@@ -117,19 +119,26 @@ class _Solver:
     def extract_two(self) -> FullTwo:
         game = self.game
         table: dict = {}
+        plans: dict = {}  # (r, state) -> [(least winning reply, next state)] per index
+
+        def least_winning_reply(r: int, state, ms):
+            for x in two_choices(game, ms):
+                nxt = _advance(game, state, x)
+                if self.two_wins(r + 1, nxt):
+                    return x, nxt
+            raise AssertionError("extraction from a lost position")
 
         def walk(r: int, idx_hist: tuple, state) -> None:
             if r == game.horizon:
                 return
-            for i, ms in enumerate(game.moves[r]):
-                chosen = None
-                for x in _choices(game, ms):
-                    if self.two_wins(r + 1, _advance(game, state, x)):
-                        chosen = x
-                        break
-                assert chosen is not None, "extraction from a lost position"
-                table[idx_hist + (i,)] = chosen
-                walk(r + 1, idx_hist + (i,), _advance(game, state, chosen))
+            key = (r, state)
+            if key not in plans:
+                plans[key] = [
+                    least_winning_reply(r, state, ms) for ms in game.moves[r]
+                ]
+            for i, (x, nxt) in enumerate(plans[key]):
+                table[idx_hist + (i,)] = x
+                walk(r + 1, idx_hist + (i,), nxt)
 
         walk(0, (), game.target.start)
         return FullTwo(table=table)
@@ -172,7 +181,7 @@ def find_predetermined_one(game: GameSpec) -> Optional[PreOne]:
         ms = game.moves[r][idx[r]]
         result = any(
             two_can_win(idx, r + 1, _advance(game, state, x))
-            for x in _choices(game, ms)
+            for x in two_choices(game, ms)
         )
         memo[key] = result
         return result
@@ -232,7 +241,7 @@ def find_markov_two(
         if k == len(cells):
             return True
         r, j = cells[k]
-        for x in _choices(game, game.moves[r][j]):
+        for x in two_choices(game, game.moves[r][j]):
             budget[0] -= 1
             if budget[0] < 0:
                 raise BudgetExceeded("Markov search node budget exhausted")
@@ -256,32 +265,61 @@ class VerificationReport:
     plays_checked: int
 
 
-def one_side_plays(
+def _one_side_leaves(
     game: GameSpec, one: Union[StrategyOne, Sequence[int]]
-) -> Iterator[PlayRecord]:
-    """Every completed play with Two ranging over all legal replies."""
+) -> Iterator[tuple]:
+    """(One's indices, Two's selections, final target state) of every play
+    of ``one``, Two's replies ranging in canonical order, depth first."""
 
-    def walk(r: int, idx_hist: tuple, sel_hist: tuple) -> Iterator[PlayRecord]:
+    def walk(r: int, idx_hist: tuple, sel_hist: tuple, state) -> Iterator[tuple]:
         if r == game.horizon:
-            flat = flatten_selections(game.kind, sel_hist)
-            won = Player.TWO if game.target.evaluate(flat) else Player.ONE
-            yield PlayRecord(idx_hist, sel_hist, won)
+            yield idx_hist, sel_hist, state
             return
         i = one_move_index(one, sel_hist, r)
         if not 0 <= i < len(game.moves[r]):
             raise IllegalMove(r, f"move index {i} out of range")
-        for x in _choices(game, game.moves[r][i]):
-            yield from walk(r + 1, idx_hist + (i,), sel_hist + (x,))
+        idx = idx_hist + (i,)
+        for x in two_choices(game, game.moves[r][i]):
+            yield from walk(r + 1, idx, sel_hist + (x,), _advance(game, state, x))
 
-    yield from walk(0, (), ())
+    return walk(0, (), (), game.target.start)
 
 
-def two_side_plays(
-    game: GameSpec, two: Union[StrategyTwo, Sequence]
+def _two_side_leaves(game: GameSpec, two: StrategyTwo) -> Iterator[tuple]:
+    """(One's indices, Two's selections, final target state) of every play
+    of ``two``, One's index tuples ranging in lexicographic order, depth
+    first; each reply is looked up and checked once, raising IllegalMove
+    as ``play`` does."""
+
+    def walk(r: int, idx_hist: tuple, sel_hist: tuple, state) -> Iterator[tuple]:
+        if r == game.horizon:
+            yield idx_hist, sel_hist, state
+            return
+        for i, ms in enumerate(game.moves[r]):
+            idx = idx_hist + (i,)
+            x = legal_selection(game, r, ms, two_selection(two, idx, r))
+            yield from walk(r + 1, idx, sel_hist + (x,), _advance(game, state, x))
+
+    return walk(0, (), (), game.target.start)
+
+
+def _leaves(game: GameSpec, strategy) -> tuple[Player, Iterator[tuple]]:
+    """The strategy's side and the leaves of its play tree, the adversary
+    ranging over every legal choice."""
+    if isinstance(strategy, (PreOne, FullOne)):
+        return Player.ONE, _one_side_leaves(game, strategy)
+    if isinstance(strategy, (FullTwo, MarkovTwo)):
+        return Player.TWO, _two_side_leaves(game, strategy)
+    raise TypeError(f"not a strategy: {strategy!r}")
+
+
+def one_side_plays(
+    game: GameSpec, one: Union[StrategyOne, Sequence[int]]
 ) -> Iterator[PlayRecord]:
-    """Every completed play with One ranging over all index tuples."""
-    for idx in itertools.product(*(range(len(f)) for f in game.moves)):
-        yield play(game, idx, two)
+    """Every completed play with Two ranging over all legal replies."""
+    accept = game.target.accept
+    for idx_hist, sel_hist, state in _one_side_leaves(game, one):
+        yield PlayRecord(idx_hist, sel_hist, Player.TWO if accept(state) else Player.ONE)
 
 
 def verify(
@@ -289,25 +327,22 @@ def verify(
     strategy: Union[StrategyOne, StrategyTwo],
     max_exhibits: int = MAX_EXHIBITS,
 ) -> VerificationReport:
-    """Exhaustive adversary enumeration; lists losing counter-plays."""
-    if isinstance(strategy, (PreOne, FullOne)):
-        side = Player.ONE
-        plays = one_side_plays(game, strategy)
-        losing = Player.TWO
-    elif isinstance(strategy, (FullTwo, MarkovTwo)):
-        side = Player.TWO
-        plays = two_side_plays(game, strategy)
-        losing = Player.ONE
-    else:
-        raise TypeError(f"not a strategy: {strategy!r}")
+    """Exhaustive adversary enumeration; lists the first ``max_exhibits``
+    losing counter-plays in lexicographic order.  ``valid`` counts every
+    losing play, exhibited or not."""
+    side, leaves = _leaves(game, strategy)
+    accept = game.target.accept
     counters = []
-    checked = 0
-    for rec in plays:
+    checked = lost = 0
+    for idx_hist, sel_hist, state in leaves:
         checked += 1
-        if rec.winner is losing and len(counters) < max_exhibits:
-            counters.append(rec)
+        won = Player.TWO if accept(state) else Player.ONE
+        if won is not side:
+            lost += 1
+            if len(counters) < max_exhibits:
+                counters.append(PlayRecord(idx_hist, sel_hist, won))
     return VerificationReport(
-        valid=not counters,
+        valid=not lost,
         side=side,
         counter_plays=tuple(counters),
         plays_checked=checked,
@@ -316,13 +351,10 @@ def verify(
 
 def is_winning(game: GameSpec, strategy) -> bool:
     """Like verify(...).valid but stops at the first counter-play."""
-    if isinstance(strategy, (PreOne, FullOne)):
-        plays, losing = one_side_plays(game, strategy), Player.TWO
-    elif isinstance(strategy, (FullTwo, MarkovTwo)):
-        plays, losing = two_side_plays(game, strategy), Player.ONE
-    else:
-        raise TypeError(f"not a strategy: {strategy!r}")
-    return all(rec.winner is not losing for rec in plays)
+    side, leaves = _leaves(game, strategy)
+    accept = game.target.accept
+    two_side = side is Player.TWO
+    return all(bool(accept(state)) is two_side for _, _, state in leaves)
 
 
 def selection_principle_holds(game: GameSpec) -> bool:
@@ -338,7 +370,7 @@ def selection_principle_holds(game: GameSpec) -> bool:
                 return game.target.accept(state)
             return any(
                 beatable(r + 1, _advance(game, state, x))
-                for x in _choices(game, game.moves[r][idx[r]])
+                for x in two_choices(game, game.moves[r][idx[r]])
             )
 
         if not beatable(0, game.target.start):

@@ -9,7 +9,19 @@ from __future__ import annotations
 
 import itertools
 
-from selgames.game import GameSpec, Kind, Player, flatten_selections
+from selgames.errors import IllegalMove
+from selgames.game import (
+    FullOne,
+    GameSpec,
+    Kind,
+    Player,
+    PlayRecord,
+    PreOne,
+    flatten_selections,
+    one_move_index,
+    play,
+)
+from selgames.solver import MAX_EXHIBITS, VerificationReport
 
 
 def brute_two_choices(game: GameSpec, move_set):
@@ -55,6 +67,46 @@ def brute_pre_one_exists(game: GameSpec) -> bool:
         if not beaten:
             return True
     return False
+
+
+def two_side_plays(game: GameSpec, two):
+    """Every completed play with One ranging over all index tuples."""
+    for idx in itertools.product(*(range(len(f)) for f in game.moves)):
+        yield play(game, idx, two)
+
+
+def brute_one_side_plays(game: GameSpec, one):
+    """Every completed play with Two ranging over all legal replies, each
+    judged by evaluating the whole selection sequence."""
+
+    def walk(r, idx_hist, sel_hist):
+        if r == game.horizon:
+            flat = flatten_selections(game.kind, sel_hist)
+            won = Player.TWO if game.target.evaluate(flat) else Player.ONE
+            yield PlayRecord(idx_hist, sel_hist, won)
+            return
+        i = one_move_index(one, sel_hist, r)
+        if not 0 <= i < len(game.moves[r]):
+            raise IllegalMove(r, f"move index {i} out of range")
+        for x in brute_two_choices(game, game.moves[r][i]):
+            yield from walk(r + 1, idx_hist + (i,), sel_hist + (x,))
+
+    yield from walk(0, (), ())
+
+
+def brute_verify(game: GameSpec, strategy, max_exhibits: int = MAX_EXHIBITS):
+    """Literal-play verification: list every play, then count the lost ones."""
+    if isinstance(strategy, (PreOne, FullOne)):
+        side, plays = Player.ONE, list(brute_one_side_plays(game, strategy))
+    else:
+        side, plays = Player.TWO, list(two_side_plays(game, strategy))
+    lost = [rec for rec in plays if rec.winner is not side]
+    return VerificationReport(
+        valid=not lost,
+        side=side,
+        counter_plays=tuple(lost[:max_exhibits]),
+        plays_checked=len(plays),
+    )
 
 
 def brute_min_covers(space, fam_members, opens):

@@ -98,6 +98,28 @@ class TestVerify:
         assert code == 2
         assert len(json.loads(out)["counter_plays"]) == 1
 
+    def test_max_exhibits_zero_still_refutes(self, capsys):
+        # exhibiting no counter-play must not hide that there are some
+        code, out, _ = run(
+            capsys, "verify", str(SCENARIOS / "point-open-discrete-3-h3.json"),
+            str(SCENARIOS / "losing-script-point-open-2.json"),
+            "--horizon", "2", "--max-exhibits", "0", "--json",
+        )
+        assert code == 2
+        data = json.loads(out)
+        assert data["valid"] is False
+        assert data["counter_plays"] == []
+
+    def test_negative_max_exhibits_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "verify", str(SCENARIOS / "point-open-discrete-3-h3.json"),
+            str(SCENARIOS / "losing-script-point-open-2.json"),
+            "--horizon", "2", "--max-exhibits", "-1", "--json",
+        )
+        assert code == 1
+        assert out == ""
+        assert "--max-exhibits" in err
+
 
 class TestDuality:
     def test_dual_pair_holds(self, capsys):

@@ -25,7 +25,7 @@ from selgames.errors import (
     NoNeighborhood,
     ScenarioFormatError,
 )
-from selgames.game import CoversFamily, Not
+from selgames.game import CoversFamily, FullOne, FullTwo, Not
 from selgames.ground import SetFamily, family_of
 from selgames.scenarios import (
     CORPUS_EXPECTATIONS,
@@ -279,6 +279,28 @@ def test_target_codec_round_trips(target):
     for n in range(0, 3):
         for sel in itertools.product(range(8), repeat=n):
             assert back.evaluate(sel) == target.evaluate(sel)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_history_tables_emit_in_whole_row_order(data):
+    # rows are sorted by their history's JSON text alone; that must be the
+    # order of the whole row's sort_keys text, which the canonical witness
+    # bytes were defined by
+    kind = data.draw(st.sampled_from([Kind.SINGLE, Kind.FINITE]))
+    item = (
+        st.integers(min_value=0, max_value=20)
+        if kind is Kind.SINGLE
+        else st.frozensets(st.integers(min_value=0, max_value=20), min_size=1, max_size=3)
+    )
+    index = st.integers(min_value=0, max_value=12)
+    one = FullOne(table=data.draw(st.dictionaries(
+        st.lists(item, max_size=4).map(tuple), index, max_size=25)))
+    two = FullTwo(table=data.draw(st.dictionaries(
+        st.lists(index, min_size=1, max_size=4).map(tuple), item, max_size=25)))
+    for strategy in (one, two):
+        rows = strategy_to_json(strategy, kind)["table"]
+        assert rows == sorted(rows, key=lambda r: json.dumps(r, sort_keys=True))
 
 
 @settings(max_examples=40, deadline=None)

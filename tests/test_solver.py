@@ -2,9 +2,11 @@ import random
 
 import pytest
 
-from brute import brute_pre_one_exists, brute_winner
+from brute import brute_pre_one_exists, brute_verify, brute_winner
 from selgames import (
     ExplicitSet,
+    FullOne,
+    FullTwo,
     Kind,
     Player,
     PreOne,
@@ -26,7 +28,10 @@ from selgames import (
 )
 from selgames.errors import BudgetExceeded, IllegalMove
 from selgames.fuzzing import FuzzProfile, _random_game
+from selgames.game import MarkovTwo, markov_as_full_two, pre_as_full_one, two_choices
 from selgames.ground import SetFamily
+from selgames.scenarios import build_game, corpus
+from selgames.solver import MAX_EXHIBITS, is_winning
 
 
 class TestSolve:
@@ -91,6 +96,21 @@ class TestSolve:
                 g.target.step(q, x) for q in states for ms in g.moves[r] for x in ms
             }
         assert solve(g).nodes_explored <= len(pairs)
+
+    def test_extraction_decides_once_per_state(self):
+        # extraction asks two_wins about each (round, state) it reaches
+        # once, not once per history: 2,801 table rows at this size, but
+        # memo hits stay within the memo's own fan-out (parent: 2,968)
+        space = discrete_space(4)
+        singles = singleton_family(space)
+        g = build_point_open(space, singles, singles, 5)
+        det = solve(g)
+        max_moves = max(len(family) for family in g.moves)
+        max_replies = max(
+            len(list(two_choices(g, ms))) for family in g.moves for ms in family
+        )
+        assert len(det.witness.table) == 2801
+        assert det.memo_hits <= det.nodes_explored * max_moves * max_replies
 
     def test_winner_matches_solve(self):
         rng = random.Random(19)
@@ -195,6 +215,123 @@ class TestVerify:
         g = build_point_open(d2, singles2, singles2, 2)
         with pytest.raises(IllegalMove):
             verify(g, PreOne(indices=(0, 7)))
+
+    def test_no_exhibits_still_refutes(self, d3, singles3):
+        g = build_point_open(d3, singles3, singles3, 3)
+        report = verify(g, PreOne(indices=(0, 0, 0)), max_exhibits=0)
+        assert not report.valid
+        assert report.counter_plays == ()
+        assert report.plays_checked == 27
+
+
+def _oracle_games():
+    """Corpus games, point-open discrete d3/d4, and seeded random games
+    (some finite-kind, some with negated or explicit targets)."""
+    games = [build_game(sc) for sc in corpus()]
+    for size, horizon in ((3, 3), (3, 4), (4, 3), (4, 4)):
+        space = discrete_space(size)
+        singles = singleton_family(space)
+        games.append(build_point_open(space, singles, singles, horizon))
+    rng = random.Random(23)
+    games += [_random_game(rng, FuzzProfile()) for _ in range(30)]
+    return games
+
+
+def _least_reply_markov(g):
+    """Two's Markov table answering every move set with its least reply."""
+    return MarkovTwo(table={
+        (j, r): next(two_choices(g, ms))
+        for r, family in enumerate(g.moves)
+        for j, ms in enumerate(family)
+    })
+
+
+def _legal_strategies(g):
+    """Witnesses, scripts and Markov tables, winning and losing, plus the
+    witness with its last-round choices changed (legal, often losing)."""
+    det = solve(g)
+    zeros = PreOne(indices=(0,) * g.horizon)
+    least = _least_reply_markov(g)
+    out = [det.witness, zeros, pre_as_full_one(g, zeros), least,
+           markov_as_full_two(g, least)]
+    pre = find_predetermined_one(g)
+    if pre is not None:
+        out.append(pre)
+    try:
+        markov = find_markov_two(g)
+    except BudgetExceeded:
+        markov = None
+    if markov is not None:
+        out.append(markov)
+    last = g.horizon - 1
+    if isinstance(det.witness, FullOne):
+        out.append(FullOne(table={
+            h: (i + 1) % len(g.moves[last]) if len(h) == last else i
+            for h, i in det.witness.table.items()
+        }))
+    elif g.horizon:
+        out.append(FullTwo(table={
+            h: next(two_choices(g, g.moves[last][h[-1]])) if len(h) == g.horizon else x
+            for h, x in det.witness.table.items()
+        }))
+    return out
+
+
+def _illegal_strategies(g):
+    """Strategies that break a rule somewhere in the play tree."""
+    last = g.horizon - 1
+    zeros = PreOne(indices=(0,) * g.horizon)
+    full_one = pre_as_full_one(g, zeros)
+    least = _least_reply_markov(g)
+    full_two = markov_as_full_two(g, least)
+    deepest_one = [h for h in full_one.table if len(h) == last][-1]
+    deepest_two = list(full_two.table)[-1]
+    outside = max(g.universe) + 1
+    bad_items = [outside] if g.kind is Kind.SINGLE else [
+        frozenset([outside]), frozenset()
+    ]
+    out = [
+        PreOne(indices=()),
+        PreOne(indices=(0,) * last + (len(g.moves[last]),)),
+        FullOne(table={h: i for h, i in full_one.table.items() if h != deepest_one}),
+        FullTwo(table={h: x for h, x in full_two.table.items() if h != deepest_two}),
+        MarkovTwo(table={k: x for k, x in least.table.items() if k != (0, last)}),
+    ]
+    for bad in bad_items:
+        out.append(FullTwo(table={**full_two.table, deepest_two: bad}))
+        out.append(MarkovTwo(table={**least.table, (0, last): bad}))
+    return out
+
+
+class TestVerifyAgainstLiteralPlays:
+    # verify walks the play tree once, carrying the target state; the
+    # oracle replays every play from round 0 and evaluates it whole
+
+    def test_reports_equal(self):
+        capped = 0
+        for g in _oracle_games():
+            for strategy in _legal_strategies(g):
+                for cap in (0, 1, 3, MAX_EXHIBITS):
+                    report = verify(g, strategy, max_exhibits=cap)
+                    assert report == brute_verify(g, strategy, max_exhibits=cap)
+                    if cap and len(report.counter_plays) == cap:
+                        capped += 1
+                assert is_winning(g, strategy) == report.valid
+        # the losing strategies lose often enough for every cap to bind
+        assert capped > 20
+
+    def test_illegal_strategies_raise_alike(self):
+        for g in _oracle_games():
+            if g.horizon == 0:
+                continue
+            for strategy in _illegal_strategies(g):
+                with pytest.raises(IllegalMove) as fast:
+                    verify(g, strategy)
+                with pytest.raises(IllegalMove) as slow:
+                    brute_verify(g, strategy)
+                assert (fast.value.round_index, str(fast.value)) == (
+                    slow.value.round_index, str(slow.value)
+                )
 
 
 class TestFiniteCharacterizations:
