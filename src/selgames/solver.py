@@ -8,8 +8,9 @@ always prefers the least move index / least selection, so results are
 reproducible across platforms and schedules; that choice depends only on
 (round, state), so extraction decides it once per state and the walk over
 histories only writes table rows.  verify() walks the play tree once,
-depth first, carrying the target state and checking each move once per
-node.
+depth first, checking the strategy's move at every node; it steps each
+(state, selection) transition once and settles One's last round once per
+(state, move), so the leaves of the play tree are counted, not replayed.
 """
 
 from __future__ import annotations
@@ -265,15 +266,17 @@ class VerificationReport:
     plays_checked: int
 
 
-def _one_side_leaves(
+def one_side_plays(
     game: GameSpec, one: Union[StrategyOne, Sequence[int]]
-) -> Iterator[tuple]:
-    """(One's indices, Two's selections, final target state) of every play
-    of ``one``, Two's replies ranging in canonical order, depth first."""
+) -> Iterator[PlayRecord]:
+    """Every completed play with Two ranging over all legal replies, in
+    canonical order, depth first."""
+    accept = game.target.accept
 
-    def walk(r: int, idx_hist: tuple, sel_hist: tuple, state) -> Iterator[tuple]:
+    def walk(r: int, idx_hist: tuple, sel_hist: tuple, state) -> Iterator[PlayRecord]:
         if r == game.horizon:
-            yield idx_hist, sel_hist, state
+            won = Player.TWO if accept(state) else Player.ONE
+            yield PlayRecord(idx_hist, sel_hist, won)
             return
         i = one_move_index(one, sel_hist, r)
         if not 0 <= i < len(game.moves[r]):
@@ -285,41 +288,109 @@ def _one_side_leaves(
     return walk(0, (), (), game.target.start)
 
 
-def _two_side_leaves(game: GameSpec, two: StrategyTwo) -> Iterator[tuple]:
-    """(One's indices, Two's selections, final target state) of every play
-    of ``two``, One's index tuples ranging in lexicographic order, depth
-    first; each reply is looked up and checked once, raising IllegalMove
-    as ``play`` does."""
-
-    def walk(r: int, idx_hist: tuple, sel_hist: tuple, state) -> Iterator[tuple]:
-        if r == game.horizon:
-            yield idx_hist, sel_hist, state
-            return
-        for i, ms in enumerate(game.moves[r]):
-            idx = idx_hist + (i,)
-            x = legal_selection(game, r, ms, two_selection(two, idx, r))
-            yield from walk(r + 1, idx, sel_hist + (x,), _advance(game, state, x))
-
-    return walk(0, (), (), game.target.start)
+class _FirstLoss(Exception):
+    """Ends an is_winning walk at its first losing play."""
 
 
-def _leaves(game: GameSpec, strategy) -> tuple[Player, Iterator[tuple]]:
-    """The strategy's side and the leaves of its play tree, the adversary
-    ranging over every legal choice."""
+def _check(
+    game: GameSpec, strategy, max_exhibits: int, first_loss_only: bool
+) -> VerificationReport:
+    """One depth-first walk of the strategy's play tree, the adversary
+    ranging over every legal choice in lexicographic order.
+
+    Every node looks up and checks the strategy's move, raising
+    IllegalMove as ``play`` does.  Each (state, selection) transition is
+    stepped once per call.  On One's side the last round is settled once
+    per (target state, One's index) instead: every node reaching that pair
+    has the same reply count and the same winning replies for Two.
+    """
     if isinstance(strategy, (PreOne, FullOne)):
-        return Player.ONE, _one_side_leaves(game, strategy)
-    if isinstance(strategy, (FullTwo, MarkovTwo)):
-        return Player.TWO, _two_side_leaves(game, strategy)
-    raise TypeError(f"not a strategy: {strategy!r}")
+        side, other = Player.ONE, Player.TWO
+    elif isinstance(strategy, (FullTwo, MarkovTwo)):
+        side, other = Player.TWO, Player.ONE
+    else:
+        raise TypeError(f"not a strategy: {strategy!r}")
+    target = game.target
+    if game.horizon == 0:
+        won = Player.TWO if target.accept(target.start) else Player.ONE
+        shown = won is other and max_exhibits > 0
+        return VerificationReport(
+            valid=won is side,
+            side=side,
+            counter_plays=(PlayRecord((), (), won),) if shown else (),
+            plays_checked=1,
+        )
+    moves, last = game.moves, game.horizon - 1
+    successors: dict = {}  # (state, selection) -> next state
+    settled: dict = {}  # (state, One's last index) -> (reply count, Two's wins)
+    counters: list = []
+    checked = lost = 0
 
+    def advance(state, x):
+        # the dict itself marks a miss: None is a target state
+        nxt = successors.get((state, x), successors)
+        if nxt is successors:
+            nxt = successors[state, x] = _advance(game, state, x)
+        return nxt
 
-def one_side_plays(
-    game: GameSpec, one: Union[StrategyOne, Sequence[int]]
-) -> Iterator[PlayRecord]:
-    """Every completed play with Two ranging over all legal replies."""
-    accept = game.target.accept
-    for idx_hist, sel_hist, state in _one_side_leaves(game, one):
-        yield PlayRecord(idx_hist, sel_hist, Player.TWO if accept(state) else Player.ONE)
+    def lose(idx_hist: tuple, sel_hist: tuple, finals: tuple) -> None:
+        """The plays ``sel_hist + (x,)``, x in ``finals``, are lost."""
+        nonlocal lost
+        lost += len(finals)
+        room = max_exhibits - len(counters)
+        if room > 0:
+            counters.extend(
+                PlayRecord(idx_hist, sel_hist + (x,), other) for x in finals[:room]
+            )
+        if first_loss_only:
+            raise _FirstLoss
+
+    if side is Player.ONE:
+
+        def walk(r: int, idx_hist: tuple, sel_hist: tuple, state) -> None:
+            nonlocal checked
+            i = one_move_index(strategy, sel_hist, r)
+            if not 0 <= i < len(moves[r]):
+                raise IllegalMove(r, f"move index {i} out of range")
+            idx = idx_hist + (i,)
+            if r < last:
+                for x in two_choices(game, moves[r][i]):
+                    walk(r + 1, idx, sel_hist + (x,), advance(state, x))
+                return
+            pair = settled.get((state, i))
+            if pair is None:
+                xs = tuple(two_choices(game, moves[r][i]))
+                wins = tuple(x for x in xs if target.accept(_advance(game, state, x)))
+                pair = settled[state, i] = (len(xs), wins)
+            count, two_winning = pair
+            checked += count
+            if two_winning:
+                lose(idx, sel_hist, two_winning)
+
+    else:
+
+        def walk(r: int, idx_hist: tuple, sel_hist: tuple, state) -> None:
+            nonlocal checked
+            for i, ms in enumerate(moves[r]):
+                idx = idx_hist + (i,)
+                x = legal_selection(game, r, ms, two_selection(strategy, idx, r))
+                if r < last:
+                    walk(r + 1, idx, sel_hist + (x,), advance(state, x))
+                    continue
+                checked += 1
+                if not target.accept(advance(state, x)):
+                    lose(idx, sel_hist, (x,))
+
+    try:
+        walk(0, (), (), target.start)
+    except _FirstLoss:
+        pass
+    return VerificationReport(
+        valid=not lost,
+        side=side,
+        counter_plays=tuple(counters),
+        plays_checked=checked,
+    )
 
 
 def verify(
@@ -330,31 +401,12 @@ def verify(
     """Exhaustive adversary enumeration; lists the first ``max_exhibits``
     losing counter-plays in lexicographic order.  ``valid`` counts every
     losing play, exhibited or not."""
-    side, leaves = _leaves(game, strategy)
-    accept = game.target.accept
-    counters = []
-    checked = lost = 0
-    for idx_hist, sel_hist, state in leaves:
-        checked += 1
-        won = Player.TWO if accept(state) else Player.ONE
-        if won is not side:
-            lost += 1
-            if len(counters) < max_exhibits:
-                counters.append(PlayRecord(idx_hist, sel_hist, won))
-    return VerificationReport(
-        valid=not lost,
-        side=side,
-        counter_plays=tuple(counters),
-        plays_checked=checked,
-    )
+    return _check(game, strategy, max_exhibits, first_loss_only=False)
 
 
 def is_winning(game: GameSpec, strategy) -> bool:
     """Like verify(...).valid but stops at the first counter-play."""
-    side, leaves = _leaves(game, strategy)
-    accept = game.target.accept
-    two_side = side is Player.TWO
-    return all(bool(accept(state)) is two_side for _, _, state in leaves)
+    return _check(game, strategy, 0, first_loss_only=True).valid
 
 
 def selection_principle_holds(game: GameSpec) -> bool:

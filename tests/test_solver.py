@@ -4,12 +4,17 @@ import pytest
 
 from brute import brute_pre_one_exists, brute_verify, brute_winner
 from selgames import (
+    CoversFamily,
+    EverySubsequence,
     ExplicitSet,
     FullOne,
     FullTwo,
     Kind,
+    MultiCover,
+    Not,
     Player,
     PreOne,
+    WindowCover,
     build_point_open,
     build_rothberger,
     build_topology,
@@ -223,6 +228,33 @@ class TestVerify:
         assert report.counter_plays == ()
         assert report.plays_checked == 27
 
+    def test_verify_steps_once_per_transition(self, monkeypatch):
+        # the d4 h5 witness has 16,807 plays but few target states: the
+        # walk steps each (state, selection) transition once and judges
+        # One's last round once per (state, move), not once per play
+        # (19,607 steps and 16,807 verdicts when every play is replayed)
+        space = discrete_space(4)
+        singles = singleton_family(space)
+        g = build_point_open(space, singles, singles, 5)
+        witness = solve(g).witness
+        calls = {"step": 0, "accept": 0}
+        step, accept = CoversFamily.step, CoversFamily.accept
+
+        def counted_step(self, state, item):
+            calls["step"] += 1
+            return step(self, state, item)
+
+        def counted_accept(self, state):
+            calls["accept"] += 1
+            return accept(self, state)
+
+        monkeypatch.setattr(CoversFamily, "step", counted_step)
+        monkeypatch.setattr(CoversFamily, "accept", counted_accept)
+        report = verify(g, witness)
+        assert report.valid and report.plays_checked == 16807
+        assert calls["step"] <= 200
+        assert calls["accept"] <= 200
+
 
 def _oracle_games():
     """Corpus games, point-open discrete d3/d4, and seeded random games
@@ -303,6 +335,14 @@ def _illegal_strategies(g):
     return out
 
 
+def _assert_matches_oracle(g, strategies, caps=(0, 1, 2, MAX_EXHIBITS)):
+    for strategy in strategies:
+        for cap in caps:
+            report = verify(g, strategy, max_exhibits=cap)
+            assert report == brute_verify(g, strategy, max_exhibits=cap)
+        assert is_winning(g, strategy) == report.valid
+
+
 class TestVerifyAgainstLiteralPlays:
     # verify walks the play tree once, carrying the target state; the
     # oracle replays every play from round 0 and evaluates it whole
@@ -332,6 +372,71 @@ class TestVerifyAgainstLiteralPlays:
                 assert (fast.value.round_index, str(fast.value)) == (
                     slow.value.round_index, str(slow.value)
                 )
+
+    def test_horizon_zero(self):
+        strategies = [PreOne(indices=()), FullOne(table={}),
+                      FullTwo(table={}), MarkovTwo(table={})]
+        for kind in Kind:
+            for winning in ((), (frozenset(),)):
+                g = make_game([], 0, kind, ExplicitSet(winning=winning))
+                _assert_matches_oracle(g, strategies)
+
+    def test_cap_ends_inside_a_settled_node(self, d3, singles3):
+        # after Two's reply {0}, each of the three replies to point 0
+        # again leaves point 1 or 2 uncovered: one last-round node holds
+        # several counter-plays, and caps 1 and 2 stop inside it
+        g = build_point_open(d3, singles3, singles3, 2)
+        strategy = pre_as_full_one(g, PreOne(indices=(0, 0)))
+        first, second = verify(g, strategy, max_exhibits=2).counter_plays
+        assert first.two_selections[:-1] == second.two_selections[:-1]
+        _assert_matches_oracle(g, [strategy], caps=(1, 2))
+
+    def test_is_winning_stops_at_first_loss(self, d3, singles3):
+        # the first play already loses; a row missing further on is never
+        # reached by is_winning, while verify walks on and meets it
+        g = build_point_open(d3, singles3, singles3, 2)
+        table = dict(pre_as_full_one(g, PreOne(indices=(0, 0))).table)
+        del table[max(table)]
+        with pytest.raises(IllegalMove):
+            verify(g, FullOne(table=table))
+        assert not is_winning(g, FullOne(table=table))
+
+    def test_finite_kind_games(self):
+        # replies are frozensets, as transition keys and in counter-plays
+        family = (frozenset({1, 2}), frozenset({2, 4, 5}), frozenset({3, 6}))
+        targets = [
+            CoversFamily(full=7, members=(1, 2, 4)),
+            Not(CoversFamily(full=7, members=(1, 2, 4))),
+            ExplicitSet(winning=(frozenset({1, 2}), frozenset({2, 3, 6}))),
+            WindowCover(full=7, members=(1, 2), w=2),
+        ]
+        for target in targets:
+            for horizon in (1, 2, 3):
+                g = make_game([family] * horizon, horizon, Kind.FINITE, target)
+                _assert_matches_oracle(g, _legal_strategies(g))
+
+    def test_non_int_target_states(self):
+        # frozenset states (MultiCover, ExplicitSet), tuple states
+        # (WindowCover, EverySubsequence) and Not wrappers are memo keys
+        families = [
+            (frozenset({1, 2, 3}), frozenset({3, 5, 6})),
+            (frozenset({1, 4}), frozenset({2, 6}), frozenset({3, 5})),
+            (frozenset({1, 2, 3}), frozenset({3, 5, 6})),
+        ]
+        cover = CoversFamily(full=7, members=(1, 2, 4))
+        targets = [
+            MultiCover(full=7, members=(1, 2, 4), m=1),
+            MultiCover(full=7, members=(1, 2), m=2),
+            ExplicitSet(winning=(frozenset({1, 2}), frozenset({3, 4, 5}))),
+            WindowCover(full=7, members=(1, 2), w=2),
+            WindowCover(full=7, members=(1, 2, 4), w=3),
+            EverySubsequence(inner=cover, m=2),
+            EverySubsequence(inner=WindowCover(full=7, members=(1, 2), w=2), m=2),
+        ]
+        targets += [Not(t) for t in targets]
+        for target in targets:
+            g = make_game(families, 3, Kind.SINGLE, target)
+            _assert_matches_oracle(g, _legal_strategies(g))
 
 
 class TestFiniteCharacterizations:
