@@ -78,10 +78,6 @@ class NotUniformlyWinning(SelGamesError):
         super().__init__(message or f"strategy is not winning at horizon {horizon}")
 
 
-class NotIdealBase(SelGamesError):
-    """The set family is not an ideal base."""
-
-
 class WitnessMissing(SelGamesError):
     """No family member contains the required union."""
 

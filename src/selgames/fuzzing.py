@@ -94,11 +94,12 @@ GATED_SUITES = (
 EXPLORATORY_SUITES = ("open-question-gamma-two",)
 ALL_SUITES = GATED_SUITES + EXPLORATORY_SUITES
 
+SPACE_SIZES = (2, 3, 4)  # discrete spaces the cofinality suite draws
+HORIZONS = (1, 2, 3, 4)  # horizons of _random_game's games
+
 
 @dataclass
 class FuzzProfile:
-    sizes: tuple[int, ...] = (2, 3, 4)
-    horizons: tuple[int, ...] = (1, 2, 3, 4)
     markov_budget: int = DEFAULT_NODE_BUDGET
 
 
@@ -172,8 +173,8 @@ def _random_explicit_target(rng: random.Random, items: list[int], density: float
     return ExplicitSet(winning=tuple(winning))
 
 
-def _random_game(rng: random.Random, profile: FuzzProfile) -> GameSpec:
-    horizon = rng.choice([h for h in profile.horizons if h <= 4])
+def _random_game(rng: random.Random) -> GameSpec:
+    horizon = rng.choice(HORIZONS)
     kind = Kind.FINITE if rng.random() < 0.15 else Kind.SINGLE
     def sample_move(items) -> frozenset:
         cap = 2 if kind is Kind.FINITE else 3
@@ -230,7 +231,7 @@ def suite_determinacy(rng: random.Random, count: int, profile: FuzzProfile) -> S
     res = SuiteResult()
     while res.instances < count:
         res.attempts += 1
-        game = _random_game(rng, profile)
+        game = _random_game(rng)
         payload = scenario_to_json(
             abstract_scenario(f"determinacy-{res.instances}", game)
         )
@@ -447,7 +448,7 @@ def suite_cofinality(rng: random.Random, count: int, profile: FuzzProfile) -> Su
     res = SuiteResult()
     while res.instances < count:
         res.attempts += 1
-        size = rng.choice([s for s in profile.sizes if s <= 4] or [3])
+        size = rng.choice(SPACE_SIZES)
         space = discrete_space(size)
         fam_a_masks, fam_b_masks = _cof_families(rng, size)
         fam_a = SetFamily.build(space, fam_a_masks, name="a")

@@ -33,12 +33,12 @@ class Player(enum.Enum):
 
 # -- targets -----------------------------------------------------------
 #
-# A target reads an item sequence one item at a time, as a deterministic
-# automaton: ``start`` is its state before any item, ``step(state, item)``
-# the state after one more, and ``accept(state)`` the verdict.  States are
-# hashable and determine every future verdict, so the solver memoizes on
-# (round, state) with no further promise from the target.  Items are plain
-# ints; cover-style targets read them as subset bitmasks.
+# A target reads items one at a time as a deterministic automaton:
+# ``start`` is its state before any item, ``step(state, item)`` the state
+# after one more, ``accept(state)`` the verdict.  States are hashable and
+# decide every future verdict, so the solver memoizes on (round, state)
+# and the script search on (round, set of states).  Items are plain ints;
+# cover-style targets read them as subset bitmasks.
 
 
 def _members_inside(members: tuple[int, ...], item: int) -> int:
@@ -158,25 +158,24 @@ class ExplicitSet(_SelectedSet):
 class EverySubsequence(_Automaton):
     """True when every subsequence of length >= m satisfies the inner target.
 
-    State: the item tuple itself, since duplicates and (for an
-    order-sensitive inner target) order change which subsequences pass.
+    State: the set of (inner state, length capped at m) pairs reached by
+    the subsequences of the items read so far.
     """
 
     inner: "Target"
     m: int
 
-    start = ()
+    @property
+    def start(self) -> frozenset:
+        return frozenset([(self.inner.start, 0)])
 
-    def step(self, state: tuple, item: int) -> tuple:
-        return state + (item,)
+    def step(self, state: frozenset, item: int) -> frozenset:
+        # pairs often share an inner state: step each one once
+        stepped = {s: self.inner.step(s, item) for s in {s for s, _ in state}}
+        return state | {(stepped[s], min(k + 1, self.m)) for s, k in state}
 
-    def accept(self, state: tuple) -> bool:
-        n = len(state)
-        for r in range(self.m, n + 1):
-            for idxs in itertools.combinations(range(n), r):
-                if not self.inner.evaluate([state[i] for i in idxs]):
-                    return False
-        return True
+    def accept(self, state: frozenset) -> bool:
+        return all(self.inner.accept(s) for s, k in state if k >= self.m)
 
 
 @dataclass(frozen=True)

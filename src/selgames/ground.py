@@ -54,9 +54,6 @@ class GroundSpace:
                 out &= c
         return out
 
-    def closed_sets(self) -> frozenset[int]:
-        return frozenset(self.full & ~u for u in self.opens)
-
     def points_closed(self) -> bool:
         """True when every singleton is closed (finitely: the space is discrete)."""
         return all(self.is_closed(1 << i) for i in range(self.size))

@@ -39,10 +39,6 @@ class ExtendedNat:
         return self.kind == "finite"
 
     @property
-    def is_omega(self) -> bool:
-        return self.kind == "omega"
-
-    @property
     def is_undefined(self) -> bool:
         return self.kind == "undefined"
 

@@ -42,6 +42,7 @@ FLAVORS = (
     "abstract-game",
 )
 POINT_OPEN_FLAVORS = ("point-open-o", "point-open-window")
+COVER_BOUND = 256  # most minimal covers a Rothberger move list may hold
 
 
 @dataclass(frozen=True)
@@ -112,7 +113,6 @@ def build_rothberger(
     fam_b: SetFamily,
     horizon: int,
     multiplicity: Optional[int] = None,
-    cover_bound: int = 256,
 ) -> GameSpec:
     """One offers a minimal cover of the first family, Two picks one open.
 
@@ -121,10 +121,10 @@ def build_rothberger(
     minimal covers is itself justified by an item-map pack; the tests
     build and validate it.
     """
-    result = min_covers(space, fam_a, max_count=cover_bound)
+    result = min_covers(space, fam_a, max_count=COVER_BOUND)
     if result.truncated:
         raise CoverEnumerationTruncated(
-            f"more than {cover_bound} minimal covers; refusing a partial move list"
+            f"more than {COVER_BOUND} minimal covers; refusing a partial move list"
         )
     if not result.covers:
         raise NoCovers("the first family admits no covers")

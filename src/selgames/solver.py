@@ -1,16 +1,16 @@
 """Exact winner determination and limited-information strategy synthesis.
 
-solve() runs backward induction over the full game tree, memoizing on
-(round, target state): every target is a deterministic automaton whose
-state decides all future verdicts, so histories that reach the same
-state share one value, soundly by construction.  Witness extraction
-always prefers the least move index / least selection, so results are
-reproducible across platforms and schedules; that choice depends only on
-(round, state), so extraction decides it once per state and the walk over
-histories only writes table rows.  verify() walks the play tree once,
-depth first, checking the strategy's move at every node; it steps each
-(state, selection) transition once and settles One's last round once per
-(state, move), so the leaves of the play tree are counted, not replayed.
+Every target is a deterministic automaton whose state decides all future
+verdicts, so the searches run over target states, not histories.  solve()
+is backward induction memoized on (round, state).  Witness extraction
+prefers the least move index / least selection, so results reproduce;
+that choice depends only on (round, state), so it is decided once per
+state and the walk over histories only writes table rows.
+find_predetermined_one() recurses over (round, set of states Two's
+replies can reach), since a script sees no reply.  verify() walks the
+play tree once, stepping each (state, selection) transition once and
+settling One's last round once per (state, move), so leaves are counted,
+not replayed.
 """
 
 from __future__ import annotations
@@ -167,30 +167,46 @@ def winner(game: GameSpec) -> Player:
 def find_predetermined_one(game: GameSpec) -> Optional[PreOne]:
     """Lexicographically least winning script for One, or None.
 
-    Enumerates move-index tuples; for each, exhausts Two's replies with
-    memoization shared across tuples via the (suffix, round, target state)
-    key.
+    A script sees none of Two's replies, so the search recurses over
+    (round, set of target states the replies can have reached), memoized
+    on that pair, trying One's indices in order: its first success is the
+    least script.  Each (state, move set) step and each (state, selection)
+    transition runs once per call.
     """
-    memo: dict = {}
+    successors: dict = {}  # (state, selection) -> next state
+    reached: dict = {}  # (state, move set) -> frozenset of next states
+    memo: dict = {}  # (round, state set) -> least winning suffix or None
 
-    def two_can_win(idx: tuple, r: int, state) -> bool:
+    def advance(state, x):
+        if (state, x) not in successors:
+            successors[state, x] = _advance(game, state, x)
+        return successors[state, x]
+
+    def step(states: frozenset, ms) -> frozenset:
+        out = set()
+        for state in states:
+            if (state, ms) not in reached:
+                reached[state, ms] = frozenset(
+                    advance(state, x) for x in two_choices(game, ms)
+                )
+            out |= reached[state, ms]
+        return frozenset(out)
+
+    def least_suffix(r: int, states: frozenset) -> Optional[tuple]:
         if r == game.horizon:
-            return game.target.accept(state)
-        key = (idx[r:], r, state)
-        if key in memo:
-            return memo[key]
-        ms = game.moves[r][idx[r]]
-        result = any(
-            two_can_win(idx, r + 1, _advance(game, state, x))
-            for x in two_choices(game, ms)
-        )
-        memo[key] = result
-        return result
+            return None if any(map(game.target.accept, states)) else ()
+        key = (r, states)
+        if key not in memo:
+            memo[key] = None
+            for i, ms in enumerate(game.moves[r]):
+                suffix = least_suffix(r + 1, step(states, ms))
+                if suffix is not None:
+                    memo[key] = (i,) + suffix
+                    break
+        return memo[key]
 
-    for idx in itertools.product(*(range(len(f)) for f in game.moves)):
-        if not two_can_win(idx, 0, game.target.start):
-            return PreOne(indices=idx)
-    return None
+    script = least_suffix(0, frozenset([game.target.start]))
+    return None if script is None else PreOne(indices=script)
 
 
 def find_markov_two(

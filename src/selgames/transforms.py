@@ -30,7 +30,6 @@ from .errors import (
     ImageNotMove,
     InputNotWinning,
     NotFilterBase,
-    NotIdealBase,
     NotUniformlyWinning,
     TranslationFailed,
     WitnessMissing,
@@ -330,9 +329,7 @@ def subsequences_are_plays(game: GameSpec, s: FullOne, sigma: FullOne) -> bool:
     return True
 
 
-def intersect_predetermined(
-    s: PreOne, fam: SetFamily, require_ideal_base: bool = False
-) -> PreOne:
+def intersect_predetermined(s: PreOne, fam: SetFamily) -> PreOne:
     """Running-union upgrade of a predetermined script over an ideal base.
 
     Round k of the result names the least family member containing the
@@ -344,11 +341,8 @@ def intersect_predetermined(
 
     An ideal base always supplies the running-union witnesses; failures
     surface lazily as WitnessMissing at the first round that needs a
-    witness the family lacks.  Pass ``require_ideal_base`` to reject
-    deficient families up front instead.
+    witness the family lacks.
     """
-    if require_ideal_base and not fam.ideal_base:
-        raise NotIdealBase(f"family {fam.name!r} is not an ideal base")
     out = []
     union = 0
     for k, i in enumerate(s.indices):

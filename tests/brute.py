@@ -52,21 +52,31 @@ def brute_winner(game: GameSpec) -> Player:
     return Player.TWO if two_wins(0, ()) else Player.ONE
 
 
-def brute_pre_one_exists(game: GameSpec) -> bool:
-    """Script search by literal double enumeration."""
+def brute_least_pre_one(game: GameSpec):
+    """Least winning script by literal double enumeration: the first index
+    tuple, in lexicographic order, that no reply sequence beats, or None."""
     for idx in itertools.product(*(range(len(f)) for f in game.moves)):
-        beaten = False
         reply_spaces = [
             brute_two_choices(game, game.moves[r][idx[r]])
             for r in range(game.horizon)
         ]
-        for replies in itertools.product(*reply_spaces):
-            if game.target.evaluate(flatten_selections(game.kind, replies)):
-                beaten = True
-                break
-        if not beaten:
-            return True
-    return False
+        if not any(
+            game.target.evaluate(flatten_selections(game.kind, replies))
+            for replies in itertools.product(*reply_spaces)
+        ):
+            return idx
+    return None
+
+
+def brute_every_subsequence(inner, m: int, items) -> bool:
+    """Every subsequence of ``items`` of length >= m satisfies ``inner``,
+    each evaluated whole."""
+    n = len(items)
+    return all(
+        inner.evaluate([items[i] for i in idxs])
+        for r in range(m, n + 1)
+        for idxs in itertools.combinations(range(n), r)
+    )
 
 
 def two_side_plays(game: GameSpec, two):

@@ -1,7 +1,10 @@
+import hashlib
 import json
 from pathlib import Path
 
 from selgames.cli import main
+from selgames.fuzzing import fuzz
+from selgames.serialize import canonical_dumps
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -218,3 +221,18 @@ class TestUsageErrors:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert run(capsys, "solve", str(path))[0] == 1
+
+
+# sha256 of two canonical outputs: the byte-identity rule, checked; a
+# change that moves either must say why its bytes moved
+SEED_42_FUZZ_SHA256 = "6ad005c738d66483af41afb940aeedeec8b8999a765d7b1bcaeb311647ee52b4"
+CORPUS_RUN_SHA256 = "fc9fef24601f56d5d5d4cb04ed0123a08fc01be5dfa39ce12308bec48d19f4ea"
+
+
+def test_pinned_output_bytes(capsys):
+    # the seed-42 report is the stdout of `fuzz --seed 42 --count 100 --json`
+    report = canonical_dumps(fuzz(42, 100).to_json())
+    assert hashlib.sha256(report.encode()).hexdigest() == SEED_42_FUZZ_SHA256
+    code, out, _ = run(capsys, "corpus", "run", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CORPUS_RUN_SHA256

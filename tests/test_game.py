@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from brute import brute_every_subsequence
 from selgames import (
     CoversFamily,
     EverySubsequence,
@@ -55,6 +56,20 @@ class TestTargets:
         inner = CoversFamily(full=0b11, members=(1, 2))
         t = EverySubsequence(inner=inner, m=1)
         assert not t.evaluate((1, 2))  # the singleton subsequences fail
+
+    def test_every_subsequence_state_forgets_order(self):
+        # the state is the set of (inner state, capped length) pairs the
+        # subsequences reach, so reorderings of an order-insensitive
+        # inner target's items land in one state
+        t = EverySubsequence(inner=CoversFamily(full=7, members=(1, 2, 4)), m=2)
+
+        def fold(items):
+            state = t.start
+            for item in items:
+                state = t.step(state, item)
+            return state
+
+        assert fold([1, 2, 4]) == fold([4, 2, 1])
 
     def test_not(self):
         t = Not(inner=ExplicitSet(winning=(frozenset({0}),)))
@@ -247,3 +262,27 @@ def test_order_insensitive_targets_really_are(selection, data):
     perm = data.draw(st.permutations(selection))
     for t in targets:
         assert t.evaluate(selection) == t.evaluate(perm)
+
+
+_SUBSEQUENCE_INNERS = [
+    CoversFamily(full=0b111, members=(1, 2)),
+    CoversFamily(full=0b111, members=(1, 2, 4)),
+    WindowCover(full=0b111, members=(1, 2), w=2),
+    WindowCover(full=0b111, members=(1, 2, 4), w=3),
+    ExplicitSet(winning=(frozenset(), frozenset({1, 2}), frozenset({3}))),
+    Not(inner=CoversFamily(full=0b111, members=(1, 2))),
+    Not(inner=WindowCover(full=0b111, members=(1, 2), w=2)),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    selection=st.lists(st.integers(min_value=0, max_value=7), max_size=6),
+    inner=st.sampled_from(_SUBSEQUENCE_INNERS),
+    data=st.data(),
+)
+def test_every_subsequence_matches_enumeration(selection, inner, data):
+    # the automaton against the literal enumeration of subsequences
+    m = data.draw(st.integers(min_value=0, max_value=len(selection) + 1))
+    got = EverySubsequence(inner=inner, m=m).evaluate(selection)
+    assert got == brute_every_subsequence(inner, m, selection)

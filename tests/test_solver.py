@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from brute import brute_pre_one_exists, brute_verify, brute_winner
+from brute import brute_least_pre_one, brute_verify, brute_winner
 from selgames import (
     CoversFamily,
     EverySubsequence,
@@ -32,7 +32,7 @@ from selgames import (
     winner,
 )
 from selgames.errors import BudgetExceeded, IllegalMove
-from selgames.fuzzing import FuzzProfile, _random_game
+from selgames.fuzzing import _random_game
 from selgames.game import MarkovTwo, markov_as_full_two, pre_as_full_one, two_choices
 from selgames.ground import SetFamily
 from selgames.scenarios import build_game, corpus
@@ -67,9 +67,8 @@ class TestSolve:
 
     def test_against_plain_minimax(self):
         rng = random.Random(11)
-        profile = FuzzProfile()
         for _ in range(40):
-            g = _random_game(rng, profile)
+            g = _random_game(rng)
             assert solve(g).winner == brute_winner(g)
 
     def test_memo_respects_selection_order(self):
@@ -119,9 +118,8 @@ class TestSolve:
 
     def test_winner_matches_solve(self):
         rng = random.Random(19)
-        profile = FuzzProfile()
         for _ in range(25):
-            g = _random_game(rng, profile)
+            g = _random_game(rng)
             assert winner(g) == solve(g).winner
 
 
@@ -142,17 +140,33 @@ class TestFindPredeterminedOne:
         assert find_predetermined_one(g) == PreOne(indices=())
 
     def test_against_double_enumeration(self):
+        # the least script itself, not just its existence
         rng = random.Random(13)
-        profile = FuzzProfile()
-        for _ in range(30):
-            g = _random_game(rng, profile)
-            assert (find_predetermined_one(g) is not None) == brute_pre_one_exists(g)
+        for _ in range(1000):
+            g = _random_game(rng)
+            pre = find_predetermined_one(g)
+            assert (None if pre is None else pre.indices) == brute_least_pre_one(g)
+
+    def test_search_runs_over_state_sets(self, d3, singles3, monkeypatch):
+        # the search runs over (round, set of reachable target states), not
+        # over scripts and their suffixes: on this Two-won window game it
+        # steps the target 84 times (1,578 when scripts are enumerated)
+        g = build_point_open(d3, singles3, singles3, 6, window=2)
+        calls = [0]
+        step = WindowCover.step
+
+        def counted_step(self, state, item):
+            calls[0] += 1
+            return step(self, state, item)
+
+        monkeypatch.setattr(WindowCover, "step", counted_step)
+        assert find_predetermined_one(g) is None
+        assert calls[0] <= 200
 
     def test_selection_principle_bridge(self):
         rng = random.Random(17)
-        profile = FuzzProfile()
         for _ in range(25):
-            g = _random_game(rng, profile)
+            g = _random_game(rng)
             assert selection_principle_holds(g) == (
                 find_predetermined_one(g) is None
             )
@@ -265,7 +279,7 @@ def _oracle_games():
         singles = singleton_family(space)
         games.append(build_point_open(space, singles, singles, horizon))
     rng = random.Random(23)
-    games += [_random_game(rng, FuzzProfile()) for _ in range(30)]
+    games += [_random_game(rng) for _ in range(30)]
     return games
 
 
@@ -416,8 +430,8 @@ class TestVerifyAgainstLiteralPlays:
                 _assert_matches_oracle(g, _legal_strategies(g))
 
     def test_non_int_target_states(self):
-        # frozenset states (MultiCover, ExplicitSet), tuple states
-        # (WindowCover, EverySubsequence) and Not wrappers are memo keys
+        # frozenset states (MultiCover, ExplicitSet, EverySubsequence),
+        # tuple states (WindowCover) and Not wrappers are memo keys
         families = [
             (frozenset({1, 2, 3}), frozenset({3, 5, 6})),
             (frozenset({1, 4}), frozenset({2, 6}), frozenset({3, 5})),

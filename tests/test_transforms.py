@@ -33,7 +33,6 @@ from selgames.errors import (
     ImageNotMove,
     InputNotWinning,
     NotFilterBase,
-    NotIdealBase,
     NotUniformlyWinning,
     WitnessMissing,
 )
@@ -352,12 +351,6 @@ class TestIntersectPredetermined:
     def test_witness_missing_surfaces_at_the_failing_round(self, d3, singles3):
         with pytest.raises(WitnessMissing, match="round 1"):
             intersect_predetermined(PreOne(indices=(0, 1)), singles3)
-
-    def test_strict_mode_rejects_non_ideal_base(self, d3, singles3):
-        with pytest.raises(NotIdealBase):
-            intersect_predetermined(
-                PreOne(indices=(0,)), singles3, require_ideal_base=True
-            )
 
     def test_window_upgrade_single_member_target(self, d3):
         # second family {{0}}: the script wins plain covers from horizon 1,
