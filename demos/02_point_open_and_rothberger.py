@@ -59,4 +59,4 @@ report = check_duality(
 )
 for key, value in report.facts.items():
     print(f"  {key}: {value}")
-print("all four duality clauses hold:", report.all_hold)
+print("every duality clause holds:", report.all_hold)

@@ -75,7 +75,6 @@ from .solver import (
     VerificationReport,
     find_markov_two,
     find_predetermined_one,
-    selection_principle_holds,
     solve,
     verify,
     winner,

@@ -172,7 +172,6 @@ def _cmd_duality(args) -> int:
         "right": right.name,
         "clauses": {
             "one-left-iff-two-right": report.one_fam_iff_two_refl,
-            "one-right-iff-two-left": report.one_refl_iff_two_fam,
             "pre-left-iff-markov-right": report.pre_fam_iff_markov_refl,
             "pre-right-iff-markov-left": report.pre_refl_iff_markov_fam,
         },

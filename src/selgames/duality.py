@@ -53,12 +53,6 @@ def range_inside_exists(refl: Family, target: frozenset) -> bool:
     return all(r & target for r in refl)
 
 
-def range_inside_exists_by_enumeration(refl: Family, target: frozenset) -> bool:
-    """Same question answered by literal transversal enumeration."""
-    _choice_space_size(refl)
-    return any(frozenset(t) <= target for t in transversals(refl))
-
-
 @dataclass(frozen=True)
 class ReflectionReport:
     is_reflection: bool
@@ -101,13 +95,12 @@ class DualityReport:
     """Empirical duality verdict between a game and its mirrored game.
 
     The first game runs over the plain family with target T; the second
-    over the reflecting family with target Not(T).  Strategic clauses
-    compare full-information winners; the limited clause compares One's
+    over the reflecting family with target Not(T).  The strategic clause
+    compares full-information winners; the limited clauses compare One's
     predetermined scripts against Two's Markov tables crosswise.
     """
 
     one_fam_iff_two_refl: bool
-    one_refl_iff_two_fam: bool
     pre_fam_iff_markov_refl: bool
     pre_refl_iff_markov_fam: bool
     all_hold: bool
@@ -116,6 +109,14 @@ class DualityReport:
 
 def check_duality(game_over_fam: GameSpec, game_over_refl: GameSpec) -> DualityReport:
     """Solve and synthesize on both sides; compare per the duality clauses.
+
+    Duality of two games is stated as two strategic clauses: One wins the
+    first iff Two wins the second, and One wins the second iff Two wins
+    the first.  Infinite games need not be determined, so there the two
+    are independent.  A finite game is determined (exactly one player
+    wins), so both read ``one_fam != one_refl`` and one clause is checked.
+    The limited clauses stay two: neither player need have a script or a
+    Markov table, so they are independent even here.
 
     Requires equal horizons and the mirrored target.  Markov synthesis
     may raise BudgetExceeded; callers report that separately from a
@@ -131,16 +132,14 @@ def check_duality(game_over_fam: GameSpec, game_over_refl: GameSpec) -> DualityR
     pre_refl = find_predetermined_one(game_over_refl) is not None
     markov_fam = find_markov_two(game_over_fam) is not None
     markov_refl = find_markov_two(game_over_refl) is not None
-    c1 = one_fam == (not one_refl)
-    c2 = one_refl == (not one_fam)
-    c3 = pre_fam == markov_refl
-    c4 = pre_refl == markov_fam
+    strategic = one_fam != one_refl
+    limited_fam = pre_fam == markov_refl
+    limited_refl = pre_refl == markov_fam
     return DualityReport(
-        one_fam_iff_two_refl=c1,
-        one_refl_iff_two_fam=c2,
-        pre_fam_iff_markov_refl=c3,
-        pre_refl_iff_markov_fam=c4,
-        all_hold=c1 and c2 and c3 and c4,
+        one_fam_iff_two_refl=strategic,
+        pre_fam_iff_markov_refl=limited_fam,
+        pre_refl_iff_markov_fam=limited_refl,
+        all_hold=strategic and limited_fam and limited_refl,
         facts={
             "one_wins_family_game": one_fam,
             "one_wins_reflection_game": one_refl,

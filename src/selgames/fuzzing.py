@@ -19,8 +19,6 @@ from ._bits import is_subset, items_of
 from .duality import (
     check_duality,
     is_reflection,
-    range_inside_exists,
-    range_inside_exists_by_enumeration,
     transversals,
 )
 from .errors import BudgetExceeded, InvalidCount
@@ -39,7 +37,7 @@ from .game import (
     make_game,
     play,
 )
-from .ground import SetFamily, discrete_space, min_covers
+from .ground import SetFamily, classify_cover, discrete_space, min_covers
 from .orders import (
     OMEGA,
     RelPair,
@@ -65,7 +63,6 @@ from .solver import (
     DEFAULT_NODE_BUDGET,
     find_markov_two,
     find_predetermined_one,
-    selection_principle_holds,
     solve,
     verify,
     winner,
@@ -259,11 +256,6 @@ def suite_determinacy(rng: random.Random, count: int, profile: FuzzProfile) -> S
             res.check("determinacy/loser-side-markov-none", markov is None, payload)
         else:
             res.check("determinacy/loser-side-pre-none", pre is None, payload)
-        res.check(
-            "selection-principle/bridge",
-            selection_principle_holds(game) == (pre is None),
-            payload,
-        )
         if game.horizon >= 1:
             fixed_two = [
                 sorted(game.moves[r][0])[0]
@@ -417,11 +409,6 @@ def suite_duality(rng: random.Random, count: int, profile: FuzzProfile) -> Suite
         report = is_reflection(refl, fam)
         if not res.check("duality/constructed-reflection", report.is_reflection, payload):
             continue
-        cross_ok = all(
-            range_inside_exists(refl, a) == range_inside_exists_by_enumeration(refl, a)
-            for a in fam
-        )
-        res.check("duality/transversal-impls-agree", cross_ok, payload)
         try:
             dual = check_duality(g_fam, g_refl)
         except BudgetExceeded:
@@ -775,8 +762,6 @@ def _histories(game: GameSpec, table: dict, low: int, horizon: int):
 
 
 def suite_ground(rng: random.Random, count: int, profile: FuzzProfile) -> SuiteResult:
-    from .ground import classify_cover
-
     res = SuiteResult()
     while res.instances < count:
         res.attempts += 1
@@ -798,13 +783,6 @@ def suite_ground(rng: random.Random, count: int, profile: FuzzProfile) -> SuiteR
                 result.covers == () and not result.truncated,
                 payload,
             )
-        if size <= 3:
-            # positive direction, against a literal powerset filter
-            res.check(
-                "ground/minimal-covers-match-powerset-filter",
-                min_covers(space, fam).covers == _powerset_min_covers(space, fam),
-                payload,
-            )
         # permutation asymmetry: the plain verdict and the multiplicity are
         # order-blind, the window width is not
         opens = sorted(space.opens)
@@ -820,17 +798,6 @@ def suite_ground(rng: random.Random, count: int, profile: FuzzProfile) -> SuiteR
             dict(payload, listed=[list(items_of(u)) for u in listed]),
         )
         res.instances += 1
-
-    # a pinned exhibit of the asymmetry: reordering shifts the window width
-    space = discrete_space(2)
-    singles = SetFamily.build(space, [1, 2], name="s")
-    interleaved = classify_cover(space, singles, [1, 2, 1, 2]).window
-    blocked = classify_cover(space, singles, [1, 1, 2, 2]).window
-    res.check(
-        "ground/window-width-is-order-sensitive",
-        interleaved == 2 and blocked == 3,
-        {"listed": [[0], [1], [0], [1]], "permuted": [[0], [0], [1], [1]]},
-    )
     return res
 
 
@@ -839,18 +806,6 @@ def _union(masks) -> int:
     for m in masks:
         out |= m
     return out
-
-
-def _powerset_min_covers(space, fam: SetFamily) -> tuple:
-    full = space.full
-    proper = [u for u in sorted(space.opens) if u != full]
-    good = []
-    for r in range(len(proper) + 1):
-        for combo in itertools.combinations(proper, r):
-            if all(any(is_subset(a, u) for u in combo) for a in fam.members):
-                good.append(frozenset(combo))
-    minimal = [g for g in good if not any(h < g for h in good)]
-    return tuple(sorted(tuple(sorted(g)) for g in minimal))
 
 
 def _union_closure(masks) -> list[int]:

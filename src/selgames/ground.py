@@ -18,6 +18,7 @@ from typing import Iterable, Optional, Sequence
 
 from ._bits import is_subset, mask_of
 from .errors import CapExceeded, NotOpen, TopologyTooLarge
+from .game import CoversFamily, MultiCover, WindowCover
 
 SIZE_CAP = 16
 OPENS_CAP = 4096
@@ -186,40 +187,30 @@ class CoverVerdict:
 def classify_cover(
     space: GroundSpace, fam: SetFamily, listed: Sequence[int]
 ) -> CoverVerdict:
-    """Judge an ordered list of opens against ``fam``.
+    """Judge an ordered list of opens against ``fam`` with the cover targets.
 
-    covers_all: universe absent from the list and every member of ``fam``
-    has a superset among the listed sets.  multiplicity: the largest m
-    such that every member is inside at least m distinct listed sets.
-    window: the smallest w such that every run of w consecutive listed
-    sets contains a superset of every member (0 for an empty family,
-    absent when covers_all fails).
+    covers_all: ``CoversFamily`` accepts the list (universe absent, every
+    member of ``fam`` inside some listed set).  multiplicity: the largest
+    m that ``MultiCover`` accepts (every member inside at least m distinct
+    listed sets).  window: the least w that ``WindowCover`` accepts (every
+    run of w consecutive listed sets covers; 0 for an empty family, absent
+    when covers_all fails).  Neither can pass the list's length.
     """
     for u in listed:
         if not space.is_open(u):
             raise NotOpen(f"listed set {u:#b} is not open")
-    full = space.full
-    covers = full not in listed and all(
-        any(is_subset(a, u) for u in listed) for a in fam.members
-    )
-    if not covers:
+    full, members = space.full, fam.members
+    if not CoversFamily(full=full, members=members).evaluate(listed):
         return CoverVerdict(covers_all=False, multiplicity=0, window=None)
-    if not fam.members:
-        return CoverVerdict(covers_all=True, multiplicity=0, window=0)
-    distinct = set(listed)
-    mult = min(
-        sum(1 for u in distinct if is_subset(a, u)) for a in fam.members
+    bounds = range(len(listed) + 1)
+    mult = max(
+        m for m in bounds
+        if MultiCover(full=full, members=members, m=m).evaluate(listed)
     )
-    window = None
-    n = len(listed)
-    for w in range(1, n + 1):
-        if all(
-            any(is_subset(a, u) for u in listed[i : i + w])
-            for i in range(n - w + 1)
-            for a in fam.members
-        ):
-            window = w
-            break
+    window = next(
+        w for w in bounds
+        if WindowCover(full=full, members=members, w=w).evaluate(listed)
+    )
     return CoverVerdict(covers_all=True, multiplicity=mult, window=window)
 
 

@@ -215,7 +215,8 @@ def find_markov_two(
     """Exact backtracking search for a winning Markov table, or None.
 
     Budget exhaustion raises BudgetExceeded: a third outcome, distinct
-    from "no such strategy exists".
+    from "no such strategy exists".  A game One wins has no winning table
+    for Two, so it answers None before the cell cap applies.
     """
     # Column-major cell order: once move index 0 is assigned at every
     # round, each later assignment completes plays immediately, so the
@@ -224,16 +225,16 @@ def find_markov_two(
         ((r, j) for r in range(game.horizon) for j in range(len(game.moves[r]))),
         key=lambda cell: (cell[1], cell[0]),
     )
-    max_family = max((len(f) for f in game.moves), default=0)
+    if game.horizon == 0:
+        return MarkovTwo(table={}) if game.target.evaluate(()) else None
+    if winner(game) is Player.ONE:
+        return None
+    max_family = max(len(f) for f in game.moves)
     if max_family * game.horizon > MARKOV_CELL_CAP:
         raise BudgetExceeded(
             f"Markov table would need {max_family * game.horizon} cells"
             f" (cap {MARKOV_CELL_CAP})"
         )
-    if game.horizon == 0:
-        return MarkovTwo(table={}) if game.target.evaluate(()) else None
-    if winner(game) is Player.ONE:
-        return None
 
     assigned: dict = {}
     budget = [node_budget]
@@ -424,23 +425,3 @@ def is_winning(game: GameSpec, strategy) -> bool:
     """Like verify(...).valid but stops at the first counter-play."""
     return _check(game, strategy, 0, first_loss_only=True).valid
 
-
-def selection_principle_holds(game: GameSpec) -> bool:
-    """Single-selection principle at this horizon: every script is beatable.
-
-    Definitionally equivalent to the absence of a winning predetermined
-    strategy for One; tests assert agreement with the synthesizer.
-    """
-    for idx in itertools.product(*(range(len(f)) for f in game.moves)):
-
-        def beatable(r: int, state) -> bool:
-            if r == game.horizon:
-                return game.target.accept(state)
-            return any(
-                beatable(r + 1, _advance(game, state, x))
-                for x in two_choices(game, game.moves[r][idx[r]])
-            )
-
-        if not beatable(0, game.target.start):
-            return False
-    return True

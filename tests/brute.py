@@ -21,6 +21,7 @@ from selgames.game import (
     one_move_index,
     play,
 )
+from selgames.ground import CoverVerdict
 from selgames.solver import MAX_EXHIBITS, VerificationReport
 
 
@@ -130,3 +131,39 @@ def brute_min_covers(space, fam_members, opens):
                 good.append(frozenset(combo))
     minimal = [g for g in good if not any(h < g for h in good)]
     return sorted(tuple(sorted(g)) for g in minimal)
+
+
+def brute_range_inside_exists(refl, target) -> bool:
+    """Some transversal range inside ``target``, by listing every choice tuple."""
+    return any(
+        frozenset(t) <= target for t in itertools.product(*(sorted(r) for r in refl))
+    )
+
+
+def brute_classify_cover(space, fam_members, listed) -> CoverVerdict:
+    """Cover verdict straight from the definitions: the multiplicity counts
+    distinct listed sets over each member, the window tries every run of
+    consecutive listed sets."""
+
+    def inside(a, u):
+        return a & ~u == 0
+
+    covers = space.full not in listed and all(
+        any(inside(a, u) for u in listed) for a in fam_members
+    )
+    if not covers:
+        return CoverVerdict(covers_all=False, multiplicity=0, window=None)
+    if not fam_members:
+        return CoverVerdict(covers_all=True, multiplicity=0, window=0)
+    mult = min(sum(1 for u in set(listed) if inside(a, u)) for a in fam_members)
+    n = len(listed)
+    window = next(
+        w
+        for w in range(1, n + 1)
+        if all(
+            any(inside(a, u) for u in listed[i : i + w])
+            for i in range(n - w + 1)
+            for a in fam_members
+        )
+    )
+    return CoverVerdict(covers_all=True, multiplicity=mult, window=window)

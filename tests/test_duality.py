@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+from brute import brute_range_inside_exists
 from selgames import (
     ExplicitSet,
     Kind,
@@ -13,11 +15,7 @@ from selgames import (
     is_selection_basis,
     make_game,
 )
-from selgames.duality import (
-    range_inside_exists,
-    range_inside_exists_by_enumeration,
-    transversals,
-)
+from selgames.duality import range_inside_exists, transversals
 from selgames.errors import ChoiceSpaceTooLarge
 
 
@@ -93,8 +91,22 @@ class TestTransversalImplementations:
             ]
             target = frozenset(rng.sample(range(n), rng.randint(0, n)))
             assert range_inside_exists(refl, target) == (
-                range_inside_exists_by_enumeration(refl, target)
+                brute_range_inside_exists(refl, target)
             )
+
+    def test_agree_exhaustively_on_three_items(self):
+        # every reflection of at most 3 members on 3 items, every target
+        subsets = [
+            frozenset(c)
+            for k in range(4)
+            for c in itertools.combinations(range(3), k)
+        ]
+        for size in (1, 2, 3):
+            for refl in itertools.product(subsets[1:], repeat=size):
+                for target in subsets:
+                    assert range_inside_exists(refl, target) == (
+                        brute_range_inside_exists(refl, target)
+                    ), (refl, target)
 
     def test_transversal_order_is_canonical(self):
         refl = [fs(1, 0), fs(2)]

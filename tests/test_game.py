@@ -200,12 +200,12 @@ class TestIsOnePlay:
 
 
 def test_cover_targets_agree_with_the_classifier():
-    # the pure target evaluators and the space-aware classifier are two
-    # separately written routes to the same verdicts
-    import itertools
+    # the target automata against the literal classifier of tests/brute.py,
+    # read straight from the definitions
     import random
 
-    from selgames import classify_cover, discrete_space
+    from brute import brute_classify_cover
+    from selgames import discrete_space
     from selgames.ground import SetFamily
 
     rng = random.Random(29)
@@ -215,7 +215,7 @@ def test_cover_targets_agree_with_the_classifier():
         members = tuple(rng.sample(range(1, space.full + 1), rng.randint(0, 3)))
         fam = SetFamily.build(space, members)
         listed = [rng.choice(opens) for _ in range(rng.randint(0, 4))]
-        verdict = classify_cover(space, fam, listed)
+        verdict = brute_classify_cover(space, fam.members, listed)
         assert CoversFamily(full=space.full, members=fam.members).evaluate(
             listed
         ) == verdict.covers_all

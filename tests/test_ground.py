@@ -1,9 +1,10 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from brute import brute_min_covers
+from brute import brute_classify_cover, brute_min_covers
 from selgames import (
     CoverVerdict,
     SetFamily,
@@ -18,11 +19,17 @@ from selgames import (
     singleton_family,
 )
 from selgames.errors import CapExceeded, NotOpen, TopologyTooLarge
+from selgames.fuzzing import _union_closure
 from selgames.ground import all_topologies
 
 
 def masks(*sets):
     return tuple(sum(1 << i for i in s) for s in sets)
+
+
+def small_topologies():
+    """Every topology on 1 to 3 points."""
+    return [space for size in (1, 2, 3) for space in all_topologies(size)]
 
 
 class TestBuildTopology:
@@ -160,6 +167,19 @@ class TestClassifyCover:
         assert interleaved.window == 2
         assert blocked.window == 3
 
+    def test_against_literal_classifier(self):
+        # the verdict read off the cover targets against the definitions
+        rng = random.Random(23)
+        for space in small_topologies():
+            opens, subsets = sorted(space.opens), range(space.full + 1)
+            for _ in range(20):
+                members = rng.sample(subsets, rng.randint(0, min(3, len(subsets))))
+                fam = SetFamily.build(space, members)
+                listed = [rng.choice(opens) for _ in range(rng.randint(0, 5))]
+                assert classify_cover(space, fam, listed) == brute_classify_cover(
+                    space, fam.members, listed
+                ), (space.opens, members, listed)
+
 
 class TestRefines:
     def test_singletons_refine_pairs(self, d3, singles3):
@@ -200,16 +220,19 @@ class TestMinCovers:
         assert len(result.covers) == 1
 
     def test_against_powerset_enumeration(self):
-        # second route: filter the full powerset of proper opens
-        for sub in ([1, 2, 4], [3, 6], [1, 3]):
-            space = build_topology(3, sub)
-            for fam_members in ([1, 2], [1, 6], [3], [1, 2, 4]):
-                fam = SetFamily.build(space, fam_members)
-                got = min_covers(space, fam).covers
-                want = tuple(
-                    brute_min_covers(space, fam.members, space.opens)
+        # second route: filter the full powerset of proper opens, on every
+        # topology up to 3 points, for seeded families and their union closures
+        rng = random.Random(5)
+        for space in small_topologies():
+            for _ in range(6):
+                seeds = rng.sample(
+                    range(1, space.full + 1), rng.randint(1, min(3, space.full))
                 )
-                assert got == want, (sub, fam_members)
+                for fam_members in (seeds, _union_closure(seeds)):
+                    fam = SetFamily.build(space, fam_members)
+                    got = min_covers(space, fam).covers
+                    want = tuple(brute_min_covers(space, fam.members, space.opens))
+                    assert got == want, (space.opens, fam_members)
 
 
 class TestRefinementMatchesCoverInclusion:
@@ -220,8 +243,6 @@ class TestRefinementMatchesCoverInclusion:
     """
 
     def test_exhaustive_small(self):
-        import random
-
         rng = random.Random(7)
         spaces = [s for s in all_topologies(3) if len(s.opens) <= 12]
         for space in spaces:

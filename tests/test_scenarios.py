@@ -1,5 +1,6 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -73,21 +74,33 @@ class TestBuilders:
         assert solve(build_rothberger(d2, singles2, singles2, 1)).winner is Player.ONE
 
     def test_point_open_targets_cross_check_classify(self, d3, singles3):
-        # the target's own evaluation must agree with the space-aware
-        # cover classifier on every legal selection
+        # the target's own evaluation must agree with the literal cover
+        # classifier on every legal selection
         from itertools import product
 
-        from selgames import classify_cover
+        from brute import brute_classify_cover
 
         g = build_point_open(d3, singles3, singles3, 2)
         for moves in product(range(len(g.moves[0])), repeat=2):
             for sel in product(*(sorted(g.moves[r][moves[r]]) for r in range(2))):
                 target_val = g.target.inner.evaluate(sel)
-                verdict = classify_cover(d3, singles3, list(sel))
+                verdict = brute_classify_cover(d3, singles3.members, list(sel))
                 assert target_val == verdict.covers_all
 
 
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+
 class TestScenarioFiles:
+    def test_files_named_after_corpus_entries_match_them(self):
+        # the two corpora must not drift: a scenarios/<name>.json named
+        # after a corpus() entry holds exactly that entry, emitted
+        files = {path.stem: path for path in SCENARIO_DIR.glob("*.json")}
+        shared = [sc for sc in corpus() if sc.name in files]
+        assert shared
+        for sc in shared:
+            assert files[sc.name].read_text() == emit_scenario(sc), sc.name
+
     def test_round_trip_corpus(self):
         for sc in corpus():
             text = emit_scenario(sc)

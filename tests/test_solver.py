@@ -25,7 +25,6 @@ from selgames import (
     inclusion_pair,
     make_game,
     relative_cofinality,
-    selection_principle_holds,
     singleton_family,
     solve,
     verify,
@@ -163,14 +162,6 @@ class TestFindPredeterminedOne:
         assert find_predetermined_one(g) is None
         assert calls[0] <= 200
 
-    def test_selection_principle_bridge(self):
-        rng = random.Random(17)
-        for _ in range(25):
-            g = _random_game(rng)
-            assert selection_principle_holds(g) == (
-                find_predetermined_one(g) is None
-            )
-
 
 class TestFindMarkovTwo:
     def test_rothberger_forced_table(self, d2, singles2):
@@ -194,11 +185,24 @@ class TestFindMarkovTwo:
         with pytest.raises(BudgetExceeded):
             find_markov_two(g, node_budget=0)
 
-    def test_cell_cap_raises(self, d3):
-        fam = SetFamily.build(d3, list(range(1, 7)), name="wide")
-        g = build_point_open(d3, fam, singleton_family(d3), 5)
+    def test_cell_cap_raises(self, d3, singles3):
+        # Two wins, but the table would need 7 move sets x 4 rounds = 28 cells
+        g = build_rothberger(d3, singles3, singles3, 4)
+        assert winner(g) is Player.TWO
         with pytest.raises(BudgetExceeded):
             find_markov_two(g)
+
+    def test_one_won_game_beyond_the_cap_has_no_table(self):
+        # One wins, so no table exists however many cells it would need
+        # (48 to 144 here); the mirrored duality check is answered too
+        d4 = discrete_space(4)
+        singles4 = singleton_family(d4)
+        for h in (1, 2, 3):
+            rothberger = build_rothberger(d4, singles4, singles4, h)
+            assert winner(rothberger) is Player.ONE
+            assert find_markov_two(rothberger) is None
+            point_open = build_point_open(d4, singles4, singles4, h)
+            assert check_duality(rothberger, point_open).all_hold
 
     def test_winner_only_callers_skip_witness_extraction(
         self, d2, singles2, monkeypatch
