@@ -13,6 +13,7 @@ from selgames import (
     build_rothberger,
     check_duality,
     discrete_space,
+    expand,
     find_markov_two,
     find_predetermined_one,
     play,
@@ -31,6 +32,8 @@ for horizon in (1, 2):
     print(f"horizon {horizon}: winner {det.winner.value}"
           f" ({det.nodes_explored} nodes, witness verifies:"
           f" {verify(game, det.witness).valid})")
+    print(f"  witness: {len(det.witness.table)} (round, state) rows, standing for"
+          f" {len(expand(game, det.witness).table)} history rows")
 
 print("\nOne needs as many rounds as the cofinality of the family pair:")
 game2 = build_point_open(space, singles, singles, 2)

@@ -16,6 +16,7 @@ from selgames import (
     Kind,
     apply_translation,
     check_translation_axioms,
+    expand,
     find_markov_two,
     find_predetermined_one,
     lift_item_map,
@@ -53,7 +54,7 @@ print("source Markov:", markov.table)
 print("target Markov:", out.table)
 print("target Markov verifies:", verify(dst, out).valid)
 
-full_two = solve(src).witness
+full_two = expand(src, solve(src).witness)  # the transfers read history tables
 out_full = apply_translation(pack, src, dst, Direction.FULL_TWO, full_two)
 print("full-table transfer verifies:", verify(dst, out_full).valid)
 
@@ -70,7 +71,7 @@ pulled = apply_translation(
 print("target script:", script.indices, "-> source script:", pulled.indices)
 print("pulled script verifies:", verify(mirror_src, pulled).valid)
 
-full_one = solve(mirror_dst).witness
+full_one = expand(mirror_dst, solve(mirror_dst).witness)
 pulled_full = apply_translation(
     identity, mirror_src, mirror_dst, Direction.FULL_ONE_PULLBACK, full_one
 )

@@ -26,7 +26,7 @@ from selgames import (
     strengthen_one_for_subsequences,
     verify,
 )
-from selgames.game import FullOne
+from selgames.game import FullOne, expand
 from selgames.transforms import (
     blocks_are_counter_plays,
     is_filter_base,
@@ -44,7 +44,7 @@ print("filter base?", is_filter_base(game.moves[0]))
 print("\n== uniform wins strengthen to subsequence-proof wins")
 low = 1  # a single reply above {0} already covers the target family
 witness = solve(game.truncated(low)).witness
-table = dict(witness.table)
+table = dict(expand(game.truncated(low), witness).table)  # history -> move
 
 
 def extend(hist):

@@ -28,7 +28,10 @@ from .game import (
     Player,
     PlayRecord,
     PreOne,
+    StateOne,
+    StateTwo,
     WindowCover,
+    expand,
     make_game,
     play,
 )

@@ -34,6 +34,7 @@ from .game import (
     Player,
     PreOne,
     WindowCover,
+    expand,
     make_game,
     play,
 )
@@ -323,7 +324,7 @@ def suite_translation(rng: random.Random, count: int, profile: FuzzProfile) -> S
         det_dst = solve(dst)
         inputs = {}
         if det_src.winner is Player.TWO:
-            inputs[Direction.FULL_TWO] = det_src.witness
+            inputs[Direction.FULL_TWO] = expand(src, det_src.witness)
             try:
                 mk = find_markov_two(src, node_budget=profile.markov_budget)
             except BudgetExceeded:
@@ -332,7 +333,7 @@ def suite_translation(rng: random.Random, count: int, profile: FuzzProfile) -> S
             if mk is not None:
                 inputs[Direction.MARKOV_TWO] = mk
         if det_dst.winner is Player.ONE:
-            inputs[Direction.FULL_ONE_PULLBACK] = det_dst.witness
+            inputs[Direction.FULL_ONE_PULLBACK] = expand(dst, det_dst.witness)
             pre = find_predetermined_one(dst)
             if pre is not None:
                 inputs[Direction.PRE_ONE_PULLBACK] = pre
@@ -686,8 +687,8 @@ def suite_gamma(rng: random.Random, count: int, profile: FuzzProfile) -> SuiteRe
             continue  # constructions need a winning horizon; try again
         payload["low"] = low
 
-        witness = solve(game.truncated(low)).witness
-        table = dict(witness.table)
+        truncated = game.truncated(low)
+        table = dict(expand(truncated, solve(truncated).witness).table)
         frontier = [hist for hist in _histories(game, table, low, n)]
         for hist in frontier:
             table.setdefault(hist, 0)

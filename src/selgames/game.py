@@ -3,9 +3,11 @@
 One offers a move set each round (by index into that round's family);
 Two selects one item (single kind) or a nonempty finite subset (finite
 kind).  Two wins a play when the target predicate accepts the final
-selection sequence.  Strategy classes: full-information One, script-only
-(predetermined) One, full-information Two, and Markov Two (latest move
-plus round number only).
+selection sequence.  Strategy classes: full-information One and Two
+(keyed by history), script-only (predetermined) One, Markov Two (latest
+move plus round number only), and the state-keyed One and Two that the
+solver returns (round plus target state).  ``expand`` turns any of the
+last four into the history table of the full-information class.
 """
 
 from __future__ import annotations
@@ -244,6 +246,16 @@ def flatten_selections(kind: Kind, selections: Sequence) -> tuple[int, ...]:
     return tuple(out)
 
 
+def advance(game: "GameSpec", state, x):
+    """Target state after Two's selection ``x``; a subset steps in item order."""
+    step = game.target.step
+    if game.kind is Kind.SINGLE:
+        return step(state, x)
+    for item in sorted(x):
+        state = step(state, item)
+    return state
+
+
 def _check_target(target) -> None:
     if not isinstance(target, Target):
         raise TypeError(f"not a built-in target: {target!r}")
@@ -287,6 +299,8 @@ def make_game(
 
 # -- strategies --------------------------------------------------------
 
+_MISSING_ROW = "strategy table missing a reachable history"
+
 
 @dataclass(frozen=True)
 class PreOne:
@@ -316,19 +330,43 @@ class MarkovTwo:
     table: Mapping[tuple, object]
 
 
-StrategyOne = Union[PreOne, FullOne]
-StrategyTwo = Union[FullTwo, MarkovTwo]
+@dataclass(frozen=True)
+class StateOne:
+    """One's strategy on (round, target state) -> index.
+
+    The target state after Two's selections decides every future
+    verdict, so it is all a winning One needs to see.  Every history
+    reaching the same state in the same round gets the same move.
+    """
+
+    table: Mapping[tuple, int]
 
 
-def one_move_index(one: Union[StrategyOne, Sequence[int]], history: tuple, r: int) -> int:
+@dataclass(frozen=True)
+class StateTwo:
+    """Two's strategy on (round, target state, One's current index) -> item."""
+
+    table: Mapping[tuple, object]
+
+
+StrategyOne = Union[PreOne, FullOne, StateOne]
+StrategyTwo = Union[FullTwo, MarkovTwo, StateTwo]
+
+
+def one_move_index(
+    one: Union[StrategyOne, Sequence[int]], history: tuple, r: int, state=None
+) -> int:
+    """One's index at round ``r`` after Two's selections ``history``;
+    ``state`` is the target state they reached (read by StateOne only)."""
     if isinstance(one, PreOne):
         if r >= len(one.indices):
             raise IllegalMove(r, "predetermined script too short")
         return one.indices[r]
-    if isinstance(one, FullOne):
-        if history not in one.table:
-            raise IllegalMove(r, "strategy table missing a reachable history")
-        return one.table[history]
+    if isinstance(one, (FullOne, StateOne)):
+        key = history if isinstance(one, FullOne) else (r, state)
+        if key not in one.table:
+            raise IllegalMove(r, _MISSING_ROW)
+        return one.table[key]
     return one[r]
 
 
@@ -336,11 +374,15 @@ def two_selection(
     two: Union[StrategyTwo, Sequence],
     idx_history: tuple[int, ...],
     r: int,
+    state=None,
 ):
-    if isinstance(two, FullTwo):
-        if idx_history not in two.table:
-            raise IllegalMove(r, "strategy table missing a reachable history")
-        return two.table[idx_history]
+    """Two's reply at round ``r`` to One's indices ``idx_history``;
+    ``state`` is the target state before the reply (read by StateTwo only)."""
+    if isinstance(two, (FullTwo, StateTwo)):
+        key = idx_history if isinstance(two, FullTwo) else (r, state, idx_history[-1])
+        if key not in two.table:
+            raise IllegalMove(r, _MISSING_ROW)
+        return two.table[key]
     if isinstance(two, MarkovTwo):
         key = (idx_history[-1], r)
         if key not in two.table:
@@ -391,64 +433,91 @@ def play(
     """Run both strategies to completion; deterministic transcript."""
     idx_hist: tuple[int, ...] = ()
     sel_hist: tuple = ()
+    state = game.target.start
     for r in range(game.horizon):
-        i = one_move_index(one, sel_hist, r)
+        i = one_move_index(one, sel_hist, r, state)
         if not 0 <= i < len(game.moves[r]):
             raise IllegalMove(r, f"move index {i} out of range")
         idx_hist = idx_hist + (i,)
-        x = legal_selection(game, r, game.moves[r][i], two_selection(two, idx_hist, r))
+        x = two_selection(two, idx_hist, r, state)
+        x = legal_selection(game, r, game.moves[r][i], x)
         sel_hist = sel_hist + (x,)
-    flat = flatten_selections(game.kind, sel_hist)
-    winner = Player.TWO if game.target.evaluate(flat) else Player.ONE
+        state = advance(game, state, x)
+    winner = Player.TWO if game.target.accept(state) else Player.ONE
     return PlayRecord(one_moves=idx_hist, two_selections=sel_hist, winner=winner)
 
 
 def is_one_play(game: GameSpec, one: Union[StrategyOne, Sequence[int]], selections: Sequence) -> bool:
     """Whether a selection sequence can arise against this One strategy."""
     hist: tuple = ()
+    state = game.target.start  # read by a StateOne alone
     for r, x in enumerate(selections):
         try:
-            i = one_move_index(one, hist, r)
+            i = one_move_index(one, hist, r, state)
             if not 0 <= i < len(game.moves[r]):
                 return False
-            legal_selection(game, r, game.moves[r][i], x)
+            legal = legal_selection(game, r, game.moves[r][i], x)
         except IllegalMove:
             return False
         hist = hist + (x,)
+        if isinstance(one, StateOne):
+            state = advance(game, state, legal)
     return True
 
 
-def embed_two_into_finite(strategy: Union[FullTwo, MarkovTwo]):
+def embed_two_into_finite(strategy: Union[FullTwo, MarkovTwo, StateTwo]):
     """Selection-singleton embedding of a single-kind Two strategy."""
     wrapped = {k: frozenset([v]) for k, v in strategy.table.items()}
     return type(strategy)(table=wrapped)
 
 
-def pre_as_full_one(game: GameSpec, pre: PreOne) -> FullOne:
-    """Constant-in-history embedding of a script into the full class."""
+def expand(game: GameSpec, strategy) -> Union[FullOne, FullTwo]:
+    """The full-information table of a strategy whose move is a function
+    of the round, the target state and One's current index: a StateOne,
+    StateTwo, PreOne or MarkovTwo becomes the FullOne or FullTwo that
+    answers every reachable history as it does.
+
+    Reachable means: the adversary ranges over every legal choice.  A
+    history the strategy has no answer for gets no row, and one answered
+    with an illegal move gets its row but no rows below it, so a play of
+    the expansion breaks a rule in the round where the strategy's does.
+    """
+    moves, horizon = game.moves, game.horizon
     table: dict = {}
+    if isinstance(strategy, (PreOne, StateOne)):
 
-    def walk(hist: tuple, r: int) -> None:
-        if r == game.horizon:
-            return
-        table[hist] = pre.indices[r]
-        for x in two_choices(game, game.moves[r][pre.indices[r]]):
-            walk(hist + (x,), r + 1)
+        def walk_one(r: int, hist: tuple, state) -> None:
+            try:
+                i = one_move_index(strategy, hist, r, state)
+            except IllegalMove:
+                return
+            table[hist] = i
+            if r + 1 < horizon and 0 <= i < len(moves[r]):
+                for x in two_choices(game, moves[r][i]):
+                    walk_one(r + 1, hist + (x,), advance(game, state, x))
 
-    walk((), 0)
-    return FullOne(table=table)
+        if horizon:
+            walk_one(0, (), game.target.start)
+        return FullOne(table=table)
 
+    if not isinstance(strategy, (MarkovTwo, StateTwo)):
+        raise TypeError(f"not a state-determined strategy: {strategy!r}")
 
-def markov_as_full_two(game: GameSpec, markov: MarkovTwo) -> FullTwo:
-    """History-blind embedding of a Markov table into the full class."""
-    table: dict = {}
+    def walk_two(r: int, idx_hist: tuple, state) -> None:
+        for i, ms in enumerate(moves[r]):
+            idx = idx_hist + (i,)
+            try:
+                x = two_selection(strategy, idx, r, state)
+            except IllegalMove:
+                continue
+            table[idx] = x
+            if r + 1 < horizon:
+                try:
+                    x = legal_selection(game, r, ms, x)
+                except IllegalMove:
+                    continue
+                walk_two(r + 1, idx, advance(game, state, x))
 
-    def walk(idx_hist: tuple, r: int) -> None:
-        if r == game.horizon:
-            return
-        for j in range(len(game.moves[r])):
-            table[idx_hist + (j,)] = markov.table[(j, r)]
-            walk(idx_hist + (j,), r + 1)
-
-    walk((), 0)
+    if horizon:
+        walk_two(0, (), game.target.start)
     return FullTwo(table=table)

@@ -3,6 +3,12 @@
 All emitters produce canonical form: sorted object keys, items sorted
 inside subsets, two-space indent, trailing newline.  Reports built from
 these codecs are byte-stable across runs.
+
+Target states (the keys of the solver's state-keyed witnesses) have an
+exact codec of their own: None and ints as they are, tuples as arrays,
+frozensets as ``{"set": [...]}`` with the members in a fixed order.
+Every built-in target's states are built from these four shapes, so a
+state decodes without knowing its target.
 """
 
 from __future__ import annotations
@@ -23,6 +29,8 @@ from .game import (
     MultiCover,
     Not,
     PreOne,
+    StateOne,
+    StateTwo,
     Target,
     WindowCover,
     make_game,
@@ -146,6 +154,39 @@ def _item_from_json(value, kind: Kind):
     return value
 
 
+def state_to_json(state) -> Any:
+    """Exact, canonical JSON form of a target state."""
+    if state is None or type(state) is int:
+        return state
+    if isinstance(state, tuple):
+        return [state_to_json(s) for s in state]
+    if isinstance(state, frozenset):
+        return {"set": sorted(map(state_to_json, state), key=_state_order)}
+    raise ScenarioFormatError(f"not a target state: {state!r}")
+
+
+def state_from_json(value) -> Any:
+    if value is None or type(value) is int:
+        return value
+    if isinstance(value, list):
+        return tuple(map(state_from_json, value))
+    if isinstance(value, dict) and list(value) == ["set"]:
+        return frozenset(map(state_from_json, value["set"]))
+    raise ScenarioFormatError(f"bad target state record: {value!r}")
+
+
+def _state_order(value) -> tuple:
+    """A total order on encoded states: null, ints, arrays, sets; arrays
+    and sets compare member by member (a set's members are sorted)."""
+    if value is None:
+        return (0,)
+    if isinstance(value, int):
+        return (1, value)
+    if isinstance(value, list):
+        return (2, tuple(map(_state_order, value)))
+    return (3, tuple(map(_state_order, value["set"])))
+
+
 def _history_key(row: dict) -> str:
     # The order of json.dumps(row, sort_keys=True): every row's text starts
     # with its history, histories are unique, and no JSON array text is a
@@ -177,6 +218,21 @@ def strategy_to_json(strategy, kind: Kind = Kind.SINGLE) -> dict:
             key=lambda r: (r["round"], r["move"]),
         )
         return {"class": "markov-two", "kind": kind.value, "table": rows}
+    if isinstance(strategy, StateOne):
+        rows = sorted(
+            ({"round": r, "state": state_to_json(q), "move": i}
+             for (r, q), i in strategy.table.items()),
+            key=lambda row: (row["round"], _state_order(row["state"])),
+        )
+        return {"class": "state-one", "kind": kind.value, "table": rows}
+    if isinstance(strategy, StateTwo):
+        rows = sorted(
+            ({"round": r, "state": state_to_json(q), "move": i,
+              "item": _item_to_json(item)}
+             for (r, q, i), item in strategy.table.items()),
+            key=lambda row: (row["round"], _state_order(row["state"]), row["move"]),
+        )
+        return {"class": "state-two", "kind": kind.value, "table": rows}
     raise ScenarioFormatError(f"unknown strategy {strategy!r}")
 
 
@@ -204,6 +260,21 @@ def strategy_from_json(data: Mapping):
             return MarkovTwo(
                 table={
                     (row["move"], row["round"]): _item_from_json(row["item"], kind)
+                    for row in data["table"]
+                }
+            )
+        if cls == "state-one":
+            return StateOne(
+                table={
+                    (row["round"], state_from_json(row["state"])): row["move"]
+                    for row in data["table"]
+                }
+            )
+        if cls == "state-two":
+            return StateTwo(
+                table={
+                    (row["round"], state_from_json(row["state"]), row["move"]):
+                        _item_from_json(row["item"], kind)
                     for row in data["table"]
                 }
             )

@@ -2,15 +2,18 @@
 
 Every target is a deterministic automaton whose state decides all future
 verdicts, so the searches run over target states, not histories.  solve()
-is backward induction memoized on (round, state).  Witness extraction
-prefers the least move index / least selection, so results reproduce;
-that choice depends only on (round, state), so it is decided once per
-state and the walk over histories only writes table rows.
-find_predetermined_one() recurses over (round, set of states Two's
-replies can reach), since a script sees no reply.  verify() walks the
-play tree once, stepping each (state, selection) transition once and
-settling One's last round once per (state, move), so leaves are counted,
-not replayed.
+is backward induction memoized on (round, state); its witness is the
+least winning move per (round, state) -- a StateOne table
+(round, state) -> least winning index, or a StateTwo table
+(round, state, One's index) -> least winning reply -- so it has one row
+per reachable state, not per history (``game.expand`` gives the history
+table).  find_predetermined_one() recurses over (round, set of states
+Two's replies can reach), since a script sees no reply.  verify() checks
+a strategy whose move depends on the round, the state and One's index
+(StateOne, StateTwo, PreOne, MarkovTwo) by one walk memoized on
+(round, state) that counts plays by multiplication; a history table
+(FullOne, FullTwo) is walked play by play, stepping each
+(state, selection) transition once.
 """
 
 from __future__ import annotations
@@ -24,13 +27,15 @@ from .game import (
     FullOne,
     FullTwo,
     GameSpec,
-    Kind,
     MarkovTwo,
     Player,
     PlayRecord,
     PreOne,
+    StateOne,
+    StateTwo,
     StrategyOne,
     StrategyTwo,
+    advance,
     flatten_selections,
     legal_selection,
     one_move_index,
@@ -43,20 +48,25 @@ MARKOV_CELL_CAP = 24
 MAX_EXHIBITS = 16
 
 
-def _advance(game: GameSpec, state, x):
-    """Target state after Two's selection ``x``; a subset steps in item order."""
-    step = game.target.step
-    if game.kind is Kind.SINGLE:
-        return step(state, x)
-    for item in sorted(x):
-        state = step(state, item)
-    return state
+def _stepper(game: GameSpec):
+    """``advance`` for one search: each (state, selection) transition is
+    stepped once, however often the search meets it."""
+    successors: dict = {}
+
+    def successor(state, x):
+        # the dict itself marks a miss: None is a target state
+        nxt = successors.get((state, x), successors)
+        if nxt is successors:
+            nxt = successors[state, x] = advance(game, state, x)
+        return nxt
+
+    return successor
 
 
 @dataclass(frozen=True)
 class Determination:
     winner: Player
-    witness: Union[FullOne, FullTwo]
+    witness: Union[StateOne, StateTwo]
     nodes_explored: int
     memo_hits: int
 
@@ -79,7 +89,7 @@ class _Solver:
         self.nodes += 1
         result = all(
             any(
-                self.two_wins(r + 1, _advance(game, state, x))
+                self.two_wins(r + 1, advance(game, state, x))
                 for x in two_choices(game, ms)
             )
             for ms in game.moves[r]
@@ -87,62 +97,62 @@ class _Solver:
         self.memo[key] = result
         return result
 
-    def extract_one(self) -> FullOne:
+    def extract_one(self) -> StateOne:
+        """One's least winning index at each (round, state) the strategy
+        lets Two reach."""
         game = self.game
         table: dict = {}
-        plans: dict = {}  # (r, state) -> (least winning index, [(reply, next state)])
 
-        def plan(r: int, state):
-            for i, ms in enumerate(game.moves[r]):
-                if not any(
-                    self.two_wins(r + 1, _advance(game, state, x))
-                    for x in two_choices(game, ms)
-                ):
-                    return i, [
-                        (x, _advance(game, state, x)) for x in two_choices(game, ms)
-                    ]
-            raise AssertionError("extraction from a lost position")
-
-        def walk(r: int, hist: tuple, state) -> None:
-            if r == game.horizon:
+        def walk(r: int, state) -> None:
+            if (r, state) in table:
                 return
-            key = (r, state)
-            if key not in plans:
-                plans[key] = plan(r, state)
-            best, replies = plans[key]
-            table[hist] = best
-            for x, nxt in replies:
-                walk(r + 1, hist + (x,), nxt)
+            for i, ms in enumerate(game.moves[r]):
+                nexts = []
+                for x in two_choices(game, ms):
+                    nexts.append(advance(game, state, x))
+                    if self.two_wins(r + 1, nexts[-1]):
+                        break
+                else:
+                    break  # no reply wins for Two
+            else:
+                raise AssertionError("extraction from a lost position")
+            table[r, state] = i
+            if r + 1 < game.horizon:
+                for nxt in nexts:
+                    walk(r + 1, nxt)
 
-        walk(0, (), game.target.start)
-        return FullOne(table=table)
+        if game.horizon:
+            walk(0, game.target.start)
+        return StateOne(table=table)
 
-    def extract_two(self) -> FullTwo:
+    def extract_two(self) -> StateTwo:
+        """Two's least winning reply to each index at each (round, state)
+        the strategy lets One reach."""
         game = self.game
         table: dict = {}
-        plans: dict = {}  # (r, state) -> [(least winning reply, next state)] per index
+        seen: set = set()
 
         def least_winning_reply(r: int, state, ms):
             for x in two_choices(game, ms):
-                nxt = _advance(game, state, x)
+                nxt = advance(game, state, x)
                 if self.two_wins(r + 1, nxt):
                     return x, nxt
             raise AssertionError("extraction from a lost position")
 
-        def walk(r: int, idx_hist: tuple, state) -> None:
-            if r == game.horizon:
+        def walk(r: int, state) -> None:
+            if (r, state) in seen:
                 return
-            key = (r, state)
-            if key not in plans:
-                plans[key] = [
-                    least_winning_reply(r, state, ms) for ms in game.moves[r]
-                ]
-            for i, (x, nxt) in enumerate(plans[key]):
-                table[idx_hist + (i,)] = x
-                walk(r + 1, idx_hist + (i,), nxt)
+            seen.add((r, state))
+            replies = [least_winning_reply(r, state, ms) for ms in game.moves[r]]
+            for i, (x, _) in enumerate(replies):
+                table[r, state, i] = x
+            if r + 1 < game.horizon:
+                for _, nxt in replies:
+                    walk(r + 1, nxt)
 
-        walk(0, (), game.target.start)
-        return FullTwo(table=table)
+        if game.horizon:
+            walk(0, game.target.start)
+        return StateTwo(table=table)
 
 
 def solve(game: GameSpec) -> Determination:
@@ -173,21 +183,16 @@ def find_predetermined_one(game: GameSpec) -> Optional[PreOne]:
     least script.  Each (state, move set) step and each (state, selection)
     transition runs once per call.
     """
-    successors: dict = {}  # (state, selection) -> next state
+    successor = _stepper(game)
     reached: dict = {}  # (state, move set) -> frozenset of next states
     memo: dict = {}  # (round, state set) -> least winning suffix or None
-
-    def advance(state, x):
-        if (state, x) not in successors:
-            successors[state, x] = _advance(game, state, x)
-        return successors[state, x]
 
     def step(states: frozenset, ms) -> frozenset:
         out = set()
         for state in states:
             if (state, ms) not in reached:
                 reached[state, ms] = frozenset(
-                    advance(state, x) for x in two_choices(game, ms)
+                    successor(state, x) for x in two_choices(game, ms)
                 )
             out |= reached[state, ms]
         return frozenset(out)
@@ -218,6 +223,17 @@ def find_markov_two(
     from "no such strategy exists".  A game One wins has no winning table
     for Two, so it answers None before the cell cap applies.
     """
+    return _find_markov_two(game, winner(game), node_budget)
+
+
+def _find_markov_two(
+    game: GameSpec, known_winner: Player, node_budget: int = DEFAULT_NODE_BUDGET
+) -> Optional[MarkovTwo]:
+    """find_markov_two for a game whose winner is already known."""
+    if known_winner is Player.ONE:
+        return None
+    if game.horizon == 0:
+        return MarkovTwo(table={})
     # Column-major cell order: once move index 0 is assigned at every
     # round, each later assignment completes plays immediately, so the
     # partial-play falsification prunes near the top of the search tree.
@@ -225,10 +241,6 @@ def find_markov_two(
         ((r, j) for r in range(game.horizon) for j in range(len(game.moves[r]))),
         key=lambda cell: (cell[1], cell[0]),
     )
-    if game.horizon == 0:
-        return MarkovTwo(table={}) if game.target.evaluate(()) else None
-    if winner(game) is Player.ONE:
-        return None
     max_family = max(len(f) for f in game.moves)
     if max_family * game.horizon > MARKOV_CELL_CAP:
         raise BudgetExceeded(
@@ -295,12 +307,12 @@ def one_side_plays(
             won = Player.TWO if accept(state) else Player.ONE
             yield PlayRecord(idx_hist, sel_hist, won)
             return
-        i = one_move_index(one, sel_hist, r)
+        i = one_move_index(one, sel_hist, r, state)
         if not 0 <= i < len(game.moves[r]):
             raise IllegalMove(r, f"move index {i} out of range")
         idx = idx_hist + (i,)
         for x in two_choices(game, game.moves[r][i]):
-            yield from walk(r + 1, idx, sel_hist + (x,), _advance(game, state, x))
+            yield from walk(r + 1, idx, sel_hist + (x,), advance(game, state, x))
 
     return walk(0, (), (), game.target.start)
 
@@ -312,24 +324,16 @@ class _FirstLoss(Exception):
 def _check(
     game: GameSpec, strategy, max_exhibits: int, first_loss_only: bool
 ) -> VerificationReport:
-    """One depth-first walk of the strategy's play tree, the adversary
-    ranging over every legal choice in lexicographic order.
-
-    Every node looks up and checks the strategy's move, raising
-    IllegalMove as ``play`` does.  Each (state, selection) transition is
-    stepped once per call.  On One's side the last round is settled once
-    per (target state, One's index) instead: every node reaching that pair
-    has the same reply count and the same winning replies for Two.
-    """
-    if isinstance(strategy, (PreOne, FullOne)):
+    """verify() and is_winning(): the side, the empty game, and the walk
+    that suits the strategy's class."""
+    if isinstance(strategy, (PreOne, StateOne, FullOne)):
         side, other = Player.ONE, Player.TWO
-    elif isinstance(strategy, (FullTwo, MarkovTwo)):
+    elif isinstance(strategy, (MarkovTwo, StateTwo, FullTwo)):
         side, other = Player.TWO, Player.ONE
     else:
         raise TypeError(f"not a strategy: {strategy!r}")
-    target = game.target
     if game.horizon == 0:
-        won = Player.TWO if target.accept(target.start) else Player.ONE
+        won = Player.TWO if game.target.accept(game.target.start) else Player.ONE
         shown = won is other and max_exhibits > 0
         return VerificationReport(
             valid=won is side,
@@ -337,18 +341,109 @@ def _check(
             counter_plays=(PlayRecord((), (), won),) if shown else (),
             plays_checked=1,
         )
-    moves, last = game.moves, game.horizon - 1
-    successors: dict = {}  # (state, selection) -> next state
+    walk = _walk_histories if isinstance(strategy, (FullOne, FullTwo)) else _walk_states
+    try:
+        lost, counters, checked = walk(
+            game, strategy, side, max_exhibits, first_loss_only
+        )
+    except _FirstLoss:
+        lost, counters, checked = 1, (), 0
+    return VerificationReport(
+        valid=not lost,
+        side=side,
+        counter_plays=tuple(counters),
+        plays_checked=checked,
+    )
+
+
+def _walk_states(game: GameSpec, strategy, side: Player, max_exhibits: int,
+                 first_loss_only: bool) -> tuple:
+    """(lost plays, counter-plays, plays) for a strategy whose move is a
+    function of the round, the target state and One's current index
+    (StateOne, StateTwo, PreOne, MarkovTwo): every history reaching
+    (round, state) continues alike.
+
+    One depth-first walk, memoized on (round, state), tallies the plays
+    below each pair and the lost ones among them, so plays are counted by
+    multiplication.  Its first visit of each pair looks up and checks the
+    strategy's moves in the order a play-by-play walk would, so the first
+    IllegalMove is the same.  Counter-plays are then read off in
+    lexicographic order by descending only into pairs that hold a loss.
+    """
+    one_side = side is Player.ONE
+    other = Player.TWO if one_side else Player.ONE
+    moves, target, last = game.moves, game.target, game.horizon - 1
+    successor = _stepper(game)
+    tally: dict = {}  # (round, state) -> (plays, lost plays), round > 0
+
+    def choices(r: int, state) -> Iterator[tuple]:
+        """(One's index, Two's selection) pairs in lexicographic order; on
+        Two's side each reply is looked up as its turn comes."""
+        if one_side:
+            i = one_move_index(strategy, (), r, state)
+            if not 0 <= i < len(moves[r]):
+                raise IllegalMove(r, f"move index {i} out of range")
+            return zip(itertools.repeat(i), two_choices(game, moves[r][i]))
+        return (
+            (i, legal_selection(game, r, ms, two_selection(strategy, (i,), r, state)))
+            for i, ms in enumerate(moves[r])
+        )
+
+    def count(r: int, state) -> tuple:
+        plays = lost = 0
+        for _, x in choices(r, state):
+            nxt = successor(state, x)
+            if r == last:
+                plays += 1
+                # the target is Two's: One loses the plays it accepts
+                if target.accept(nxt) == one_side:
+                    if first_loss_only:
+                        raise _FirstLoss
+                    lost += 1
+                continue
+            got = tally.get((r + 1, nxt))
+            if got is None:
+                got = tally[r + 1, nxt] = count(r + 1, nxt)
+            plays, lost = plays + got[0], lost + got[1]
+        return plays, lost
+
+    counters: list = []
+
+    def exhibit(r: int, state, idx_hist: tuple, sel_hist: tuple) -> None:
+        for i, x in choices(r, state):
+            nxt = successor(state, x)
+            if r == last:
+                if target.accept(nxt) == one_side:
+                    counters.append(PlayRecord(idx_hist + (i,), sel_hist + (x,), other))
+            elif tally[r + 1, nxt][1]:
+                exhibit(r + 1, nxt, idx_hist + (i,), sel_hist + (x,))
+            if len(counters) == max_exhibits:
+                return
+
+    plays, lost = count(0, game.target.start)
+    if lost and max_exhibits > 0:
+        exhibit(0, game.target.start, (), ())
+    return lost, counters, plays
+
+
+def _walk_histories(game: GameSpec, strategy, side: Player, max_exhibits: int,
+                    first_loss_only: bool) -> tuple:
+    """(lost plays, counter-plays, plays) for a history table (FullOne,
+    FullTwo): one depth-first walk of the strategy's play tree, the
+    adversary ranging over every legal choice in lexicographic order.
+
+    Every node looks up and checks the strategy's move, raising
+    IllegalMove as ``play`` does.  Each (state, selection) transition is
+    stepped once per call.  On One's side the last round is settled once
+    per (target state, One's index) instead: every node reaching that pair
+    has the same reply count and the same winning replies for Two.
+    """
+    other = Player.TWO if side is Player.ONE else Player.ONE
+    moves, target, last = game.moves, game.target, game.horizon - 1
+    successor = _stepper(game)
     settled: dict = {}  # (state, One's last index) -> (reply count, Two's wins)
     counters: list = []
     checked = lost = 0
-
-    def advance(state, x):
-        # the dict itself marks a miss: None is a target state
-        nxt = successors.get((state, x), successors)
-        if nxt is successors:
-            nxt = successors[state, x] = _advance(game, state, x)
-        return nxt
 
     def lose(idx_hist: tuple, sel_hist: tuple, finals: tuple) -> None:
         """The plays ``sel_hist + (x,)``, x in ``finals``, are lost."""
@@ -372,12 +467,12 @@ def _check(
             idx = idx_hist + (i,)
             if r < last:
                 for x in two_choices(game, moves[r][i]):
-                    walk(r + 1, idx, sel_hist + (x,), advance(state, x))
+                    walk(r + 1, idx, sel_hist + (x,), successor(state, x))
                 return
             pair = settled.get((state, i))
             if pair is None:
                 xs = tuple(two_choices(game, moves[r][i]))
-                wins = tuple(x for x in xs if target.accept(_advance(game, state, x)))
+                wins = tuple(x for x in xs if target.accept(advance(game, state, x)))
                 pair = settled[state, i] = (len(xs), wins)
             count, two_winning = pair
             checked += count
@@ -392,22 +487,14 @@ def _check(
                 idx = idx_hist + (i,)
                 x = legal_selection(game, r, ms, two_selection(strategy, idx, r))
                 if r < last:
-                    walk(r + 1, idx, sel_hist + (x,), advance(state, x))
+                    walk(r + 1, idx, sel_hist + (x,), successor(state, x))
                     continue
                 checked += 1
-                if not target.accept(advance(state, x)):
+                if not target.accept(successor(state, x)):
                     lose(idx, sel_hist, (x,))
 
-    try:
-        walk(0, (), (), target.start)
-    except _FirstLoss:
-        pass
-    return VerificationReport(
-        valid=not lost,
-        side=side,
-        counter_plays=tuple(counters),
-        plays_checked=checked,
-    )
+    walk(0, (), (), target.start)
+    return lost, counters, checked
 
 
 def verify(

@@ -1,8 +1,8 @@
 """Independent brute-force oracles for cross-checking the package.
 
-Everything here is written as plainly as possible: raw recursion, no
-memoization, no witness extraction, no canonical keys.  The point is a
-second route to the same answers, not speed.
+Everything here is written as plainly as possible: raw recursion over
+raw histories, no memoization, no automaton states, no canonical keys.
+The point is a second route to the same answers, not speed.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import itertools
 from selgames.errors import IllegalMove
 from selgames.game import (
     FullOne,
+    FullTwo,
     GameSpec,
     Kind,
     Player,
@@ -53,6 +54,54 @@ def brute_winner(game: GameSpec) -> Player:
     return Player.TWO if two_wins(0, ()) else Player.ONE
 
 
+def brute_history_witness(game: GameSpec):
+    """The solver's witness spelled out over histories: plain minimax on
+    raw selection tuples, then at every history One's least index that
+    Two cannot beat, or at every history of One's indices Two's least
+    reply that still wins.  A FullOne or FullTwo for the winning side."""
+
+    def two_wins(r, selections):
+        if r == game.horizon:
+            return game.target.evaluate(flatten_selections(game.kind, selections))
+        return all(
+            any(two_wins(r + 1, selections + (x,)) for x in brute_two_choices(game, ms))
+            for ms in game.moves[r]
+        )
+
+    table = {}
+    if two_wins(0, ()):
+
+        def walk_two(r, indices, selections):
+            if r == game.horizon:
+                return
+            for i, ms in enumerate(game.moves[r]):
+                x = next(
+                    x for x in brute_two_choices(game, ms)
+                    if two_wins(r + 1, selections + (x,))
+                )
+                table[indices + (i,)] = x
+                walk_two(r + 1, indices + (i,), selections + (x,))
+
+        walk_two(0, (), ())
+        return FullTwo(table=table)
+
+    def walk_one(r, selections):
+        if r == game.horizon:
+            return
+        i = next(
+            i for i, ms in enumerate(game.moves[r])
+            if not any(
+                two_wins(r + 1, selections + (x,)) for x in brute_two_choices(game, ms)
+            )
+        )
+        table[selections] = i
+        for x in brute_two_choices(game, game.moves[r][i]):
+            walk_one(r + 1, selections + (x,))
+
+    walk_one(0, ())
+    return FullOne(table=table)
+
+
 def brute_least_pre_one(game: GameSpec):
     """Least winning script by literal double enumeration: the first index
     tuple, in lexicographic order, that no reply sequence beats, or None."""
@@ -81,9 +130,13 @@ def brute_every_subsequence(inner, m: int, items) -> bool:
 
 
 def two_side_plays(game: GameSpec, two):
-    """Every completed play with One ranging over all index tuples."""
+    """Every completed play with One ranging over all index tuples, each
+    judged by evaluating the whole selection sequence."""
     for idx in itertools.product(*(range(len(f)) for f in game.moves)):
-        yield play(game, idx, two)
+        rec = play(game, idx, two)
+        flat = flatten_selections(game.kind, rec.two_selections)
+        won = Player.TWO if game.target.evaluate(flat) else Player.ONE
+        yield PlayRecord(rec.one_moves, rec.two_selections, won)
 
 
 def brute_one_side_plays(game: GameSpec, one):

@@ -28,7 +28,7 @@ class TestSolve:
         assert code == 0
         data = json.loads(out)
         assert data["winner"] == "two"
-        assert data["witness"]["class"] == "full-two"
+        assert data["witness"]["class"] == "state-two"
 
     def test_horizon_override(self, capsys):
         code, out, _ = run(
@@ -79,6 +79,38 @@ class TestVerify:
         )
         assert code == 0
         assert json.loads(out)["valid"] is True
+
+    def test_solve_witness_verifies(self, capsys, tmp_path):
+        # the witness `solve --json` prints is a state table `verify` reads,
+        # on a game each side wins
+        for horizon in ("1", "2", "3"):
+            scenario = str(SCENARIOS / "point-open-discrete-3-h3.json")
+            code, out, _ = run(capsys, "solve", scenario, "--horizon", horizon, "--json")
+            assert code == 0
+            witness = json.loads(out)["witness"]
+            assert witness["class"] in ("state-one", "state-two")
+            path = tmp_path / "witness.json"
+            path.write_text(json.dumps(witness))
+            code, out, _ = run(
+                capsys, "verify", scenario, str(path), "--horizon", horizon, "--json"
+            )
+            assert code == 0
+            assert json.loads(out)["valid"] is True
+
+    def test_state_witness_drives_translate(self, capsys, tmp_path):
+        code, out, _ = run(
+            capsys, "solve", str(SCENARIOS / "tiny-abstract.json"), "--json"
+        )
+        path = tmp_path / "witness.json"
+        path.write_text(json.dumps(json.loads(out)["witness"]))
+        code, out, _ = run(
+            capsys, "translate", str(SCENARIOS / "identity-pack-tiny.json"),
+            str(SCENARIOS / "tiny-abstract.json"),
+            str(SCENARIOS / "tiny-abstract.json"),
+            "--direction", "full-two", "--input", str(path), "--json",
+        )
+        assert code == 0
+        assert json.loads(out)["transferred"]["class"] == "full-two"
 
     def test_losing_strategy_exits_2(self, capsys):
         code, out, _ = run(

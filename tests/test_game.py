@@ -22,10 +22,9 @@ from selgames import (
 from selgames.errors import EmptyMove, IllegalMove
 from selgames.game import (
     embed_two_into_finite,
+    expand,
     flatten_selections,
     is_one_play,
-    markov_as_full_two,
-    pre_as_full_one,
 )
 
 
@@ -170,7 +169,7 @@ class TestStrategyClassHierarchy:
         g = build_point_open(d2, singles2, singles2, 2)
         pre = PreOne(indices=(0, 1))
         assert verify(g, pre).valid
-        assert verify(g, pre_as_full_one(g, pre)).valid
+        assert verify(g, expand(g, pre)).valid
 
     def test_markov_embeds_into_full_two(self, d2, singles2):
         from selgames import build_rothberger, find_markov_two
@@ -178,7 +177,7 @@ class TestStrategyClassHierarchy:
         g = build_rothberger(d2, singles2, singles2, 2)
         markov = find_markov_two(g)
         assert markov is not None
-        assert verify(g, markov_as_full_two(g, markov)).valid
+        assert verify(g, expand(g, markov)).valid
 
     def test_single_two_wins_embed_into_finite_kind(self, d2, singles2):
         from selgames import build_rothberger
@@ -187,7 +186,7 @@ class TestStrategyClassHierarchy:
         det = solve(g)
         assert det.winner is Player.TWO
         g_fin = make_game(g.moves, g.horizon, Kind.FINITE, g.target)
-        embedded = embed_two_into_finite(det.witness)
+        embedded = embed_two_into_finite(expand(g, det.witness))
         assert verify(g_fin, embedded).valid
 
 

@@ -295,6 +295,36 @@ def test_target_codec_round_trips(target):
 
 
 @settings(max_examples=80, deadline=None)
+@given(
+    target=_target_trees(),
+    items=st.lists(st.integers(min_value=0, max_value=7), max_size=4),
+)
+def test_state_codec_round_trips_reachable_states(target, items):
+    # every state the target reaches along the items: decoding the JSON
+    # text gives an equal state back, and that state emits the same text
+    from selgames.serialize import state_from_json, state_to_json
+
+    states = [target.start]
+    for item in items:
+        states.append(target.step(states[-1], item))
+    for state in states:
+        text = json.dumps(state_to_json(state))
+        back = state_from_json(json.loads(text))
+        assert back == state
+        assert json.dumps(state_to_json(back)) == text
+
+
+def test_state_codec_rejects_other_values():
+    from selgames.serialize import state_from_json, state_to_json
+
+    for value in (True, 1.5, "x", {"set": [1], "more": 2}, {"items": [1]}):
+        with pytest.raises(ScenarioFormatError):
+            state_from_json(value)
+    with pytest.raises(ScenarioFormatError):
+        state_to_json([1, 2])
+
+
+@settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_history_tables_emit_in_whole_row_order(data):
     # rows are sorted by their history's JSON text alone; that must be the

@@ -1,8 +1,14 @@
+import json
 import random
 
 import pytest
 
-from brute import brute_least_pre_one, brute_verify, brute_winner
+from brute import (
+    brute_history_witness,
+    brute_least_pre_one,
+    brute_verify,
+    brute_winner,
+)
 from selgames import (
     CoversFamily,
     EverySubsequence,
@@ -32,9 +38,10 @@ from selgames import (
 )
 from selgames.errors import BudgetExceeded, IllegalMove
 from selgames.fuzzing import _random_game
-from selgames.game import MarkovTwo, markov_as_full_two, pre_as_full_one, two_choices
+from selgames.game import MarkovTwo, StateOne, StateTwo, expand, two_choices
 from selgames.ground import SetFamily
 from selgames.scenarios import build_game, corpus
+from selgames.serialize import canonical_dumps, strategy_from_json, strategy_to_json
 from selgames.solver import MAX_EXHIBITS, is_winning
 
 
@@ -112,7 +119,7 @@ class TestSolve:
         max_replies = max(
             len(list(two_choices(g, ms))) for family in g.moves for ms in family
         )
-        assert len(det.witness.table) == 2801
+        assert len(expand(g, det.witness).table) == 2801
         assert det.memo_hits <= det.nodes_explored * max_moves * max_replies
 
     def test_winner_matches_solve(self):
@@ -274,6 +281,101 @@ class TestVerify:
         assert calls["accept"] <= 200
 
 
+def _counting_steps(monkeypatch, cls):
+    """Count calls of the target class's ``step`` from here on."""
+    calls = {"step": 0}
+    step = cls.step
+
+    def counted_step(self, state, item):
+        calls["step"] += 1
+        return step(self, state, item)
+
+    monkeypatch.setattr(cls, "step", counted_step)
+    return calls
+
+
+class TestStateWitness:
+    # solve returns one row per reachable (round, state); its expansion is
+    # the history table, and verify walks the states, not the plays
+
+    def test_expansion_is_the_least_history_witness(self):
+        games = [build_game(sc) for sc in corpus()]
+        for size, horizon in ((3, 3), (3, 4), (4, 3), (4, 4)):
+            space = discrete_space(size)
+            singles = singleton_family(space)
+            games.append(build_point_open(space, singles, singles, horizon))
+        rng = random.Random(7)
+        games += [_random_game(rng) for _ in range(1000)]
+        assert {g.kind for g in games} == set(Kind)
+        for g in games:
+            assert expand(g, solve(g).witness) == brute_history_witness(g)
+
+    def test_rows_stay_within_the_memo(self):
+        # point-open discrete d4 h5: 27 rows against 32 memo nodes, where
+        # the history table has 2,801 rows
+        space = discrete_space(4)
+        singles = singleton_family(space)
+        det = solve(build_point_open(space, singles, singles, 5))
+        assert len(det.witness.table) <= det.nodes_explored
+
+    def test_horizon_8_end_to_end(self, monkeypatch):
+        # solve, the JSON round trip and verify of point-open discrete d4
+        # h8 step the target 1,204 times for 7**8 = 5,764,801 plays
+        space = discrete_space(4)
+        singles = singleton_family(space)
+        g = build_point_open(space, singles, singles, 8)
+        calls = _counting_steps(monkeypatch, CoversFamily)
+        det = solve(g)
+        text = canonical_dumps(strategy_to_json(det.witness, g.kind))
+        witness = strategy_from_json(json.loads(text))
+        assert witness == det.witness
+        report = verify(g, witness)
+        assert report.valid and report.plays_checked == 7**8
+        assert calls["step"] <= 1500
+        assert len(text) < 5000
+
+    def test_markov_table_verifies_by_state(self, monkeypatch):
+        # Rothberger discrete d4 h4: Two covers point r in round r.  The
+        # table has 48**4 = 5,308,416 plays and 81 distinct transitions
+        space = discrete_space(4)
+        singles = singleton_family(space)
+        g = build_rothberger(space, singles, singles, 4)
+        members = g.target.members
+        markov = MarkovTwo(table={
+            (j, r): min(u for u in ms if members[r] & ~u == 0)
+            for r, family in enumerate(g.moves)
+            for j, ms in enumerate(family)
+        })
+        calls = _counting_steps(monkeypatch, CoversFamily)
+        report = verify(g, markov)
+        assert report.valid and report.plays_checked == 48**4
+        assert calls["step"] <= 200
+
+
+def test_check_duality_determines_each_game_once(monkeypatch):
+    # one backward induction per game: Markov synthesis reuses the winner
+    # check_duality has already determined instead of determining it again
+    from selgames import solver
+
+    built = []
+    init = solver._Solver.__init__
+
+    def counted_init(self, game):
+        built.append(game)
+        init(self, game)
+
+    monkeypatch.setattr(solver._Solver, "__init__", counted_init)
+    space = discrete_space(3)
+    singles = singleton_family(space)
+    for h in (1, 2, 3):
+        built.clear()
+        check_duality(
+            build_rothberger(space, singles, singles, h),
+            build_point_open(space, singles, singles, h),
+        )
+        assert len(built) == 2
+
+
 def _oracle_games():
     """Corpus games, point-open discrete d3/d4, and seeded random games
     (some finite-kind, some with negated or explicit targets)."""
@@ -296,14 +398,23 @@ def _least_reply_markov(g):
     })
 
 
+def _brute_form(g, strategy):
+    """The strategy as tests/brute.py plays it: a state table expanded to
+    the history table it stands for, any other class as it is."""
+    if isinstance(strategy, (StateOne, StateTwo)):
+        return expand(g, strategy)
+    return strategy
+
+
 def _legal_strategies(g):
-    """Witnesses, scripts and Markov tables, winning and losing, plus the
-    witness with its last-round choices changed (legal, often losing)."""
+    """Witnesses (state tables and their expansions), scripts and Markov
+    tables, winning and losing, plus both witness forms with their
+    last-round choices changed (legal, often losing)."""
     det = solve(g)
+    full = expand(g, det.witness)
     zeros = PreOne(indices=(0,) * g.horizon)
     least = _least_reply_markov(g)
-    out = [det.witness, zeros, pre_as_full_one(g, zeros), least,
-           markov_as_full_two(g, least)]
+    out = [det.witness, full, zeros, expand(g, zeros), least, expand(g, least)]
     pre = find_predetermined_one(g)
     if pre is not None:
         out.append(pre)
@@ -314,15 +425,23 @@ def _legal_strategies(g):
     if markov is not None:
         out.append(markov)
     last = g.horizon - 1
-    if isinstance(det.witness, FullOne):
+    if isinstance(det.witness, StateOne):
         out.append(FullOne(table={
             h: (i + 1) % len(g.moves[last]) if len(h) == last else i
-            for h, i in det.witness.table.items()
+            for h, i in full.table.items()
+        }))
+        out.append(StateOne(table={
+            (r, q): (i + 1) % len(g.moves[last]) if r == last else i
+            for (r, q), i in det.witness.table.items()
         }))
     elif g.horizon:
         out.append(FullTwo(table={
             h: next(two_choices(g, g.moves[last][h[-1]])) if len(h) == g.horizon else x
-            for h, x in det.witness.table.items()
+            for h, x in full.table.items()
+        }))
+        out.append(StateTwo(table={
+            (r, q, i): next(two_choices(g, g.moves[last][i])) if r == last else x
+            for (r, q, i), x in det.witness.table.items()
         }))
     return out
 
@@ -331,9 +450,9 @@ def _illegal_strategies(g):
     """Strategies that break a rule somewhere in the play tree."""
     last = g.horizon - 1
     zeros = PreOne(indices=(0,) * g.horizon)
-    full_one = pre_as_full_one(g, zeros)
+    full_one = expand(g, zeros)
     least = _least_reply_markov(g)
-    full_two = markov_as_full_two(g, least)
+    full_two = expand(g, least)
     deepest_one = [h for h in full_one.table if len(h) == last][-1]
     deepest_two = list(full_two.table)[-1]
     outside = max(g.universe) + 1
@@ -350,6 +469,25 @@ def _illegal_strategies(g):
     for bad in bad_items:
         out.append(FullTwo(table={**full_two.table, deepest_two: bad}))
         out.append(MarkovTwo(table={**least.table, (0, last): bad}))
+    if last >= 1 and len(g.moves[0]) > 1:
+        # two faults: the one under One's first index comes first depth
+        # first, before the missing cell for One's last index in round 0
+        first_round_short = {
+            k: x for k, x in least.table.items() if k != (len(g.moves[0]) - 1, 0)
+        }
+        out.append(MarkovTwo(table={**first_round_short, (0, last): bad_items[0]}))
+    # the witness's state table with a last-round row missing or broken
+    witness = solve(g).witness
+    deepest = [k for k in witness.table if k[0] == last][-1]
+    out.append(type(witness)(
+        table={k: v for k, v in witness.table.items() if k != deepest}))
+    broken = [len(g.moves[last])] if isinstance(witness, StateOne) else bad_items
+    for bad in broken:
+        out.append(type(witness)(table={**witness.table, deepest: bad}))
+    if isinstance(witness, StateOne):
+        # an index out of range in round 0, with rounds still to come
+        root = (0, g.target.start)
+        out.append(StateOne(table={**witness.table, root: len(g.moves[0])}))
     return out
 
 
@@ -357,7 +495,7 @@ def _assert_matches_oracle(g, strategies, caps=(0, 1, 2, MAX_EXHIBITS)):
     for strategy in strategies:
         for cap in caps:
             report = verify(g, strategy, max_exhibits=cap)
-            assert report == brute_verify(g, strategy, max_exhibits=cap)
+            assert report == brute_verify(g, _brute_form(g, strategy), max_exhibits=cap)
         assert is_winning(g, strategy) == report.valid
 
 
@@ -371,7 +509,8 @@ class TestVerifyAgainstLiteralPlays:
             for strategy in _legal_strategies(g):
                 for cap in (0, 1, 3, MAX_EXHIBITS):
                     report = verify(g, strategy, max_exhibits=cap)
-                    assert report == brute_verify(g, strategy, max_exhibits=cap)
+                    oracle = brute_verify(g, _brute_form(g, strategy), max_exhibits=cap)
+                    assert report == oracle
                     if cap and len(report.counter_plays) == cap:
                         capped += 1
                 assert is_winning(g, strategy) == report.valid
@@ -386,14 +525,14 @@ class TestVerifyAgainstLiteralPlays:
                 with pytest.raises(IllegalMove) as fast:
                     verify(g, strategy)
                 with pytest.raises(IllegalMove) as slow:
-                    brute_verify(g, strategy)
+                    brute_verify(g, _brute_form(g, strategy))
                 assert (fast.value.round_index, str(fast.value)) == (
                     slow.value.round_index, str(slow.value)
                 )
 
     def test_horizon_zero(self):
-        strategies = [PreOne(indices=()), FullOne(table={}),
-                      FullTwo(table={}), MarkovTwo(table={})]
+        strategies = [PreOne(indices=()), FullOne(table={}), FullTwo(table={}),
+                      MarkovTwo(table={}), StateOne(table={}), StateTwo(table={})]
         for kind in Kind:
             for winning in ((), (frozenset(),)):
                 g = make_game([], 0, kind, ExplicitSet(winning=winning))
@@ -404,7 +543,7 @@ class TestVerifyAgainstLiteralPlays:
         # again leaves point 1 or 2 uncovered: one last-round node holds
         # several counter-plays, and caps 1 and 2 stop inside it
         g = build_point_open(d3, singles3, singles3, 2)
-        strategy = pre_as_full_one(g, PreOne(indices=(0, 0)))
+        strategy = expand(g, PreOne(indices=(0, 0)))
         first, second = verify(g, strategy, max_exhibits=2).counter_plays
         assert first.two_selections[:-1] == second.two_selections[:-1]
         _assert_matches_oracle(g, [strategy], caps=(1, 2))
@@ -413,7 +552,7 @@ class TestVerifyAgainstLiteralPlays:
         # the first play already loses; a row missing further on is never
         # reached by is_winning, while verify walks on and meets it
         g = build_point_open(d3, singles3, singles3, 2)
-        table = dict(pre_as_full_one(g, PreOne(indices=(0, 0))).table)
+        table = dict(expand(g, PreOne(indices=(0, 0))).table)
         del table[max(table)]
         with pytest.raises(IllegalMove):
             verify(g, FullOne(table=table))

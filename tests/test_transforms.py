@@ -36,6 +36,7 @@ from selgames.errors import (
     NotUniformlyWinning,
     WitnessMissing,
 )
+from selgames.game import expand
 from selgames.ground import family_of
 from selgames.transforms import blocks_are_counter_plays, subsequences_are_plays
 
@@ -151,7 +152,8 @@ class TestApplyTranslation:
         pack, src, dst = self._pair()
         det = solve(src)
         assert det.winner is Player.TWO
-        out = apply_translation(pack, src, dst, Direction.FULL_TWO, det.witness)
+        full_two = expand(src, det.witness)
+        out = apply_translation(pack, src, dst, Direction.FULL_TWO, full_two)
         assert verify(dst, out).valid
 
     def test_pullbacks(self):
@@ -164,7 +166,9 @@ class TestApplyTranslation:
         pack = lift_item_map(lambda y, r: y, src, dst)
         det = solve(dst)
         assert det.winner is Player.ONE
-        out = apply_translation(pack, src, dst, Direction.FULL_ONE_PULLBACK, det.witness)
+        out = apply_translation(
+            pack, src, dst, Direction.FULL_ONE_PULLBACK, expand(dst, det.witness)
+        )
         assert verify(src, out).valid
         pre = find_predetermined_one(dst)
         assert pre is not None
@@ -224,7 +228,8 @@ class TestMinimalCoverJustification:
         det = solve(unrestricted)
         assert det.winner is Player.TWO
         out = apply_translation(
-            pack, unrestricted, minimal, Direction.FULL_TWO, det.witness
+            pack, unrestricted, minimal, Direction.FULL_TWO,
+            expand(unrestricted, det.witness),
         )
         assert verify(minimal, out).valid
 
@@ -310,7 +315,7 @@ class TestStrengthenForSubsequences:
         assert det.winner is Player.ONE
         # the witness wins at horizon 2 but not at horizon 1
         with pytest.raises(NotUniformlyWinning) as exc:
-            strengthen_one_for_subsequences(det.witness, game, 1)
+            strengthen_one_for_subsequences(expand(game, det.witness), game, 1)
         assert exc.value.horizon == 1
 
     def test_structural_guarantee_and_core_membership(self, d3):
@@ -321,7 +326,7 @@ class TestStrengthenForSubsequences:
         low = 1  # a single neighborhood reply already covers {0}
         det = solve(game.truncated(low))
         assert det.winner is Player.ONE
-        table = dict(det.witness.table)
+        table = dict(expand(game.truncated(low), det.witness).table)
         # extend to horizon n: later rounds free-play move 0
         def extend(hist):
             if len(hist) >= n:
