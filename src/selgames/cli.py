@@ -34,6 +34,7 @@ from .serialize import (
 from .solver import (
     DEFAULT_NODE_BUDGET,
     MAX_EXHIBITS,
+    _Solver,
     find_markov_two,
     find_predetermined_one,
     solve,
@@ -276,9 +277,10 @@ def _cmd_corpus(args) -> int:
     lines = []
     for sc in scenarios:
         game = build_game(sc)
-        det = solve(game)
-        pre = find_predetermined_one(game)
-        markov = find_markov_two(game)
+        searches = _Solver(game)
+        det = searches.solve()
+        pre = searches.find_predetermined_one()
+        markov = searches.find_markov_two()
         expected = CORPUS_EXPECTATIONS[sc.name]
         got = (det.winner.value, pre is not None, markov is not None)
         ok = got == expected and verify(game, det.witness).valid

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from .errors import ChoiceSpaceTooLarge
 from .game import GameSpec, Not, Player
-from .solver import _find_markov_two, find_predetermined_one, winner
+from .solver import _Solver
 
 Family = Sequence[frozenset]
 
@@ -126,14 +126,15 @@ def check_duality(game_over_fam: GameSpec, game_over_refl: GameSpec) -> DualityR
         raise ValueError("games must share a horizon")
     if game_over_refl.target != Not(game_over_fam.target):
         raise ValueError("mirror game must carry the negated target")
-    win_fam, win_refl = winner(game_over_fam), winner(game_over_refl)
-    one_fam = win_fam is Player.ONE
-    one_refl = win_refl is Player.ONE
-    pre_fam = find_predetermined_one(game_over_fam) is not None
-    pre_refl = find_predetermined_one(game_over_refl) is not None
-    # the winners are known: Markov synthesis need not determine them again
-    markov_fam = _find_markov_two(game_over_fam, win_fam) is not None
-    markov_refl = _find_markov_two(game_over_refl, win_refl) is not None
+    # one search context per game: each is determined once, and the
+    # script search and Markov synthesis read that determination
+    fam, refl = _Solver(game_over_fam), _Solver(game_over_refl)
+    one_fam = fam.winner() is Player.ONE
+    one_refl = refl.winner() is Player.ONE
+    pre_fam = fam.find_predetermined_one() is not None
+    pre_refl = refl.find_predetermined_one() is not None
+    markov_fam = fam.find_markov_two() is not None
+    markov_refl = refl.find_markov_two() is not None
     strategic = one_fam != one_refl
     limited_fam = pre_fam == markov_refl
     limited_refl = pre_refl == markov_fam

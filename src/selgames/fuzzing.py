@@ -60,14 +60,7 @@ from .scenarios import (
     scenario_to_json,
 )
 from .serialize import rel_pair_to_json
-from .solver import (
-    DEFAULT_NODE_BUDGET,
-    find_markov_two,
-    find_predetermined_one,
-    solve,
-    verify,
-    winner,
-)
+from .solver import DEFAULT_NODE_BUDGET, _Solver, verify, winner
 from .transforms import (
     Direction,
     apply_translation,
@@ -238,11 +231,12 @@ def suite_determinacy(rng: random.Random, count: int, profile: FuzzProfile) -> S
             len(game.universe) <= 6 and game.horizon <= 4,
             payload,
         )
-        det = solve(game)
+        searches = _Solver(game)
+        det = searches.solve()
         res.check("determinacy/witness-verifies", verify(game, det.witness).valid, payload)
-        pre = find_predetermined_one(game)
+        pre = searches.find_predetermined_one()
         try:
-            markov = find_markov_two(game, node_budget=profile.markov_budget)
+            markov = searches.find_markov_two(node_budget=profile.markov_budget)
         except BudgetExceeded:
             res.budget_exceeded += 1
             res.instances += 1
@@ -320,13 +314,14 @@ def suite_translation(rng: random.Random, count: int, profile: FuzzProfile) -> S
             payload,
         ):
             continue
-        det_src = solve(src)
-        det_dst = solve(dst)
+        src_searches, dst_searches = _Solver(src), _Solver(dst)
+        det_src = src_searches.solve()
+        det_dst = dst_searches.solve()
         inputs = {}
         if det_src.winner is Player.TWO:
             inputs[Direction.FULL_TWO] = expand(src, det_src.witness)
             try:
-                mk = find_markov_two(src, node_budget=profile.markov_budget)
+                mk = src_searches.find_markov_two(node_budget=profile.markov_budget)
             except BudgetExceeded:
                 res.budget_exceeded += 1
                 mk = None
@@ -334,7 +329,7 @@ def suite_translation(rng: random.Random, count: int, profile: FuzzProfile) -> S
                 inputs[Direction.MARKOV_TWO] = mk
         if det_dst.winner is Player.ONE:
             inputs[Direction.FULL_ONE_PULLBACK] = expand(dst, det_dst.witness)
-            pre = find_predetermined_one(dst)
+            pre = dst_searches.find_predetermined_one()
             if pre is not None:
                 inputs[Direction.PRE_ONE_PULLBACK] = pre
         progressed = False
@@ -454,7 +449,8 @@ def suite_cofinality(rng: random.Random, count: int, profile: FuzzProfile) -> Su
         for horizon in sorted(rng.sample(range(0, 5), 2)):
             payload = dict(scenario_to_json(sc), horizon=horizon)
             game = build_point_open(space, fam_a, fam_b, horizon)
-            pre = find_predetermined_one(game)
+            searches = _Solver(game)
+            pre = searches.find_predetermined_one()
             res.check(
                 "cofinality/pre-iff-cof-at-most-horizon",
                 (pre is not None) == cof.at_most(horizon),
@@ -462,7 +458,7 @@ def suite_cofinality(rng: random.Random, count: int, profile: FuzzProfile) -> Su
             )
             res.check(
                 "cofinality/full-win-iff-pre-win",
-                (winner(game) is Player.ONE) == (pre is not None),
+                (searches.winner() is Player.ONE) == (pre is not None),
                 payload,
             )
         res.instances += 1
@@ -680,15 +676,16 @@ def suite_gamma(rng: random.Random, count: int, profile: FuzzProfile) -> SuiteRe
         )
         low = None
         for h in range(1, n + 1):
-            if winner(game.truncated(h)) is Player.ONE:
+            searches = _Solver(game.truncated(h))
+            if searches.winner() is Player.ONE:
                 low = h
                 break
         if low is None:
             continue  # constructions need a winning horizon; try again
         payload["low"] = low
 
-        truncated = game.truncated(low)
-        table = dict(expand(truncated, solve(truncated).witness).table)
+        truncated = searches.game
+        table = dict(expand(truncated, searches.solve().witness).table)
         frontier = [hist for hist in _histories(game, table, low, n)]
         for hist in frontier:
             table.setdefault(hist, 0)
@@ -718,7 +715,7 @@ def suite_gamma(rng: random.Random, count: int, profile: FuzzProfile) -> SuiteRe
             payload,
         )
 
-        pre_low = find_predetermined_one(game.truncated(low))
+        pre_low = searches.find_predetermined_one()
         if res.check("gamma/full-win-gives-script-on-discrete",
                      pre_low is not None, payload):
             script = PreOne(indices=pre_low.indices + (0,) * (n - low))

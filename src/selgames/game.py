@@ -16,7 +16,7 @@ import enum
 import itertools
 from functools import reduce
 from operator import or_
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence, Union
 
 from ._bits import is_subset
@@ -60,6 +60,23 @@ class _Automaton:
         return self.accept(state)
 
 
+@dataclass(frozen=True)
+class _CoverAutomaton(_Automaton):
+    """A cover target's step reads the bitmask of members inside each
+    item; it depends on the item alone, so it is computed once per item
+    and kept in a table of this target (outside ``==`` and ``hash``)."""
+
+    _inside_table: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def _inside(self, item: int) -> int:
+        hit = self._inside_table.get(item)
+        if hit is None:
+            hit = self._inside_table[item] = _members_inside(self.members, item)
+        return hit
+
+
 class _SelectedSet(_Automaton):
     """State: the set of items selected so far."""
 
@@ -70,7 +87,7 @@ class _SelectedSet(_Automaton):
 
 
 @dataclass(frozen=True)
-class CoversFamily(_Automaton):
+class CoversFamily(_CoverAutomaton):
     """True when the full set is absent and every member has a listed superset.
 
     State: the bitmask of covered members, or None once the full set is listed.
@@ -84,7 +101,7 @@ class CoversFamily(_Automaton):
     def step(self, state, item: int):
         if state is None or item == self.full:
             return None
-        return state | _members_inside(self.members, item)
+        return state | self._inside(item)
 
     def accept(self, state) -> bool:
         return state == (1 << len(self.members)) - 1
@@ -110,7 +127,7 @@ class MultiCover(_SelectedSet):
 
 
 @dataclass(frozen=True)
-class WindowCover(_Automaton):
+class WindowCover(_CoverAutomaton):
     """Cover whose every w-long run of consecutive sets already covers.
 
     Genuinely order-sensitive; the finite stand-in for cofinite
@@ -134,7 +151,7 @@ class WindowCover(_Automaton):
         if state is None or item == self.full:
             return None
         covered, tail = state
-        window = tail + (_members_inside(self.members, item),)
+        window = tail + (self._inside(item),)
         covered |= window[-1]
         if len(window) < self.w:
             return (covered, window)

@@ -8,11 +8,15 @@ least winning move per (round, state) -- a StateOne table
 (round, state, One's index) -> least winning reply -- so it has one row
 per reachable state, not per history (``game.expand`` gives the history
 table).  find_predetermined_one() recurses over (round, set of states
-Two's replies can reach), since a script sees no reply.  verify() checks
-a strategy whose move depends on the round, the state and One's index
-(StateOne, StateTwo, PreOne, MarkovTwo) by one walk memoized on
-(round, state) that counts plays by multiplication; a history table
-(FullOne, FullTwo) is walked play by play, stepping each
+Two's replies can reach), since a script sees no reply, and answers None
+at once for a set holding a state Two wins from.  One _Solver per game
+holds the (state, selection) transition cache and the (round, state)
+memo that determination, extraction, both synthesizers and this prune
+share; callers asking several questions of one game share one _Solver.
+verify() checks a strategy whose move depends on the round, the state
+and One's index (StateOne, StateTwo, PreOne, MarkovTwo) by one walk
+memoized on (round, state) that counts plays by multiplication; a
+history table (FullOne, FullTwo) is walked play by play, stepping each
 (state, selection) transition once.
 """
 
@@ -36,7 +40,6 @@ from .game import (
     StrategyOne,
     StrategyTwo,
     advance,
-    flatten_selections,
     legal_selection,
     one_move_index,
     two_choices,
@@ -49,8 +52,8 @@ MAX_EXHIBITS = 16
 
 
 def _stepper(game: GameSpec):
-    """``advance`` for one search: each (state, selection) transition is
-    stepped once, however often the search meets it."""
+    """``advance`` with each (state, selection) transition stepped once,
+    however often the searches sharing it meet it."""
     successors: dict = {}
 
     def successor(state, x):
@@ -72,9 +75,21 @@ class Determination:
 
 
 class _Solver:
+    """The search context of one game, for every question asked of it.
+
+    It holds the (state, selection) -> next state cache and the (round,
+    state) determination memo; the determination, both extraction walks,
+    the script search and Markov synthesis step the target only through
+    that cache, and both synthesizers read their prune or winner off that
+    memo.  A caller asking several questions of one game builds one and
+    asks them all of it; the nodes and memo hits ``solve`` reports then
+    count every search made on it so far.
+    """
+
     def __init__(self, game: GameSpec):
         self.game = game
-        self.memo: dict = {}
+        self.successor = _stepper(game)
+        self.memo: dict = {}  # (round, state) -> whether Two wins from there
         self.nodes = 0
         self.hits = 0
 
@@ -87,9 +102,10 @@ class _Solver:
             self.hits += 1
             return self.memo[key]
         self.nodes += 1
+        successor = self.successor
         result = all(
             any(
-                self.two_wins(r + 1, advance(game, state, x))
+                self.two_wins(r + 1, successor(state, x))
                 for x in two_choices(game, ms)
             )
             for ms in game.moves[r]
@@ -97,10 +113,23 @@ class _Solver:
         self.memo[key] = result
         return result
 
+    def winner(self) -> Player:
+        """The winner alone: backward induction without witness extraction."""
+        return Player.TWO if self.two_wins(0, self.game.target.start) else Player.ONE
+
+    def solve(self) -> Determination:
+        if self.two_wins(0, self.game.target.start):
+            side, witness = Player.TWO, self.extract_two()
+        else:
+            side, witness = Player.ONE, self.extract_one()
+        return Determination(
+            winner=side, witness=witness, nodes_explored=self.nodes, memo_hits=self.hits
+        )
+
     def extract_one(self) -> StateOne:
         """One's least winning index at each (round, state) the strategy
         lets Two reach."""
-        game = self.game
+        game, successor = self.game, self.successor
         table: dict = {}
 
         def walk(r: int, state) -> None:
@@ -109,7 +138,7 @@ class _Solver:
             for i, ms in enumerate(game.moves[r]):
                 nexts = []
                 for x in two_choices(game, ms):
-                    nexts.append(advance(game, state, x))
+                    nexts.append(successor(state, x))
                     if self.two_wins(r + 1, nexts[-1]):
                         break
                 else:
@@ -128,13 +157,13 @@ class _Solver:
     def extract_two(self) -> StateTwo:
         """Two's least winning reply to each index at each (round, state)
         the strategy lets One reach."""
-        game = self.game
+        game, successor = self.game, self.successor
         table: dict = {}
         seen: set = set()
 
         def least_winning_reply(r: int, state, ms):
             for x in two_choices(game, ms):
-                nxt = advance(game, state, x)
+                nxt = successor(state, x)
                 if self.two_wins(r + 1, nxt):
                     return x, nxt
             raise AssertionError("extraction from a lost position")
@@ -154,24 +183,109 @@ class _Solver:
             walk(0, game.target.start)
         return StateTwo(table=table)
 
+    def find_predetermined_one(self) -> Optional[PreOne]:
+        game, successor = self.game, self.successor
+        reached: dict = {}  # (state, move set) -> frozenset of next states
+        memo: dict = {}  # (round, state set) -> least winning suffix or None
+
+        def step(states: frozenset, ms) -> frozenset:
+            out = set()
+            for state in states:
+                if (state, ms) not in reached:
+                    reached[state, ms] = frozenset(
+                        successor(state, x) for x in two_choices(game, ms)
+                    )
+                out |= reached[state, ms]
+            return frozenset(out)
+
+        def least_suffix(r: int, states: frozenset) -> Optional[tuple]:
+            if r == game.horizon:
+                return None if any(map(game.target.accept, states)) else ()
+            key = (r, states)
+            if key not in memo:
+                memo[key] = None
+                # a script is one of One's strategies: it cannot win from a
+                # set holding a state Two wins from
+                if not any(self.two_wins(r, state) for state in states):
+                    for i, ms in enumerate(game.moves[r]):
+                        suffix = least_suffix(r + 1, step(states, ms))
+                        if suffix is not None:
+                            memo[key] = (i,) + suffix
+                            break
+            return memo[key]
+
+        script = least_suffix(0, frozenset([game.target.start]))
+        return None if script is None else PreOne(indices=script)
+
+    def find_markov_two(
+        self, node_budget: int = DEFAULT_NODE_BUDGET
+    ) -> Optional[MarkovTwo]:
+        game, successor = self.game, self.successor
+        if not self.two_wins(0, game.target.start):
+            return None
+        if game.horizon == 0:
+            return MarkovTwo(table={})
+        # Column-major cell order: once move index 0 is assigned at every
+        # round, each later assignment completes plays immediately, so the
+        # partial-play falsification prunes near the top of the search tree.
+        cells = sorted(
+            ((r, j) for r in range(game.horizon) for j in range(len(game.moves[r]))),
+            key=lambda cell: (cell[1], cell[0]),
+        )
+        if len(cells) > MARKOV_CELL_CAP:
+            raise BudgetExceeded(
+                f"Markov table would need {len(cells)} cells (cap {MARKOV_CELL_CAP})"
+            )
+
+        assigned: dict = {}
+        budget = [node_budget]
+
+        def complete_plays_through(cell) -> Iterator[tuple]:
+            r0, j0 = cell
+            per_round = []
+            for r in range(game.horizon):
+                js = [j0] if r == r0 else [
+                    j for j in range(len(game.moves[r])) if (r, j) in assigned
+                ]
+                if not js:
+                    return
+                per_round.append(js)
+            yield from itertools.product(*per_round)
+
+        def play_ok(idx: tuple) -> bool:
+            state = game.target.start
+            for r, j in enumerate(idx):
+                state = successor(state, assigned[r, j])
+            return game.target.accept(state)
+
+        def assign(k: int) -> bool:
+            if k == len(cells):
+                return True
+            r, j = cells[k]
+            for x in two_choices(game, game.moves[r][j]):
+                budget[0] -= 1
+                if budget[0] < 0:
+                    raise BudgetExceeded("Markov search node budget exhausted")
+                assigned[(r, j)] = x
+                if all(play_ok(idx) for idx in complete_plays_through((r, j))):
+                    if assign(k + 1):
+                        return True
+                del assigned[(r, j)]
+            return False
+
+        if assign(0):
+            return MarkovTwo(table={(j, r): assigned[(r, j)] for r, j in cells})
+        return None
+
 
 def solve(game: GameSpec) -> Determination:
     """Winner by backward induction plus a verified-by-construction witness."""
-    s = _Solver(game)
-    if s.two_wins(0, game.target.start):
-        side, witness = Player.TWO, s.extract_two()
-    else:
-        side, witness = Player.ONE, s.extract_one()
-    return Determination(
-        winner=side, witness=witness, nodes_explored=s.nodes, memo_hits=s.hits
-    )
+    return _Solver(game).solve()
 
 
 def winner(game: GameSpec) -> Player:
     """The winner alone: backward induction without witness extraction."""
-    if _Solver(game).two_wins(0, game.target.start):
-        return Player.TWO
-    return Player.ONE
+    return _Solver(game).winner()
 
 
 def find_predetermined_one(game: GameSpec) -> Optional[PreOne]:
@@ -180,38 +294,14 @@ def find_predetermined_one(game: GameSpec) -> Optional[PreOne]:
     A script sees none of Two's replies, so the search recurses over
     (round, set of target states the replies can have reached), memoized
     on that pair, trying One's indices in order: its first success is the
-    least script.  Each (state, move set) step and each (state, selection)
-    transition runs once per call.
+    least script.  A script is one of One's strategies, so a set holding
+    a state Two wins from (by the determination memo) is answered None
+    without search; this cuts only branches that would fail, and a game
+    Two wins answers None after one determination.  Each (state, move
+    set) step runs once per call, each (state, selection) transition once
+    per game.
     """
-    successor = _stepper(game)
-    reached: dict = {}  # (state, move set) -> frozenset of next states
-    memo: dict = {}  # (round, state set) -> least winning suffix or None
-
-    def step(states: frozenset, ms) -> frozenset:
-        out = set()
-        for state in states:
-            if (state, ms) not in reached:
-                reached[state, ms] = frozenset(
-                    successor(state, x) for x in two_choices(game, ms)
-                )
-            out |= reached[state, ms]
-        return frozenset(out)
-
-    def least_suffix(r: int, states: frozenset) -> Optional[tuple]:
-        if r == game.horizon:
-            return None if any(map(game.target.accept, states)) else ()
-        key = (r, states)
-        if key not in memo:
-            memo[key] = None
-            for i, ms in enumerate(game.moves[r]):
-                suffix = least_suffix(r + 1, step(states, ms))
-                if suffix is not None:
-                    memo[key] = (i,) + suffix
-                    break
-        return memo[key]
-
-    script = least_suffix(0, frozenset([game.target.start]))
-    return None if script is None else PreOne(indices=script)
+    return _Solver(game).find_predetermined_one()
 
 
 def find_markov_two(
@@ -221,70 +311,10 @@ def find_markov_two(
 
     Budget exhaustion raises BudgetExceeded: a third outcome, distinct
     from "no such strategy exists".  A game One wins has no winning table
-    for Two, so it answers None before the cell cap applies.
+    for Two, so it answers None before the cap on the table's cells
+    (one per move set of each round) applies.
     """
-    return _find_markov_two(game, winner(game), node_budget)
-
-
-def _find_markov_two(
-    game: GameSpec, known_winner: Player, node_budget: int = DEFAULT_NODE_BUDGET
-) -> Optional[MarkovTwo]:
-    """find_markov_two for a game whose winner is already known."""
-    if known_winner is Player.ONE:
-        return None
-    if game.horizon == 0:
-        return MarkovTwo(table={})
-    # Column-major cell order: once move index 0 is assigned at every
-    # round, each later assignment completes plays immediately, so the
-    # partial-play falsification prunes near the top of the search tree.
-    cells = sorted(
-        ((r, j) for r in range(game.horizon) for j in range(len(game.moves[r]))),
-        key=lambda cell: (cell[1], cell[0]),
-    )
-    max_family = max(len(f) for f in game.moves)
-    if max_family * game.horizon > MARKOV_CELL_CAP:
-        raise BudgetExceeded(
-            f"Markov table would need {max_family * game.horizon} cells"
-            f" (cap {MARKOV_CELL_CAP})"
-        )
-
-    assigned: dict = {}
-    budget = [node_budget]
-
-    def complete_plays_through(cell) -> Iterator[tuple]:
-        r0, j0 = cell
-        per_round = []
-        for r in range(game.horizon):
-            js = [j0] if r == r0 else [
-                j for j in range(len(game.moves[r])) if (r, j) in assigned
-            ]
-            if not js:
-                return
-            per_round.append(js)
-        yield from itertools.product(*per_round)
-
-    def play_ok(idx: tuple) -> bool:
-        sel = tuple(assigned[(r, j)] for r, j in enumerate(idx))
-        return game.target.evaluate(flatten_selections(game.kind, sel))
-
-    def assign(k: int) -> bool:
-        if k == len(cells):
-            return True
-        r, j = cells[k]
-        for x in two_choices(game, game.moves[r][j]):
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise BudgetExceeded("Markov search node budget exhausted")
-            assigned[(r, j)] = x
-            if all(play_ok(idx) for idx in complete_plays_through((r, j))):
-                if assign(k + 1):
-                    return True
-            del assigned[(r, j)]
-        return False
-
-    if assign(0):
-        return MarkovTwo(table={(j, r): assigned[(r, j)] for r, j in cells})
-    return None
+    return _Solver(game).find_markov_two(node_budget)
 
 
 @dataclass(frozen=True)

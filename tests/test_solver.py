@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import random
 
@@ -122,6 +124,30 @@ class TestSolve:
         assert len(expand(g, det.witness).table) == 2801
         assert det.memo_hits <= det.nodes_explored * max_moves * max_replies
 
+    def test_members_inside_once_per_item(self, monkeypatch):
+        # a cover target keeps the members inside each item it has read:
+        # solving a freshly built point-open d4 h5 game computes that mask
+        # once per item (420 times when every step recomputed it), and a
+        # second solve of the same game computes none
+        from selgames import game as game_module
+
+        calls = [0]
+        members_inside = game_module._members_inside
+
+        def counted(members, item):
+            calls[0] += 1
+            return members_inside(members, item)
+
+        monkeypatch.setattr(game_module, "_members_inside", counted)
+        space = discrete_space(4)
+        singles = singleton_family(space)
+        g = build_point_open(space, singles, singles, 5)
+        solve(g)
+        assert calls[0] <= len(g.universe)
+        calls[0] = 0
+        solve(g)
+        assert calls[0] == 0
+
     def test_winner_matches_solve(self):
         rng = random.Random(19)
         for _ in range(25):
@@ -145,29 +171,40 @@ class TestFindPredeterminedOne:
         g = make_game([], 0, Kind.SINGLE, ExplicitSet(winning=()))
         assert find_predetermined_one(g) == PreOne(indices=())
 
-    def test_against_double_enumeration(self):
-        # the least script itself, not just its existence
+    def test_against_double_enumeration(self, d3, singles3):
+        # the least script itself, not just its existence; the window games
+        # on d3 mix Two-won games, answered at the root by the prune on the
+        # determination, with One-won ones whose state sets it cuts inside
         rng = random.Random(13)
-        for _ in range(1000):
-            g = _random_game(rng)
+        games = [_random_game(rng) for _ in range(1000)]
+        families = [singles3, SetFamily.build(d3, list(range(1, 7)), name="a")]
+        families += [
+            SetFamily.build(d3, rng.sample(range(1, 7), rng.randint(3, 6)), name="a")
+            for _ in range(3)
+        ]
+        games += [
+            build_point_open(d3, fam_a, singles3, h, window=w)
+            for fam_a in families
+            for h in range(1, 6)
+            for w in (1, 2, 3)
+        ]
+        for g in games:
             pre = find_predetermined_one(g)
             assert (None if pre is None else pre.indices) == brute_least_pre_one(g)
 
     def test_search_runs_over_state_sets(self, d3, singles3, monkeypatch):
         # the search runs over (round, set of reachable target states), not
-        # over scripts and their suffixes: on this Two-won window game it
-        # steps the target 84 times (1,578 when scripts are enumerated)
+        # over scripts and their suffixes, and a script cannot win where Two
+        # does: on this Two-won window game it steps the target no more
+        # often than determining the game does (84 steps against 24 without
+        # the prune, 1,578 when scripts are enumerated)
         g = build_point_open(d3, singles3, singles3, 6, window=2)
-        calls = [0]
-        step = WindowCover.step
-
-        def counted_step(self, state, item):
-            calls[0] += 1
-            return step(self, state, item)
-
-        monkeypatch.setattr(WindowCover, "step", counted_step)
+        calls = _counting_steps(monkeypatch, WindowCover)
+        assert winner(g) is Player.TWO
+        determining = calls["step"]
+        calls["step"] = 0
         assert find_predetermined_one(g) is None
-        assert calls[0] <= 200
+        assert calls["step"] <= determining <= 200
 
 
 class TestFindMarkovTwo:
@@ -191,6 +228,21 @@ class TestFindMarkovTwo:
         g = build_point_open(d2, singles2, singles2, 1)
         with pytest.raises(BudgetExceeded):
             find_markov_two(g, node_budget=0)
+
+    def test_cell_cap_counts_the_table_cells(self):
+        # one cell per move set of each round: families of sizes 1, 1, 1, 7
+        # need 10 cells, under the cap, although 7 x 4 rounds would be 28
+        pairs = [frozenset([k, k + 1]) for k in range(2, 9)]
+        g = make_game(
+            [[frozenset([1])]] * 3 + [pairs],
+            4,
+            Kind.SINGLE,
+            ExplicitSet(winning=tuple(frozenset([1, k]) for k in range(2, 10, 2))),
+        )
+        assert winner(g) is Player.TWO
+        markov = find_markov_two(g)
+        assert markov is not None and len(markov.table) == 10
+        assert verify(g, markov).valid
 
     def test_cell_cap_raises(self, d3, singles3):
         # Two wins, but the table would need 7 move sets x 4 rounds = 28 cells
@@ -353,9 +405,11 @@ class TestStateWitness:
 
 
 def test_check_duality_determines_each_game_once(monkeypatch):
-    # one backward induction per game: Markov synthesis reuses the winner
-    # check_duality has already determined instead of determining it again
-    from selgames import solver
+    # one search context per game: the script search and Markov synthesis
+    # read the determination check_duality, a fuzz suite or `corpus run`
+    # has already made instead of determining the game again
+    from selgames import cli, solver
+    from selgames.fuzzing import FuzzProfile, suite_cofinality, suite_determinacy
 
     built = []
     init = solver._Solver.__init__
@@ -374,6 +428,47 @@ def test_check_duality_determines_each_game_once(monkeypatch):
             build_point_open(space, singles, singles, h),
         )
         assert len(built) == 2
+
+    # determinacy: one game per instance; cofinality: two horizons each
+    for suite, games_per_instance in ((suite_determinacy, 1), (suite_cofinality, 2)):
+        built.clear()
+        res = suite(random.Random(5), 20, FuzzProfile())
+        assert res.instances == 20
+        assert len(built) == games_per_instance * res.instances
+
+    built.clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["corpus", "run", "--json"]) == 0
+    assert len(built) == len(corpus())
+
+
+def test_one_search_context_steps_each_transition_once(monkeypatch):
+    # determination, both extraction walks, the script search and Markov
+    # synthesis on one _Solver step each (state, item) transition once
+    from selgames import solver
+
+    d3 = discrete_space(3)
+    singles = singleton_family(d3)
+    for cls, g in (
+        (WindowCover, build_point_open(d3, singles, singles, 5, window=3)),
+        (WindowCover, build_point_open(d3, singles, singles, 5, window=2)),
+        (CoversFamily, build_rothberger(d3, singles, singles, 3)),
+    ):
+        stepped = []
+        step = cls.step
+
+        def recorded_step(self, state, item, step=step, stepped=stepped):
+            stepped.append((state, item))
+            return step(self, state, item)
+
+        monkeypatch.setattr(cls, "step", recorded_step)
+        searches = solver._Solver(g)
+        det = searches.solve()
+        searches.find_predetermined_one()
+        searches.find_markov_two()
+        monkeypatch.undo()
+        assert stepped and len(stepped) == len(set(stepped))
+        assert verify(g, det.witness).valid
 
 
 def _oracle_games():
