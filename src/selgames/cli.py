@@ -312,7 +312,7 @@ def _build_parser() -> _Parser:
     p.add_argument("kind", choices=["pre-one", "markov-two"])
     p.add_argument("scenario")
     p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--budget", type=_non_negative_int, default=DEFAULT_NODE_BUDGET)
     common(p)
     p.set_defaults(func=_cmd_synth)
 
@@ -337,7 +337,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--direction", required=True,
                    choices=[d.value for d in Direction])
     p.add_argument("--input", default=None, help="strategy file; synthesized if omitted")
-    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--budget", type=_non_negative_int, default=DEFAULT_NODE_BUDGET)
     common(p)
     p.set_defaults(func=_cmd_translate)
 
@@ -350,7 +350,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--suite", action="append", choices=list(ALL_SUITES))
-    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--budget", type=_non_negative_int, default=DEFAULT_NODE_BUDGET)
     common(p)
     p.set_defaults(func=_cmd_fuzz)
 

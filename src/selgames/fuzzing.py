@@ -2,14 +2,15 @@
 
 Each suite draws instances from its own deterministic generator, checks
 one family of properties, and records violations as scenario payloads
-that can be replayed by hand.  Budget exhaustion inside a synthesizer is
-counted separately from both success and violation.  Reports serialize
-canonically: two runs with the same seed are byte-identical.
+that can be replayed by hand.  A check takes a builder with no
+arguments and builds the payload only when it fails.  Budget exhaustion
+inside a synthesizer is counted separately from both success and
+violation.  Reports serialize canonically: two runs with the same seed
+are byte-identical.
 """
 
 from __future__ import annotations
 
-import copy
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -102,14 +103,13 @@ class SuiteResult:
     violations: list = field(default_factory=list)  # [{"property", "instance"}]
     findings: list = field(default_factory=list)
 
-    def violate(self, prop: str, instance) -> None:
-        self.violations.append(
-            {"property": prop, "instance": copy.deepcopy(instance)}
-        )
+    def violate(self, prop: str, payload: Callable[[], object]) -> None:
+        """Record a violation; ``payload()`` builds its replayable instance."""
+        self.violations.append({"property": prop, "instance": payload()})
 
-    def check(self, prop: str, ok: bool, instance) -> bool:
+    def check(self, prop: str, ok: bool, payload: Callable[[], object]) -> bool:
         if not ok:
-            self.violate(prop, instance)
+            self.violate(prop, payload)
         return ok
 
 
@@ -223,9 +223,10 @@ def suite_determinacy(rng: random.Random, count: int, profile: FuzzProfile) -> S
     while res.instances < count:
         res.attempts += 1
         game = _random_game(rng)
-        payload = scenario_to_json(
-            abstract_scenario(f"determinacy-{res.instances}", game)
-        )
+
+        def payload(k=res.instances) -> dict:
+            return scenario_to_json(abstract_scenario(f"determinacy-{k}", game))
+
         res.check(
             "determinacy/instance-bounds",
             len(game.universe) <= 6 and game.horizon <= 4,
@@ -304,10 +305,13 @@ def suite_translation(rng: random.Random, count: int, profile: FuzzProfile) -> S
     while any(v < count for v in done.values()) and res.attempts < max_attempts:
         res.attempts += 1
         pack, src, dst = _translation_instance(rng)
-        payload = {
-            "src": scenario_to_json(abstract_scenario("translation-src", src)),
-            "dst": scenario_to_json(abstract_scenario("translation-dst", dst)),
-        }
+
+        def payload() -> dict:
+            return {
+                "src": scenario_to_json(abstract_scenario("translation-src", src)),
+                "dst": scenario_to_json(abstract_scenario("translation-dst", dst)),
+            }
+
         if not res.check(
             "translation/lifted-pack-satisfies-axioms",
             bool(check_translation_axioms(pack, src, dst)),
@@ -398,10 +402,13 @@ def suite_duality(rng: random.Random, count: int, profile: FuzzProfile) -> Suite
     while res.instances < count:
         res.attempts += 1
         refl, fam, g_fam, g_refl = _duality_instance(rng)
-        payload = {
-            "family-game": scenario_to_json(abstract_scenario("duality-fam", g_fam)),
-            "reflection-game": scenario_to_json(abstract_scenario("duality-refl", g_refl)),
-        }
+
+        def payload() -> dict:
+            return {
+                "family-game": scenario_to_json(abstract_scenario("duality-fam", g_fam)),
+                "reflection-game": scenario_to_json(abstract_scenario("duality-refl", g_refl)),
+            }
+
         report = is_reflection(refl, fam)
         if not res.check("duality/constructed-reflection", report.is_reflection, payload):
             continue
@@ -436,18 +443,21 @@ def suite_cofinality(rng: random.Random, count: int, profile: FuzzProfile) -> Su
         fam_a_masks, fam_b_masks = _cof_families(rng, size)
         fam_a = SetFamily.build(space, fam_a_masks, name="a")
         fam_b = SetFamily.build(space, fam_b_masks, name="b")
-        sc = Scenario(
-            name=f"cofinality-{res.instances}",
-            space_size=size,
-            subbasis=tuple(1 << i for i in range(size)),
-            fam_a=fam_a.members,
-            fam_b=fam_b.members,
-            horizon=0,
-            flavor="point-open-o",
-        )
         cof = relative_cofinality(inclusion_pair(fam_a.members, fam_b.members))
+
+        def payload(k=res.instances) -> dict:
+            sc = Scenario(
+                name=f"cofinality-{k}",
+                space_size=size,
+                subbasis=tuple(1 << i for i in range(size)),
+                fam_a=fam_a.members,
+                fam_b=fam_b.members,
+                horizon=0,
+                flavor="point-open-o",
+            )
+            return dict(scenario_to_json(sc), horizon=horizon)  # the one checked
+
         for horizon in sorted(rng.sample(range(0, 5), 2)):
-            payload = dict(scenario_to_json(sc), horizon=horizon)
             game = build_point_open(space, fam_a, fam_b, horizon)
             searches = _Solver(game)
             pre = searches.find_predetermined_one()
@@ -519,11 +529,14 @@ def suite_tukey(rng: random.Random, count: int, profile: FuzzProfile) -> SuiteRe
         src = _random_order_pair(rng)
         dst = _random_order_pair(rng)
         phi = {a: rng.choice(dst.sub_a) for a in src.sub_a}
-        payload = {
-            "src": rel_pair_to_json(src),
-            "dst": rel_pair_to_json(dst),
-            "phi": sorted([a, c] for a, c in phi.items()),
-        }
+
+        def payload() -> dict:
+            return {
+                "src": rel_pair_to_json(src),
+                "dst": rel_pair_to_json(dst),
+                "phi": sorted([a, c] for a, c in phi.items()),
+            }
+
         res.check(
             "tukey/criterion-matches-oracle",
             check_tukey_map(phi, src, dst) == brute_tukey_oracle(phi, src, dst),
@@ -656,10 +669,12 @@ def suite_gamma(rng: random.Random, count: int, profile: FuzzProfile) -> SuiteRe
         )
         n = rng.choice([2, 3] if size == 3 else [2, 3, 4])
         game = build_point_open(space, fam_a, fam_b, n)
-        payload = dict(
-            scenario_to_json(
+        low = None
+
+        def payload(k=res.instances) -> dict:
+            out = scenario_to_json(
                 Scenario(
-                    name=f"gamma-{res.instances}",
+                    name=f"gamma-{k}",
                     space_size=size,
                     subbasis=tuple(1 << i for i in range(size)),
                     fam_a=fam_a.members,
@@ -668,13 +683,15 @@ def suite_gamma(rng: random.Random, count: int, profile: FuzzProfile) -> SuiteRe
                     flavor="point-open-o",
                 )
             )
-        )
+            if low is not None:  # read when called: the least winning horizon
+                out["low"] = low
+            return out
+
         res.check(
             "gamma/neighborhoods-of-ideal-base-form-filter-base",
             is_filter_base(game.moves[0]),
             payload,
         )
-        low = None
         for h in range(1, n + 1):
             searches = _Solver(game.truncated(h))
             if searches.winner() is Player.ONE:
@@ -682,7 +699,6 @@ def suite_gamma(rng: random.Random, count: int, profile: FuzzProfile) -> SuiteRe
                 break
         if low is None:
             continue  # constructions need a winning horizon; try again
-        payload["low"] = low
 
         truncated = searches.game
         table = dict(expand(truncated, searches.solve().witness).table)
@@ -770,10 +786,13 @@ def suite_ground(rng: random.Random, count: int, profile: FuzzProfile) -> SuiteR
             extra = space.full & ~_union(fam.members)
             fam = SetFamily.build(space, fam.members + (extra | fam.members[0],), name="f")
             fam = SetFamily.build(space, _union_closure(fam.members), name=fam.name)
-        payload = {
-            "space": {"size": size, "subbasis": [list(items_of(1 << i)) for i in range(size)]},
-            "family": [list(items_of(m)) for m in fam.members],
-        }
+
+        def payload() -> dict:
+            return {
+                "space": {"size": size, "subbasis": [list(items_of(1 << i)) for i in range(size)]},
+                "family": [list(items_of(m)) for m in fam.members],
+            }
+
         if fam.ideal_base and fam.covers_universe:
             result = min_covers(space, fam)
             res.check(
@@ -793,7 +812,7 @@ def suite_ground(rng: random.Random, count: int, profile: FuzzProfile) -> SuiteR
             "ground/permutations-preserve-cover-and-multiplicity",
             (before.covers_all, before.multiplicity)
             == (after.covers_all, after.multiplicity),
-            dict(payload, listed=[list(items_of(u)) for u in listed]),
+            lambda: dict(payload(), listed=[list(items_of(u)) for u in listed]),
         )
         res.instances += 1
     return res

@@ -30,7 +30,8 @@ class GroundSpace:
 
     ``opens`` always contains 0 (the empty set) and ``full`` and is
     closed under pairwise union and intersection.  Instances are built
-    through :func:`build_topology`; all values are immutable.
+    through :func:`build_topology` or :func:`discrete_space`; all values
+    are immutable.
     """
 
     size: int
@@ -63,14 +64,18 @@ class GroundSpace:
         return tuple(sorted(self.opens))
 
 
+def _check_size(size: int) -> None:
+    if not 1 <= size <= SIZE_CAP:
+        raise CapExceeded(f"size {size} outside 1..{SIZE_CAP}")
+
+
 def build_topology(size: int, subbasis: Iterable[int]) -> GroundSpace:
     """Close ``subbasis`` plus {empty, universe} under union and intersection.
 
     ``subbasis`` members are bitmasks over {0..size-1}.  The result is the
     least such family (fixpoint of adding pairwise unions/intersections).
     """
-    if not 1 <= size <= SIZE_CAP:
-        raise CapExceeded(f"size {size} outside 1..{SIZE_CAP}")
+    _check_size(size)
     full = (1 << size) - 1
     opens = {0, full}
     for s in subbasis:
@@ -98,7 +103,11 @@ def build_topology(size: int, subbasis: Iterable[int]) -> GroundSpace:
 
 
 def discrete_space(size: int) -> GroundSpace:
-    return build_topology(size, [1 << i for i in range(size)])
+    """Every subset open: the closure of the singletons, built directly."""
+    _check_size(size)
+    if 1 << size > OPENS_CAP:
+        raise TopologyTooLarge(f"more than {OPENS_CAP} open sets")
+    return GroundSpace(size=size, opens=frozenset(range(1 << size)))
 
 
 def indiscrete_space(size: int) -> GroundSpace:
@@ -126,28 +135,43 @@ class SetFamily:
 
     @staticmethod
     def build(space: GroundSpace, members: Iterable[int], name: str = "") -> "SetFamily":
+        full, opens = space.full, space.opens
         seen: dict[int, None] = {}
-        for m in members:
-            if not is_subset(m, space.full):
-                raise ValueError(f"member {m:#b} not inside the universe")
-            seen.setdefault(m, None)
-        ordered = tuple(seen)
         union = 0
-        for m in ordered:
+        all_open = all_closed = True
+        for m in members:
+            if m & ~full:
+                raise ValueError(f"member {m:#b} not inside the universe")
+            seen[m] = None
             union |= m
-        ideal = all(
-            any(is_subset(a | b, c) for c in ordered)
-            for a, b in itertools.combinations_with_replacement(ordered, 2)
-        )
+            if m not in opens:
+                all_open = False
+            if full & ~m not in opens:
+                all_closed = False
+        ordered = tuple(seen)
         return SetFamily(
             space=space,
             members=ordered,
             name=name,
-            ideal_base=ideal,
-            covers_universe=union == space.full,
-            all_open=all(space.is_open(m) for m in ordered),
-            all_closed=all(space.is_closed(m) for m in ordered),
+            ideal_base=_is_ideal_base(ordered),
+            covers_universe=union == full,
+            all_open=all_open,
+            all_closed=all_closed,
         )
+
+
+def _is_ideal_base(members: tuple[int, ...]) -> bool:
+    """Every two members' union lies inside some member (a member's union
+    with itself is that member)."""
+    for k, a in enumerate(members):
+        for b in members[k + 1:]:
+            u = a | b
+            for c in members:
+                if u & ~c == 0:
+                    break
+            else:
+                return False
+    return True
 
 
 def family_of(space: GroundSpace, sets: Iterable[Iterable[int]], name: str = "") -> SetFamily:

@@ -79,21 +79,32 @@ def make_rel_pair(
     sub_b: Iterable[int],
 ) -> RelPair:
     """Tabulate a preorder and validate reflexivity and transitivity."""
-    n = len(carrier)
     up = []
-    for i in range(n):
+    for x in carrier:
         row = 0
-        for j in range(n):
-            if leq(carrier[i], carrier[j]):
+        for j, y in enumerate(carrier):
+            if leq(x, y):
                 row |= 1 << j
         up.append(row)
+    return _checked_rel_pair(carrier, up, sub_a, sub_b)
+
+
+def _checked_rel_pair(
+    carrier: Sequence[Hashable],
+    up: Sequence[int],
+    sub_a: Iterable[int],
+    sub_b: Iterable[int],
+) -> RelPair:
+    """The pair with preorder rows ``up``, once they are checked reflexive
+    and transitive and the subfamily indices inside the carrier."""
+    n = len(carrier)
     for i in range(n):
         if not up[i] >> i & 1:
             raise ValueError(f"relation not reflexive at {carrier[i]!r}")
     # transitivity: i <= j forces everything above j to sit above i too
-    for i in range(n):
+    for row in up:
         for j in range(n):
-            if up[i] >> j & 1 and not is_subset(up[j], up[i]):
+            if row >> j & 1 and up[j] & ~row:
                 raise ValueError(
                     f"relation not transitive through {carrier[j]!r}"
                 )
@@ -123,19 +134,28 @@ def truncate_product(pair: RelPair, bound: int) -> RelPair:
     """Product with {0..bound} under the coordinatewise order.
 
     sub_a and sub_b each pick up every counter value; the symbolic
-    unbounded version of this construction is lift_omega_cof.
+    unbounded version of this construction is lift_omega_cof.  Element
+    (x_i, k) sits at index i * (bound + 1) + k, so block i holds x_i's
+    counter values and its row is, over each j above i, the chain mask
+    {k..bound} shifted to block j.
     """
-    carrier = [(x, k) for x in pair.carrier for k in range(bound + 1)]
-    pos = {c: i for i, c in enumerate(carrier)}
-    base_index = {x: i for i, x in enumerate(pair.carrier)}
-
-    def leq(u, v) -> bool:
-        (x, k), (y, m) = u, v
-        return pair.leq(base_index[x], base_index[y]) and k <= m
-
-    sub_a = [pos[(pair.carrier[i], k)] for i in pair.sub_a for k in range(bound + 1)]
-    sub_b = [pos[(pair.carrier[i], k)] for i in pair.sub_b for k in range(bound + 1)]
-    return make_rel_pair(carrier, leq, sub_a, sub_b)
+    if bound < 0:
+        raise ValueError(f"counter bound must be >= 0, got {bound}")
+    width = bound + 1
+    counters = range(width)
+    carrier = [(x, k) for x in pair.carrier for k in counters]
+    up = []
+    for row in pair.up:
+        blocks = [j * width for j in range(len(pair.carrier)) if row >> j & 1]
+        for k in counters:
+            chain = (1 << width) - (1 << k)
+            mask = 0
+            for shift in blocks:
+                mask |= chain << shift
+            up.append(mask)
+    sub_a = [i * width + k for i in pair.sub_a for k in counters]
+    sub_b = [i * width + k for i in pair.sub_b for k in counters]
+    return _checked_rel_pair(carrier, up, sub_a, sub_b)
 
 
 def projection_map(product_pair: RelPair, base_pair: RelPair) -> dict[int, int]:

@@ -10,14 +10,15 @@ per reachable state, not per history (``game.expand`` gives the history
 table).  find_predetermined_one() recurses over (round, set of states
 Two's replies can reach), since a script sees no reply, and answers None
 at once for a set holding a state Two wins from.  One _Solver per game
-holds the (state, selection) transition cache and the (round, state)
-memo that determination, extraction, both synthesizers and this prune
-share; callers asking several questions of one game share one _Solver.
-verify() checks a strategy whose move depends on the round, the state
-and One's index (StateOne, StateTwo, PreOne, MarkovTwo) by one walk
-memoized on (round, state) that counts plays by multiplication; a
-history table (FullOne, FullTwo) is walked play by play, stepping each
-(state, selection) transition once.
+holds the (state, selection) transition cache, Two's selections from
+each move set and the (round, state) memo that determination,
+extraction, both synthesizers and this prune share; callers asking
+several questions of one game share one _Solver.  verify() checks a
+strategy whose move depends on the round, the state and One's index
+(StateOne, StateTwo, PreOne, MarkovTwo) by one walk memoized on (round,
+state) that counts plays by multiplication; a history table (FullOne,
+FullTwo) is walked play by play, stepping each (state, selection)
+transition once.
 """
 
 from __future__ import annotations
@@ -51,19 +52,22 @@ MARKOV_CELL_CAP = 24
 MAX_EXHIBITS = 16
 
 
-def _stepper(game: GameSpec):
-    """``advance`` with each (state, selection) transition stepped once,
-    however often the searches sharing it meet it."""
-    successors: dict = {}
+class _Table(dict):
+    """A dict that fills a missing key with ``fill(key)`` on first lookup."""
 
-    def successor(state, x):
-        # the dict itself marks a miss: None is a target state
-        nxt = successors.get((state, x), successors)
-        if nxt is successors:
-            nxt = successors[state, x] = advance(game, state, x)
-        return nxt
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
 
-    return successor
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+def _transitions(game: GameSpec) -> _Table:
+    """(state, selection) -> ``advance``: each transition is stepped once,
+    however often the searches sharing the table meet it."""
+    return _Table(lambda key: advance(game, *key))
 
 
 @dataclass(frozen=True)
@@ -77,41 +81,51 @@ class Determination:
 class _Solver:
     """The search context of one game, for every question asked of it.
 
-    It holds the (state, selection) -> next state cache and the (round,
-    state) determination memo; the determination, both extraction walks,
-    the script search and Markov synthesis step the target only through
-    that cache, and both synthesizers read their prune or winner off that
-    memo.  A caller asking several questions of one game builds one and
-    asks them all of it; the nodes and memo hits ``solve`` reports then
-    count every search made on it so far.
+    It holds the (state, selection) -> next state cache, Two's selections
+    from each move set as a tuple (listed on first use: a finite-kind
+    move set of k items has 2^k - 1 of them) and the (round, state)
+    determination memo; the determination, both extraction walks, the
+    script search and Markov synthesis read selections and step the
+    target only through those tables, and both synthesizers read their
+    prune or winner off that memo.  A caller asking several questions of
+    one game builds one and asks them all of it; the nodes and memo hits
+    ``solve`` reports then count every search made on it so far.
     """
 
     def __init__(self, game: GameSpec):
         self.game = game
-        self.successor = _stepper(game)
+        self.transitions = _transitions(game)
+        self.selections = _Table(lambda ms: tuple(two_choices(game, ms)))
         self.memo: dict = {}  # (round, state) -> whether Two wins from there
         self.nodes = 0
         self.hits = 0
 
     def two_wins(self, r: int, state) -> bool:
+        """Whether Two wins from ``state`` before round ``r``: every move
+        set has a selection that wins, tried in order; the last round is
+        settled by ``accept``."""
         game = self.game
         if r == game.horizon:
             return game.target.accept(state)
         key = (r, state)
-        if key in self.memo:
+        won = self.memo.get(key)
+        if won is not None:
             self.hits += 1
-            return self.memo[key]
+            return won
         self.nodes += 1
-        successor = self.successor
-        result = all(
-            any(
-                self.two_wins(r + 1, successor(state, x))
-                for x in two_choices(game, ms)
-            )
-            for ms in game.moves[r]
-        )
-        self.memo[key] = result
-        return result
+        transitions, selections = self.transitions, self.selections
+        last, accept = r + 1 == game.horizon, game.target.accept
+        won = True
+        for ms in game.moves[r]:
+            for x in selections[ms]:
+                nxt = transitions[state, x]
+                if accept(nxt) if last else self.two_wins(r + 1, nxt):
+                    break
+            else:
+                won = False
+                break
+        self.memo[key] = won
+        return won
 
     def winner(self) -> Player:
         """The winner alone: backward induction without witness extraction."""
@@ -129,7 +143,7 @@ class _Solver:
     def extract_one(self) -> StateOne:
         """One's least winning index at each (round, state) the strategy
         lets Two reach."""
-        game, successor = self.game, self.successor
+        game, transitions, selections = self.game, self.transitions, self.selections
         table: dict = {}
 
         def walk(r: int, state) -> None:
@@ -137,8 +151,8 @@ class _Solver:
                 return
             for i, ms in enumerate(game.moves[r]):
                 nexts = []
-                for x in two_choices(game, ms):
-                    nexts.append(successor(state, x))
+                for x in selections[ms]:
+                    nexts.append(transitions[state, x])
                     if self.two_wins(r + 1, nexts[-1]):
                         break
                 else:
@@ -157,13 +171,13 @@ class _Solver:
     def extract_two(self) -> StateTwo:
         """Two's least winning reply to each index at each (round, state)
         the strategy lets One reach."""
-        game, successor = self.game, self.successor
+        game, transitions, selections = self.game, self.transitions, self.selections
         table: dict = {}
         seen: set = set()
 
         def least_winning_reply(r: int, state, ms):
-            for x in two_choices(game, ms):
-                nxt = successor(state, x)
+            for x in selections[ms]:
+                nxt = transitions[state, x]
                 if self.two_wins(r + 1, nxt):
                     return x, nxt
             raise AssertionError("extraction from a lost position")
@@ -184,7 +198,7 @@ class _Solver:
         return StateTwo(table=table)
 
     def find_predetermined_one(self) -> Optional[PreOne]:
-        game, successor = self.game, self.successor
+        game, transitions, selections = self.game, self.transitions, self.selections
         reached: dict = {}  # (state, move set) -> frozenset of next states
         memo: dict = {}  # (round, state set) -> least winning suffix or None
 
@@ -193,7 +207,7 @@ class _Solver:
             for state in states:
                 if (state, ms) not in reached:
                     reached[state, ms] = frozenset(
-                        successor(state, x) for x in two_choices(game, ms)
+                        transitions[state, x] for x in selections[ms]
                     )
                 out |= reached[state, ms]
             return frozenset(out)
@@ -220,7 +234,7 @@ class _Solver:
     def find_markov_two(
         self, node_budget: int = DEFAULT_NODE_BUDGET
     ) -> Optional[MarkovTwo]:
-        game, successor = self.game, self.successor
+        game, transitions, selections = self.game, self.transitions, self.selections
         if not self.two_wins(0, game.target.start):
             return None
         if game.horizon == 0:
@@ -255,14 +269,14 @@ class _Solver:
         def play_ok(idx: tuple) -> bool:
             state = game.target.start
             for r, j in enumerate(idx):
-                state = successor(state, assigned[r, j])
+                state = transitions[state, assigned[r, j]]
             return game.target.accept(state)
 
         def assign(k: int) -> bool:
             if k == len(cells):
                 return True
             r, j = cells[k]
-            for x in two_choices(game, game.moves[r][j]):
+            for x in selections[game.moves[r][j]]:
                 budget[0] -= 1
                 if budget[0] < 0:
                     raise BudgetExceeded("Markov search node budget exhausted")
@@ -403,7 +417,7 @@ def _walk_states(game: GameSpec, strategy, side: Player, max_exhibits: int,
     one_side = side is Player.ONE
     other = Player.TWO if one_side else Player.ONE
     moves, target, last = game.moves, game.target, game.horizon - 1
-    successor = _stepper(game)
+    transitions = _transitions(game)
     tally: dict = {}  # (round, state) -> (plays, lost plays), round > 0
 
     def choices(r: int, state) -> Iterator[tuple]:
@@ -422,7 +436,7 @@ def _walk_states(game: GameSpec, strategy, side: Player, max_exhibits: int,
     def count(r: int, state) -> tuple:
         plays = lost = 0
         for _, x in choices(r, state):
-            nxt = successor(state, x)
+            nxt = transitions[state, x]
             if r == last:
                 plays += 1
                 # the target is Two's: One loses the plays it accepts
@@ -441,7 +455,7 @@ def _walk_states(game: GameSpec, strategy, side: Player, max_exhibits: int,
 
     def exhibit(r: int, state, idx_hist: tuple, sel_hist: tuple) -> None:
         for i, x in choices(r, state):
-            nxt = successor(state, x)
+            nxt = transitions[state, x]
             if r == last:
                 if target.accept(nxt) == one_side:
                     counters.append(PlayRecord(idx_hist + (i,), sel_hist + (x,), other))
@@ -470,7 +484,7 @@ def _walk_histories(game: GameSpec, strategy, side: Player, max_exhibits: int,
     """
     other = Player.TWO if side is Player.ONE else Player.ONE
     moves, target, last = game.moves, game.target, game.horizon - 1
-    successor = _stepper(game)
+    transitions = _transitions(game)
     settled: dict = {}  # (state, One's last index) -> (reply count, Two's wins)
     counters: list = []
     checked = lost = 0
@@ -497,7 +511,7 @@ def _walk_histories(game: GameSpec, strategy, side: Player, max_exhibits: int,
             idx = idx_hist + (i,)
             if r < last:
                 for x in two_choices(game, moves[r][i]):
-                    walk(r + 1, idx, sel_hist + (x,), successor(state, x))
+                    walk(r + 1, idx, sel_hist + (x,), transitions[state, x])
                 return
             pair = settled.get((state, i))
             if pair is None:
@@ -517,10 +531,10 @@ def _walk_histories(game: GameSpec, strategy, side: Player, max_exhibits: int,
                 idx = idx_hist + (i,)
                 x = legal_selection(game, r, ms, two_selection(strategy, idx, r))
                 if r < last:
-                    walk(r + 1, idx, sel_hist + (x,), successor(state, x))
+                    walk(r + 1, idx, sel_hist + (x,), transitions[state, x])
                     continue
                 checked += 1
-                if not target.accept(successor(state, x)):
+                if not target.accept(transitions[state, x]):
                     lose(idx, sel_hist, (x,))
 
     walk(0, (), (), target.start)

@@ -78,32 +78,64 @@ def _require_single(*games: GameSpec) -> None:
 def check_translation_axioms(
     pack: TranslationPack, src: GameSpec, dst: GameSpec
 ) -> AxiomCheck:
-    """Exhaustively check legality and preservation for the pack."""
+    """Exhaustively check legality, then preservation, for the pack.
+
+    Legality is checked round by round in index and item order; its
+    witness is (round, target index, source item or None).  Preservation
+    runs as one depth-first walk over (round, source state, target state),
+    each target stepped as its automaton, trying at each round the target
+    indices j in order and, under each, the items x of the pulled-back
+    source move in order.  The states decide every future verdict, so a
+    triple already walked without a failure is not walked again.  The
+    witness is the first play, in that (j, x) order, that the source
+    target accepts and the target game's target rejects: (js, xs).
+    """
     _require_single(src, dst)
     if src.horizon != dst.horizon:
         raise ValueError("games must share a horizon")
     h = src.horizon
     if len(pack.t_one) != h or len(pack.t_two) != h:
         raise ValueError("pack must carry one map pair per round")
+    edges = []  # edges[r][j]: the (x, pushed y) pairs in item order
     for r in range(h):
+        edges.append([])
         for j in range(len(dst.moves[r])):
             if j not in pack.t_one[r]:
                 return AxiomCheck(False, ("legality", (r, j, None)))
             i = pack.t_one[r][j]
             if not 0 <= i < len(src.moves[r]):
                 return AxiomCheck(False, ("legality", (r, j, None)))
+            pairs = []
             for x in sorted(src.moves[r][i]):
                 y = pack.t_two[r].get((x, j))
                 if y is None or y not in dst.moves[r][j]:
                     return AxiomCheck(False, ("legality", (r, j, x)))
-    index_tuples = itertools.product(*(range(len(dst.moves[r])) for r in range(h)))
-    for js in index_tuples:
-        pulled = [src.moves[r][pack.t_one[r][js[r]]] for r in range(h)]
-        for xs in itertools.product(*(sorted(ms) for ms in pulled)):
-            if src.target.evaluate(xs):
-                ys = tuple(pack.t_two[r][(xs[r], js[r])] for r in range(h))
-                if not dst.target.evaluate(ys):
-                    return AxiomCheck(False, ("preservation", (js, xs)))
+                pairs.append((x, y))
+            edges[r].append(pairs)
+    src_target, dst_target = src.target, dst.target
+    src_step, dst_step = src_target.step, dst_target.step
+    safe: set = set()  # (round, source state, target state) walked, no failure
+    js: list = []
+    xs: list = []
+
+    def fails(r: int, s, d) -> bool:
+        if r == h:
+            return src_target.accept(s) and not dst_target.accept(d)
+        if (r, s, d) in safe:
+            return False
+        for j, pairs in enumerate(edges[r]):
+            js.append(j)
+            for x, y in pairs:
+                xs.append(x)
+                if fails(r + 1, src_step(s, x), dst_step(d, y)):
+                    return True
+                xs.pop()
+            js.pop()
+        safe.add((r, s, d))
+        return False
+
+    if fails(0, src_target.start, dst_target.start):
+        return AxiomCheck(False, ("preservation", (tuple(js), tuple(xs))))
     return AxiomCheck(True)
 
 

@@ -7,7 +7,9 @@ The point is a second route to the same answers, not speed.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 
 from selgames.errors import IllegalMove
 from selgames.game import (
@@ -23,7 +25,9 @@ from selgames.game import (
     play,
 )
 from selgames.ground import CoverVerdict
+from selgames.orders import make_rel_pair
 from selgames.solver import MAX_EXHIBITS, VerificationReport
+from selgames.transforms import AxiomCheck
 
 
 def brute_two_choices(game: GameSpec, move_set):
@@ -220,3 +224,75 @@ def brute_classify_cover(space, fam_members, listed) -> CoverVerdict:
         )
     )
     return CoverVerdict(covers_all=True, multiplicity=mult, window=window)
+
+
+def brute_translation_axioms(pack, src, dst) -> AxiomCheck:
+    """Legality round by round, then preservation by listing every target
+    index tuple js and, under it, every source selection tuple xs from the
+    pulled-back moves, each evaluated whole; the first failure in that
+    (js, xs) order is the witness."""
+    h = src.horizon
+    for r in range(h):
+        for j in range(len(dst.moves[r])):
+            if j not in pack.t_one[r]:
+                return AxiomCheck(False, ("legality", (r, j, None)))
+            i = pack.t_one[r][j]
+            if not 0 <= i < len(src.moves[r]):
+                return AxiomCheck(False, ("legality", (r, j, None)))
+            for x in sorted(src.moves[r][i]):
+                y = pack.t_two[r].get((x, j))
+                if y is None or y not in dst.moves[r][j]:
+                    return AxiomCheck(False, ("legality", (r, j, x)))
+    for js, xs in pulled_plays(pack, src, dst):
+        if preservation_fails(pack, src, dst, js, xs):
+            return AxiomCheck(False, ("preservation", (js, xs)))
+    return AxiomCheck(True)
+
+
+def pulled_plays(pack, src, dst):
+    """Every (js, xs): target index tuples js in order and, under each,
+    the source selection tuples xs from the pulled-back moves in order."""
+    h = src.horizon
+    for js in itertools.product(*(range(len(dst.moves[r])) for r in range(h))):
+        pulled = [src.moves[r][pack.t_one[r][js[r]]] for r in range(h)]
+        for xs in itertools.product(*(sorted(ms) for ms in pulled)):
+            yield js, xs
+
+
+def preservation_fails(pack, src, dst, js, xs) -> bool:
+    """The source target accepts ``xs`` and the target game's target
+    rejects its push forward along the target indices ``js``."""
+    ys = [pack.t_two[r][(x, j)] for r, (x, j) in enumerate(zip(xs, js))]
+    return src.target.evaluate(xs) and not dst.target.evaluate(ys)
+
+
+def brute_truncate_product(pair, bound: int):
+    """The product with {0..bound}, tabulated pair by pair from the
+    coordinatewise order."""
+    carrier = [(x, k) for x in pair.carrier for k in range(bound + 1)]
+    pos = {c: i for i, c in enumerate(carrier)}
+    base = {x: i for i, x in enumerate(pair.carrier)}
+
+    def leq(u, v) -> bool:
+        (x, k), (y, m) = u, v
+        return pair.leq(base[x], base[y]) and k <= m
+
+    return make_rel_pair(
+        carrier,
+        leq,
+        sub_a=[pos[pair.carrier[i], k] for i in pair.sub_a for k in range(bound + 1)],
+        sub_b=[pos[pair.carrier[i], k] for i in pair.sub_b for k in range(bound + 1)],
+    )
+
+
+def brute_family_flags(space, members) -> dict:
+    """The four SetFamily flags straight from their definitions."""
+    opens, full = space.opens, space.full
+    return {
+        "ideal_base": all(
+            any((a | b) & ~c == 0 for c in members) for a in members for b in members
+        ),
+        "covers_universe": functools.reduce(operator.or_, members, 0) == full,
+        "all_open": all(m in opens for m in members),
+        "all_closed": all(full & ~m in opens for m in members),
+    }

@@ -155,6 +155,23 @@ class TestVerify:
         assert out == ""
         assert "--max-exhibits" in err
 
+    def test_negative_budget_is_usage_error(self, capsys):
+        tiny = str(SCENARIOS / "tiny-abstract.json")
+        commands = (
+            ("synth", "markov-two", str(SCENARIOS / "point-open-discrete-2-h1.json")),
+            ("translate", str(SCENARIOS / "identity-pack-tiny.json"), tiny, tiny,
+             "--direction", "markov-two"),
+            ("fuzz", "--seed", "1", "--count", "1"),
+        )
+        for command in commands:
+            code, out, err = run(capsys, *command, "--budget", "-3", "--json")
+            assert code == 1, command
+            assert out == ""
+            assert "--budget" in err
+        # a zero budget is legal and exhausted at once
+        code, _, _ = run(capsys, *commands[0], "--budget", "0", "--json")
+        assert code == 3
+
 
 class TestDuality:
     def test_dual_pair_holds(self, capsys):

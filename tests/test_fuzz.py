@@ -1,8 +1,20 @@
+import types
+
 import pytest
 
+from selgames import fuzzing
+from selgames._bits import items_of
 from selgames.errors import InvalidCount
 from selgames.fuzzing import GATED_SUITES, FuzzProfile, fuzz
-from selgames.serialize import canonical_dumps
+from selgames.ground import MinCoverResult
+from selgames.orders import check_tukey_map
+from selgames.scenarios import (
+    Scenario,
+    abstract_scenario,
+    scenario_from_json,
+    scenario_to_json,
+)
+from selgames.serialize import canonical_dumps, rel_pair_from_json, rel_pair_to_json
 
 
 class TestFuzzContract:
@@ -36,13 +48,19 @@ class TestFuzzContract:
         assert not r.violations  # findings never gate
         assert report.total_violations == 0
 
-    def test_violations_carry_replayable_instances(self):
-        # every violation payload must parse back through the scenario schema
-        # (none are expected here; assert the invariant on the structure)
-        report = fuzz(seed=77, count=5, suites=("determinacy", "cofinality"))
-        for r in report.results.values():
-            for v in r.violations:
-                assert {"property", "instance"} <= set(v)
+    def test_violations_carry_replayable_instances(self, monkeypatch):
+        # payloads are built only when a check fails: force failures in
+        # every suite and compare each recorded instance with the payload
+        # built at once from the inputs the failing check saw
+        for suite, force, replays in FORCED:
+            expected: list = []
+            with monkeypatch.context() as patch:
+                force(patch, expected)
+                report = fuzz(seed=77, count=2, suites=(suite,))
+            got = [v["instance"] for v in report.results[suite].violations]
+            assert expected and got == expected, suite
+            for instance in got:
+                replays(instance)
 
     def test_markov_budget_threads_through(self):
         profile = FuzzProfile(markov_budget=0)
@@ -50,3 +68,202 @@ class TestFuzzContract:
         # budget zero forces the synthesizer to give up wherever Two wins
         assert report.results["determinacy"].budget_exceeded > 0
         assert report.total_budget_exceeded > 0
+
+
+# -- forced violations ------------------------------------------------------
+#
+# Each ``force`` patches the predicate one or more checks of a suite read,
+# so that they fail, and appends to ``expected`` the payload of every
+# failure, built from the inputs the patched predicate sees.
+
+
+def _recording(patch, name: str) -> list:
+    """Wrap ``fuzzing.<name>``; the returned list collects the arguments
+    and the result of every call."""
+    original, calls = getattr(fuzzing, name), []
+
+    def wrapper(*args, **kwargs):
+        calls.append((args, original(*args, **kwargs)))
+        return calls[-1][1]
+
+    patch.setattr(fuzzing, name, wrapper)
+    return calls
+
+
+def _invalid(record):
+    def verify(game, strategy):
+        record(game)
+        return types.SimpleNamespace(valid=False)
+
+    return verify
+
+
+def _space_payload(space, fam_a, fam_b, horizon, name) -> dict:
+    return scenario_to_json(
+        Scenario(
+            name=name,
+            space_size=space.size,
+            subbasis=tuple(1 << i for i in range(space.size)),
+            fam_a=fam_a.members,
+            fam_b=fam_b.members,
+            horizon=horizon,
+            flavor="point-open-o",
+        )
+    )
+
+
+def _force_determinacy(patch, expected):
+    # instance k is attempt k: the suite rejects no draw
+    drawn = _recording(patch, "_random_game")
+
+    def record(game):
+        k = [g for _, g in drawn].index(game)
+        expected.append(scenario_to_json(abstract_scenario(f"determinacy-{k}", game)))
+
+    patch.setattr(fuzzing, "verify", _invalid(record))
+
+
+def _force_translation(patch, expected):
+    drawn = _recording(patch, "_translation_instance")
+
+    def record(game):
+        _, src, dst = drawn[-1][1]
+        expected.append({
+            "src": scenario_to_json(abstract_scenario("translation-src", src)),
+            "dst": scenario_to_json(abstract_scenario("translation-dst", dst)),
+        })
+
+    patch.setattr(fuzzing, "verify", _invalid(record))
+
+
+def _force_duality(patch, expected):
+    def check_duality(g_fam, g_refl):
+        expected.append({
+            "family-game": scenario_to_json(abstract_scenario("duality-fam", g_fam)),
+            "reflection-game": scenario_to_json(abstract_scenario("duality-refl", g_refl)),
+        })
+        return types.SimpleNamespace(all_hold=False)
+
+    patch.setattr(fuzzing, "check_duality", check_duality)
+
+
+def _force_cofinality(patch, expected):
+    built = _recording(patch, "build_point_open")
+    real = fuzzing.relative_cofinality
+    instances = []
+
+    def relative_cofinality(pair):
+        cof = real(pair)
+        instances.append(len(instances))
+
+        def at_most(horizon):
+            (space, fam_a, fam_b, _), _ = built[-1]
+            name = f"cofinality-{instances[-1]}"
+            expected.append(
+                dict(_space_payload(space, fam_a, fam_b, 0, name), horizon=horizon)
+            )
+            return not cof.at_most(horizon)
+
+        return types.SimpleNamespace(at_most=at_most)
+
+    patch.setattr(fuzzing, "relative_cofinality", relative_cofinality)
+
+
+def _force_tukey(patch, expected):
+    def brute_tukey_oracle(phi, src, dst):
+        expected.append({
+            "src": rel_pair_to_json(src),
+            "dst": rel_pair_to_json(dst),
+            "phi": sorted([a, c] for a, c in phi.items()),
+        })
+        return not check_tukey_map(phi, src, dst)
+
+    patch.setattr(fuzzing, "brute_tukey_oracle", brute_tukey_oracle)
+
+
+def _force_gamma(patch, expected):
+    built = _recording(patch, "build_point_open")
+    accepted = []
+
+    def base_payload():
+        (space, fam_a, fam_b, n), _ = built[-1]
+        return _space_payload(space, fam_a, fam_b, n, f"gamma-{len(accepted)}")
+
+    def is_filter_base(family):
+        expected.append(base_payload())
+        return False
+
+    def subsequences_are_plays(game, s, sigma):
+        low = next(
+            h for h in range(1, game.horizon + 1)
+            if fuzzing.winner(game.truncated(h)) is fuzzing.Player.ONE
+        )
+        expected.append(dict(base_payload(), low=low))
+        accepted.append(game)
+        return False
+
+    patch.setattr(fuzzing, "is_filter_base", is_filter_base)
+    patch.setattr(fuzzing, "subsequences_are_plays", subsequences_are_plays)
+
+
+def _force_ground(patch, expected):
+    real = fuzzing.classify_cover
+    calls = []
+
+    def payload(space, fam) -> dict:
+        return {
+            "space": {"size": space.size, "subbasis": [[i] for i in range(space.size)]},
+            "family": [list(items_of(m)) for m in fam.members],
+        }
+
+    def min_covers(space, fam):
+        expected.append(payload(space, fam))
+        return MinCoverResult(covers=((space.full,),), truncated=False)
+
+    def classify_cover(space, fam, listed):
+        # calls come in pairs, the listed sets and then their permutation:
+        # the second of each pair reports the opposite verdict
+        verdict = real(space, fam, listed)
+        calls.append(listed)
+        if len(calls) % 2:
+            return verdict
+        first = calls[-2]
+        expected.append(
+            dict(payload(space, fam), listed=[list(items_of(u)) for u in first])
+        )
+        return types.SimpleNamespace(
+            covers_all=not verdict.covers_all, multiplicity=verdict.multiplicity
+        )
+
+    patch.setattr(fuzzing, "min_covers", min_covers)
+    patch.setattr(fuzzing, "classify_cover", classify_cover)
+
+
+def _scenarios(*keys):
+    """Asserts that the scenario payloads under ``keys`` (the instance
+    itself when none) parse back through the scenario schema."""
+
+    def replays(instance) -> None:
+        for payload in [instance[k] for k in keys] if keys else [instance]:
+            assert scenario_to_json(scenario_from_json(payload)) == {
+                k: v for k, v in payload.items() if k != "low"
+            }
+
+    return replays
+
+
+def _order_pairs(instance) -> None:
+    for key in ("src", "dst"):
+        assert rel_pair_to_json(rel_pair_from_json(instance[key])) == instance[key]
+
+
+# (suite, force, how one recorded instance replays)
+FORCED = (
+    ("determinacy", _force_determinacy, _scenarios()),
+    ("translation", _force_translation, _scenarios("src", "dst")),
+    ("duality", _force_duality, _scenarios("family-game", "reflection-game")),
+    ("cofinality", _force_cofinality, _scenarios()),
+    ("tukey", _force_tukey, _order_pairs),
+    ("gamma", _force_gamma, _scenarios()),
+    ("ground", _force_ground, lambda instance: None),  # lists of items, no schema
+)

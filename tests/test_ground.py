@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from brute import brute_classify_cover, brute_min_covers
+from brute import brute_classify_cover, brute_family_flags, brute_min_covers
 from selgames import (
     CoverVerdict,
     SetFamily,
@@ -52,6 +52,19 @@ class TestBuildTopology:
         with pytest.raises(TopologyTooLarge):
             build_topology(13, list(range(1, 5000)))
 
+    def test_discrete_space_is_the_closure_of_singletons(self):
+        for n in range(1, 13):
+            assert discrete_space(n) == build_topology(n, [1 << i for i in range(n)])
+        for n in (0, 17):
+            with pytest.raises(CapExceeded):
+                build_topology(n, [1 << i for i in range(n)])
+            with pytest.raises(CapExceeded):
+                discrete_space(n)
+        # 2^13 opens exceed the cap: the closure would raise
+        # TopologyTooLarge only after building 4,097 of them
+        with pytest.raises(TopologyTooLarge):
+            discrete_space(13)
+
     def test_least_fixpoint(self):
         # every non-subbasis, non-forced open is regenerated by a pairwise
         # union or intersection of the remaining opens
@@ -81,6 +94,18 @@ class TestSetFamily:
     def test_duplicates_merged(self, d2):
         fam = SetFamily.build(d2, [1, 1, 2])
         assert fam.members == (1, 2)
+
+    def test_flags_match_their_definitions(self):
+        # every family, over every topology on at most 3 points
+        for space in small_topologies():
+            subsets = range(space.full + 1)
+            for k in range(len(subsets) + 1):
+                for members in itertools.combinations(subsets, k):
+                    fam = SetFamily.build(space, members)
+                    got = {flag: getattr(fam, flag) for flag in (
+                        "ideal_base", "covers_universe", "all_open", "all_closed")}
+                    assert got == brute_family_flags(space, members), (
+                        space.opens, members)
 
     def test_member_outside_universe(self, d2):
         with pytest.raises(ValueError):

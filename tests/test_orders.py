@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from brute import brute_truncate_product
 from selgames import (
     OMEGA,
     UNDEFINED,
@@ -16,6 +17,7 @@ from selgames import (
     truncate_product,
 )
 from selgames.errors import CarrierTooLarge
+from selgames.fuzzing import _random_order_pair
 from selgames.orders import RelPair, is_cofinal, projection_map
 
 
@@ -164,6 +166,22 @@ class TestProductAndLift:
         embedded = [pos3[prod2.carrier[i]] for i in prod2.sub_a]
         assert is_cofinal(prod2, prod2.sub_a)
         assert not is_cofinal(prod3, embedded)
+
+    def test_rows_match_the_coordinatewise_order(self):
+        # the bitmask rows equal the product order tabulated pair by pair,
+        # on seeded subset and preorder bases
+        rng = random.Random(31)
+        bases = [subset_pair([1, 3, 7], [1, 2]), subset_pair([], [1])]
+        bases += [_random_order_pair(rng) for _ in range(40)]
+        for base in bases:
+            for bound in range(5):
+                assert truncate_product(base, bound) == brute_truncate_product(
+                    base, bound
+                ), (base, bound)
+
+    def test_negative_bound_rejected(self):
+        with pytest.raises(ValueError):
+            truncate_product(inclusion_pair([1, 2], [3]), -1)
 
     def test_lift_table(self):
         assert lift_omega_cof(ExtendedNat.finite(3), b_empty=False) == OMEGA

@@ -362,6 +362,28 @@ class TestStateWitness:
         for g in games:
             assert expand(g, solve(g).witness) == brute_history_witness(g)
 
+    def test_corpus_counters_are_pinned(self):
+        # (winner, nodes explored, memo hits, witness rows) per corpus game:
+        # a faster determination loop must keep its short-circuit order,
+        # so these may not move
+        pinned = {
+            "point-open-discrete-2-h1": ("two", 1, 0, 2),
+            "point-open-discrete-2-h2": ("one", 2, 1, 2),
+            "rothberger-discrete-2-h1": ("one", 1, 0, 1),
+            "rothberger-discrete-2-h2": ("two", 2, 1, 2),
+            "point-open-discrete-3-h3": ("one", 8, 19, 7),
+            "rothberger-multiplicity-2": ("one", 9, 16, 9),
+            "point-open-window-discrete-3": ("one", 29, 74, 28),
+        }
+        got = {}
+        for sc in corpus():
+            det = solve(build_game(sc))
+            got[sc.name] = (
+                det.winner.value, det.nodes_explored, det.memo_hits,
+                len(det.witness.table),
+            )
+        assert got == pinned
+
     def test_rows_stay_within_the_memo(self):
         # point-open discrete d4 h5: 27 rows against 32 memo nodes, where
         # the history table has 2,801 rows

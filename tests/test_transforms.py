@@ -1,7 +1,9 @@
 import itertools
+import random
 
 import pytest
 
+from brute import brute_translation_axioms, preservation_fails, pulled_plays
 from selgames import (
     CoversFamily,
     Direction,
@@ -36,6 +38,7 @@ from selgames.errors import (
     NotUniformlyWinning,
     WitnessMissing,
 )
+from selgames.fuzzing import _translation_instance
 from selgames.game import expand
 from selgames.ground import family_of
 from selgames.transforms import blocks_are_counter_plays, subsequences_are_plays
@@ -87,6 +90,43 @@ class TestAxioms:
         check = check_translation_axioms(pack, src, dst)
         assert not check
         assert check.failure[0] == "preservation"
+
+    def test_state_walk_matches_literal_enumeration(self):
+        # lifted packs, and the same packs with one pushforward entry
+        # rewired to an item of its target move (preservation may fail) or
+        # to any item (legality may fail), against the (js, xs) enumeration
+        rng = random.Random(5)
+        kinds = {"legality": 0, "preservation": 0, None: 0}
+        for _ in range(300):
+            pack, src, dst = _translation_instance(rng)
+            packs = [pack]
+            for legal in (True, False):
+                r = rng.randrange(src.horizon)
+                key = rng.choice(sorted(pack.t_two[r]))
+                pool = dst.moves[r][key[1]] if legal else dst.universe | {-1}
+                t_two = list(pack.t_two)
+                t_two[r] = dict(t_two[r])
+                t_two[r][key] = rng.choice(sorted(pool))
+                packs.append(TranslationPack(t_one=pack.t_one, t_two=tuple(t_two)))
+            for p in packs:
+                got = check_translation_axioms(p, src, dst)
+                want = brute_translation_axioms(p, src, dst)
+                assert bool(got) == bool(want)
+                kinds[None if want else want.failure[0]] += 1
+                if want:
+                    continue
+                assert got.failure[0] == want.failure[0]
+                if want.failure[0] == "legality":
+                    assert got.failure == want.failure
+                    continue
+                # the walk's witness is the least failing play with the
+                # rounds' (j, x) pairs compared in turn
+                failing = [
+                    (js, xs) for js, xs in pulled_plays(p, src, dst)
+                    if preservation_fails(p, src, dst, js, xs)
+                ]
+                assert got.failure[1] == min(failing, key=lambda f: list(zip(*f)))
+        assert all(kinds.values()), kinds
 
     def test_horizon_mismatch(self):
         g1 = explicit_game([[frozenset({0})]], 1, [])
