@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from .errors import ChoiceSpaceTooLarge
 from .game import GameSpec, Not, Player
-from .solver import _Solver
+from .solver import DEFAULT_NODE_BUDGET, _Solver
 
 Family = Sequence[frozenset]
 
@@ -107,7 +107,8 @@ class DualityReport:
     facts: dict
 
 
-def check_duality(game_over_fam: GameSpec, game_over_refl: GameSpec) -> DualityReport:
+def check_duality(game_over_fam: GameSpec, game_over_refl: GameSpec,
+                  node_budget: int = DEFAULT_NODE_BUDGET) -> DualityReport:
     """Solve and synthesize on both sides; compare per the duality clauses.
 
     Duality of two games is stated as two strategic clauses: One wins the
@@ -119,8 +120,8 @@ def check_duality(game_over_fam: GameSpec, game_over_refl: GameSpec) -> DualityR
     Markov table, so they are independent even here.
 
     Requires equal horizons and the mirrored target.  Markov synthesis
-    may raise BudgetExceeded; callers report that separately from a
-    negative answer.
+    runs under ``node_budget`` and may raise BudgetExceeded; callers
+    report that separately from a negative answer.
     """
     if game_over_fam.horizon != game_over_refl.horizon:
         raise ValueError("games must share a horizon")
@@ -133,8 +134,8 @@ def check_duality(game_over_fam: GameSpec, game_over_refl: GameSpec) -> DualityR
     one_refl = refl.winner() is Player.ONE
     pre_fam = fam.find_predetermined_one() is not None
     pre_refl = refl.find_predetermined_one() is not None
-    markov_fam = fam.find_markov_two() is not None
-    markov_refl = refl.find_markov_two() is not None
+    markov_fam = fam.find_markov_two(node_budget) is not None
+    markov_refl = refl.find_markov_two(node_budget) is not None
     strategic = one_fam != one_refl
     limited_fam = pre_fam == markov_refl
     limited_refl = pre_refl == markov_fam

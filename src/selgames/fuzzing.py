@@ -413,7 +413,7 @@ def suite_duality(rng: random.Random, count: int, profile: FuzzProfile) -> Suite
         if not res.check("duality/constructed-reflection", report.is_reflection, payload):
             continue
         try:
-            dual = check_duality(g_fam, g_refl)
+            dual = check_duality(g_fam, g_refl, profile.markov_budget)
         except BudgetExceeded:
             res.budget_exceeded += 1
             res.instances += 1

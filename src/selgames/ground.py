@@ -73,33 +73,28 @@ def build_topology(size: int, subbasis: Iterable[int]) -> GroundSpace:
     """Close ``subbasis`` plus {empty, universe} under union and intersection.
 
     ``subbasis`` members are bitmasks over {0..size-1}.  The result is the
-    least such family (fixpoint of adding pairwise unions/intersections).
+    least such family: every union of finite intersections of members
+    and the universe.  Those intersections are closed under intersection,
+    so their unions are closed under both.
     """
     _check_size(size)
     full = (1 << size) - 1
-    opens = {0, full}
+    base = {full}
     for s in subbasis:
         if not is_subset(s, full):
             raise ValueError(f"subbasis member {s:#b} not inside the universe")
-        opens.add(s)
-        if len(opens) > OPENS_CAP:
-            raise TopologyTooLarge(f"more than {OPENS_CAP} open sets")
-    frontier = list(opens)
-    while frontier:
-        new = []
-        current = list(opens)
-        for a in frontier:
-            for b in current:
-                for c in (a | b, a & b):
-                    if c not in opens:
-                        opens.add(c)
-                        new.append(c)
-                        if len(opens) > OPENS_CAP:
-                            raise TopologyTooLarge(
-                                f"more than {OPENS_CAP} open sets"
-                            )
-        frontier = new
+        base |= {b & s for b in base}
+        _check_opens(base)
+    opens = {0}
+    for b in base:
+        opens |= {u | b for u in opens}
+        _check_opens(opens)
     return GroundSpace(size=size, opens=frozenset(opens))
+
+
+def _check_opens(opens: set) -> None:
+    if len(opens) > OPENS_CAP:
+        raise TopologyTooLarge(f"more than {OPENS_CAP} open sets")
 
 
 def discrete_space(size: int) -> GroundSpace:

@@ -175,20 +175,17 @@ def _dominator_masks(pair: RelPair) -> dict[int, int]:
     """For each sub_b index, the bitmask (over sub_a positions) of dominators."""
     masks = {}
     for b in pair.sub_b:
-        m = 0
-        for pos, a in enumerate(pair.sub_a):
-            if pair.leq(b, a):
-                m |= 1 << pos
-        masks[b] = m
+        row = pair.up[b]
+        masks[b] = sum(1 << pos for pos, a in enumerate(pair.sub_a) if row >> a & 1)
     return masks
 
 
 def is_cofinal(pair: RelPair, subset: Iterable[int]) -> bool:
     """Whether the given sub_a indices dominate every obligation."""
-    chosen = set(subset)
-    return all(
-        any(pair.leq(b, a) for a in chosen) for b in pair.sub_b
-    )
+    chosen = 0
+    for a in subset:
+        chosen |= 1 << a
+    return all(pair.up[b] & chosen for b in pair.sub_b)
 
 
 def relative_cofinality(pair: RelPair) -> ExtendedNat:
@@ -254,7 +251,8 @@ def check_tukey_map(
         if phi[a] not in dst.sub_a:
             raise ValueError("phi image outside the target subfamily")
     for d in dst.sub_b:
-        f_d = [a for a in src.sub_a if not dst.leq(d, phi[a])]
+        row = dst.up[d]
+        f_d = [a for a in src.sub_a if not row >> phi[a] & 1]
         if is_cofinal(src, f_d):
             return False
     return True

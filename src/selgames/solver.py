@@ -7,18 +7,19 @@ least winning move per (round, state) -- a StateOne table
 (round, state) -> least winning index, or a StateTwo table
 (round, state, One's index) -> least winning reply -- so it has one row
 per reachable state, not per history (``game.expand`` gives the history
-table).  find_predetermined_one() recurses over (round, set of states
-Two's replies can reach), since a script sees no reply, and answers None
-at once for a set holding a state Two wins from.  One _Solver per game
-holds the (state, selection) transition cache, Two's selections from
-each move set and the (round, state) memo that determination,
-extraction, both synthesizers and this prune share; callers asking
-several questions of one game share one _Solver.  verify() checks a
-strategy whose move depends on the round, the state and One's index
-(StateOne, StateTwo, PreOne, MarkovTwo) by one walk memoized on (round,
-state) that counts plays by multiplication; a history table (FullOne,
-FullTwo) is walked play by play, stepping each (state, selection)
-transition once.
+table).  find_predetermined_one() and find_markov_two() share one search
+over (round, set of states the other side can reach): a script sees no
+reply and a Markov table no history, so each fixes one row per round,
+and a set holding a state the other side wins from is answered None at
+once.  One _Solver per game holds the (state, selection) transition
+cache, Two's selections from each move set and the (round, state) memo
+that determination, extraction, both synthesizers and this prune share;
+callers asking several questions of one game share one _Solver.
+verify() checks a strategy whose move depends on the round, the state
+and One's index (StateOne, StateTwo, PreOne, MarkovTwo) by one walk
+memoized on (round, state) that counts plays by multiplication; a
+history table (FullOne, FullTwo) is walked play by play, stepping each
+(state, selection) transition once.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .game import (
 )
 
 DEFAULT_NODE_BUDGET = 10**7
-MARKOV_CELL_CAP = 24
 MAX_EXHIBITS = 16
 
 
@@ -87,7 +87,7 @@ class _Solver:
     determination memo; the determination, both extraction walks, the
     script search and Markov synthesis read selections and step the
     target only through those tables, and both synthesizers read their
-    prune or winner off that memo.  A caller asking several questions of
+    prune off that memo.  A caller asking several questions of
     one game builds one and asks them all of it; the nodes and memo hits
     ``solve`` reports then count every search made on it so far.
     """
@@ -197,99 +197,88 @@ class _Solver:
             walk(0, game.target.start)
         return StateTwo(table=table)
 
-    def find_predetermined_one(self) -> Optional[PreOne]:
-        game, transitions, selections = self.game, self.transitions, self.selections
-        reached: dict = {}  # (state, move set) -> frozenset of next states
+    def _least_rows(self, one_side: bool, rows, node_budget: int) -> Optional[tuple]:
+        """One's script or Two's Markov table as one row per round, or
+        None.  ``rows(r, states)`` lists candidate rows in order, each with
+        the set of states the other side reaches through it.  A set holding
+        a state the other side wins from answers None: at the horizon,
+        that test is the verdict."""
+        horizon, two_wins = self.game.horizon, self.two_wins
         memo: dict = {}  # (round, state set) -> least winning suffix or None
-
-        def step(states: frozenset, ms) -> frozenset:
-            out = set()
-            for state in states:
-                if (state, ms) not in reached:
-                    reached[state, ms] = frozenset(
-                        transitions[state, x] for x in selections[ms]
-                    )
-                out |= reached[state, ms]
-            return frozenset(out)
+        budget = node_budget
 
         def least_suffix(r: int, states: frozenset) -> Optional[tuple]:
-            if r == game.horizon:
-                return None if any(map(game.target.accept, states)) else ()
+            nonlocal budget
             key = (r, states)
-            if key not in memo:
-                memo[key] = None
-                # a script is one of One's strategies: it cannot win from a
-                # set holding a state Two wins from
-                if not any(self.two_wins(r, state) for state in states):
-                    for i, ms in enumerate(game.moves[r]):
-                        suffix = least_suffix(r + 1, step(states, ms))
-                        if suffix is not None:
-                            memo[key] = (i,) + suffix
-                            break
+            if key in memo:
+                return memo[key]
+            memo[key] = None
+            if any(two_wins(r, state) == one_side for state in states):
+                return None
+            if r == horizon:
+                memo[key] = ()
+                return ()
+            budget -= 1
+            if budget < 0:
+                raise BudgetExceeded("synthesis node budget exhausted")
+            for row, reached in rows(r, states):
+                suffix = least_suffix(r + 1, reached)
+                if suffix is not None:
+                    memo[key] = (row,) + suffix
+                    break
             return memo[key]
 
-        script = least_suffix(0, frozenset([game.target.start]))
+        return least_suffix(0, frozenset([self.game.target.start]))
+
+    def find_predetermined_one(self) -> Optional[PreOne]:
+        moves, transitions, selections = self.game.moves, self.transitions, self.selections
+        reached: dict = {}  # (state, move set) -> the states Two's replies reach
+
+        def indices(r: int, states: frozenset) -> Iterator[tuple]:
+            for i, ms in enumerate(moves[r]):
+                out = set()
+                for state in states:
+                    nexts = reached.get((state, ms))
+                    if nexts is None:
+                        nexts = reached[state, ms] = frozenset(
+                            transitions[state, x] for x in selections[ms]
+                        )
+                    out |= nexts
+                yield i, frozenset(out)
+
+        script = self._least_rows(True, indices, DEFAULT_NODE_BUDGET)
         return None if script is None else PreOne(indices=script)
 
     def find_markov_two(
         self, node_budget: int = DEFAULT_NODE_BUDGET
     ) -> Optional[MarkovTwo]:
-        game, transitions, selections = self.game, self.transitions, self.selections
-        if not self.two_wins(0, game.target.start):
+        moves, transitions, selections = self.game.moves, self.transitions, self.selections
+        two_wins = self.two_wins
+
+        def replies(r: int, states: frozenset) -> list:
+            partial = {frozenset(): ()}  # union of images -> first row to it
+            for ms in moves[r]:
+                images = []
+                for x in selections[ms]:
+                    image = frozenset([transitions[state, x] for state in states])
+                    if all(two_wins(r + 1, nxt) for nxt in image):
+                        images.append((x, image))
+                grown: dict = {}
+                for union, row in partial.items():
+                    for x, image in images:
+                        grown.setdefault(union | image, row + (x,))
+                partial = {
+                    union: row for union, row in grown.items()
+                    if not any(other < union for other in grown)
+                }
+            return [(row, union) for union, row in partial.items()]
+
+        table = self._least_rows(False, replies, node_budget)
+        if table is None:
             return None
-        if game.horizon == 0:
-            return MarkovTwo(table={})
-        # Column-major cell order: once move index 0 is assigned at every
-        # round, each later assignment completes plays immediately, so the
-        # partial-play falsification prunes near the top of the search tree.
-        cells = sorted(
-            ((r, j) for r in range(game.horizon) for j in range(len(game.moves[r]))),
-            key=lambda cell: (cell[1], cell[0]),
-        )
-        if len(cells) > MARKOV_CELL_CAP:
-            raise BudgetExceeded(
-                f"Markov table would need {len(cells)} cells (cap {MARKOV_CELL_CAP})"
-            )
-
-        assigned: dict = {}
-        budget = [node_budget]
-
-        def complete_plays_through(cell) -> Iterator[tuple]:
-            r0, j0 = cell
-            per_round = []
-            for r in range(game.horizon):
-                js = [j0] if r == r0 else [
-                    j for j in range(len(game.moves[r])) if (r, j) in assigned
-                ]
-                if not js:
-                    return
-                per_round.append(js)
-            yield from itertools.product(*per_round)
-
-        def play_ok(idx: tuple) -> bool:
-            state = game.target.start
-            for r, j in enumerate(idx):
-                state = transitions[state, assigned[r, j]]
-            return game.target.accept(state)
-
-        def assign(k: int) -> bool:
-            if k == len(cells):
-                return True
-            r, j = cells[k]
-            for x in selections[game.moves[r][j]]:
-                budget[0] -= 1
-                if budget[0] < 0:
-                    raise BudgetExceeded("Markov search node budget exhausted")
-                assigned[(r, j)] = x
-                if all(play_ok(idx) for idx in complete_plays_through((r, j))):
-                    if assign(k + 1):
-                        return True
-                del assigned[(r, j)]
-            return False
-
-        if assign(0):
-            return MarkovTwo(table={(j, r): assigned[(r, j)] for r, j in cells})
-        return None
+        return MarkovTwo(table={
+            (j, r): x for r, row in enumerate(table) for j, x in enumerate(row)
+        })
 
 
 def solve(game: GameSpec) -> Determination:
@@ -313,7 +302,8 @@ def find_predetermined_one(game: GameSpec) -> Optional[PreOne]:
     without search; this cuts only branches that would fail, and a game
     Two wins answers None after one determination.  Each (state, move
     set) step runs once per call, each (state, selection) transition once
-    per game.
+    per game.  The search shares find_markov_two's, under
+    DEFAULT_NODE_BUDGET (round, set) nodes.
     """
     return _Solver(game).find_predetermined_one()
 
@@ -321,12 +311,21 @@ def find_predetermined_one(game: GameSpec) -> Optional[PreOne]:
 def find_markov_two(
     game: GameSpec, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> Optional[MarkovTwo]:
-    """Exact backtracking search for a winning Markov table, or None.
+    """A winning Markov table for Two, or None, by exact search.
 
-    Budget exhaustion raises BudgetExceeded: a third outcome, distinct
-    from "no such strategy exists".  A game One wins has no winning table
-    for Two, so it answers None before the cap on the table's cells
-    (one per move set of each round) applies.
+    A table sees One's current index and the round, not the history, so
+    the search recurses over (round, set of target states One's indices
+    can have reached), memoized on that pair; a set holding a state One
+    wins from is answered None without search, so a game One wins answers
+    None after one determination.  The canonical table: a round's rows
+    answer its move sets one at a time, each with a reply, in canonical
+    order, that keeps every state Two-won; each union of reached states
+    keeps the first row reaching it, and a union strictly containing
+    another is dropped (a smaller set is never worse for Two).  The rows
+    left are tried in lexicographic order, and the first that wins at
+    every later round is taken.  Each (round, set) node expanded counts
+    against ``node_budget``; exhaustion raises BudgetExceeded, a third
+    outcome distinct from "no such strategy exists".
     """
     return _Solver(game).find_markov_two(node_budget)
 

@@ -17,6 +17,7 @@ from selgames.game import (
     FullTwo,
     GameSpec,
     Kind,
+    MarkovTwo,
     Player,
     PlayRecord,
     PreOne,
@@ -122,6 +123,19 @@ def brute_least_pre_one(game: GameSpec):
     return None
 
 
+def brute_markov_two(game: GameSpec):
+    """A winning Markov table by literal enumeration: every table, one
+    reply per move set of each round, in product order; the first that
+    ``brute_verify`` passes, or None."""
+    cells = [(j, r) for r, family in enumerate(game.moves) for j in range(len(family))]
+    replies = [brute_two_choices(game, game.moves[r][j]) for j, r in cells]
+    for xs in itertools.product(*replies):
+        table = MarkovTwo(table=dict(zip(cells, xs)))
+        if brute_verify(game, table).valid:
+            return table
+    return None
+
+
 def brute_every_subsequence(inner, m: int, items) -> bool:
     """Every subsequence of ``items`` of length >= m satisfies ``inner``,
     each evaluated whole."""
@@ -175,6 +189,18 @@ def brute_verify(game: GameSpec, strategy, max_exhibits: int = MAX_EXHIBITS):
         counter_plays=tuple(lost[:max_exhibits]),
         plays_checked=len(plays),
     )
+
+
+def brute_topology(size: int, subbasis) -> frozenset:
+    """The opens generated by ``subbasis``: the literal fixpoint of adding
+    every pairwise union and intersection, from the subbasis, the empty
+    set and the universe."""
+    opens = {0, (1 << size) - 1, *subbasis}
+    while True:
+        grown = opens | {c for a in opens for b in opens for c in (a | b, a & b)}
+        if grown == opens:
+            return frozenset(opens)
+        opens = grown
 
 
 def brute_min_covers(space, fam_members, opens):

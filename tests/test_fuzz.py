@@ -63,11 +63,15 @@ class TestFuzzContract:
                 replays(instance)
 
     def test_markov_budget_threads_through(self):
+        # budget zero forces the synthesizer to give up wherever Two wins,
+        # in every suite that synthesizes Markov tables
+        suites = ("determinacy", "duality", "translation")
         profile = FuzzProfile(markov_budget=0)
-        report = fuzz(seed=3, count=3, suites=("determinacy",), profile=profile)
-        # budget zero forces the synthesizer to give up wherever Two wins
-        assert report.results["determinacy"].budget_exceeded > 0
+        report = fuzz(seed=3, count=3, suites=suites, profile=profile)
+        for suite in suites:
+            assert report.results[suite].budget_exceeded > 0, suite
         assert report.total_budget_exceeded > 0
+        assert fuzz(seed=3, count=3, suites=suites).total_budget_exceeded == 0
 
 
 # -- forced violations ------------------------------------------------------
@@ -137,7 +141,7 @@ def _force_translation(patch, expected):
 
 
 def _force_duality(patch, expected):
-    def check_duality(g_fam, g_refl):
+    def check_duality(g_fam, g_refl, node_budget):
         expected.append({
             "family-game": scenario_to_json(abstract_scenario("duality-fam", g_fam)),
             "reflection-game": scenario_to_json(abstract_scenario("duality-refl", g_refl)),

@@ -4,7 +4,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from brute import brute_classify_cover, brute_family_flags, brute_min_covers
+from brute import (
+    brute_classify_cover,
+    brute_family_flags,
+    brute_min_covers,
+    brute_topology,
+)
 from selgames import (
     CoverVerdict,
     SetFamily,
@@ -78,6 +83,18 @@ class TestBuildTopology:
                     a | b == u or a & b == u
                     for a, b in itertools.combinations(rest, 2)
                 ), f"open {u:#b} not regenerated"
+
+    def test_matches_the_literal_fixpoint(self):
+        # every subbasis of at most 3 members on at most 3 points
+        for n in range(1, 4):
+            masks_n = range(1 << n)
+            for k in range(4):
+                for sub in itertools.combinations(masks_n, k):
+                    assert build_topology(n, sub).opens == brute_topology(n, sub), sub
+
+    def test_member_outside_the_universe(self):
+        with pytest.raises(ValueError):
+            build_topology(2, [0b100])
 
 
 class TestSetFamily:

@@ -1,6 +1,8 @@
 import contextlib
+import hashlib
 import io
 import json
+import math
 import random
 
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from brute import (
     brute_history_witness,
     brute_least_pre_one,
+    brute_markov_two,
     brute_verify,
     brute_winner,
 )
@@ -229,9 +232,8 @@ class TestFindMarkovTwo:
         with pytest.raises(BudgetExceeded):
             find_markov_two(g, node_budget=0)
 
-    def test_cell_cap_counts_the_table_cells(self):
-        # one cell per move set of each round: families of sizes 1, 1, 1, 7
-        # need 10 cells, under the cap, although 7 x 4 rounds would be 28
+    def test_table_has_one_cell_per_move_set(self):
+        # families of sizes 1, 1, 1, 7 give 10 cells, not 7 x 4 rounds = 28
         pairs = [frozenset([k, k + 1]) for k in range(2, 9)]
         g = make_game(
             [[frozenset([1])]] * 3 + [pairs],
@@ -244,12 +246,41 @@ class TestFindMarkovTwo:
         assert markov is not None and len(markov.table) == 10
         assert verify(g, markov).valid
 
-    def test_cell_cap_raises(self, d3, singles3):
-        # Two wins, but the table would need 7 move sets x 4 rounds = 28 cells
-        g = build_rothberger(d3, singles3, singles3, 4)
-        assert winner(g) is Player.TWO
-        with pytest.raises(BudgetExceeded):
-            find_markov_two(g)
+    def test_rothberger_tables_of_many_cells(self):
+        # Two wins Rothberger discrete d3 from h3 on and d4 from h4 on
+        # (test_one_won_game_beyond_the_cap_has_no_table covers d4 h1-h3):
+        # tables of 28 to 56 cells (d3 h4-h8) and 192 and 240 (d4 h4-h5)
+        for size, horizons in ((3, range(4, 9)), (4, (4, 5))):
+            space = discrete_space(size)
+            singles = singleton_family(space)
+            for h in horizons:
+                g = build_rothberger(space, singles, singles, h)
+                markov = find_markov_two(g)
+                assert markov is not None, (size, h)
+                assert len(markov.table) == len(g.moves[0]) * h
+                assert verify(g, markov).valid, (size, h)
+
+    def test_existence_matches_table_enumeration(self):
+        # tiny random games with at most 200 tables, each listed in full;
+        # the tables found are pinned by digest, since their canonical
+        # order is what `synth markov-two` prints
+        rng = random.Random(12)
+        checked, found = 0, []
+        while checked < 300:
+            g = _random_game(rng)
+            tables = math.prod(
+                len(tuple(two_choices(g, ms))) for family in g.moves for ms in family
+            )
+            if tables > 200:
+                continue
+            checked += 1
+            markov = find_markov_two(g)
+            assert (markov is None) == (brute_markov_two(g) is None), g
+            if markov is not None:
+                assert brute_verify(g, markov).valid and verify(g, markov).valid
+                found.append(canonical_dumps(strategy_to_json(markov, g.kind)))
+        digest = hashlib.sha256("".join(found).encode()).hexdigest()
+        assert (len(found), digest[:16]) == (162, "a672b373f79b65a7")
 
     def test_one_won_game_beyond_the_cap_has_no_table(self):
         # One wins, so no table exists however many cells it would need
