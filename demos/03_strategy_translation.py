@@ -5,7 +5,8 @@ source selections forward to target selections.  Once its two axioms
 check out (pushed selections are legal; pushed winning sequences stay
 winning), four transfers follow mechanically: Markov and full tables
 for Two push forward, scripts and full strategies for One pull back.
-Here the pack comes from a single item map, lifted pointwise.
+The full transfers take the state-keyed witness ``solve`` returns as it
+is.  Here the pack comes from a single item map, lifted pointwise.
 """
 
 import itertools
@@ -16,7 +17,6 @@ from selgames import (
     Kind,
     apply_translation,
     check_translation_axioms,
-    expand,
     find_markov_two,
     find_predetermined_one,
     lift_item_map,
@@ -54,8 +54,7 @@ print("source Markov:", markov.table)
 print("target Markov:", out.table)
 print("target Markov verifies:", verify(dst, out).valid)
 
-full_two = expand(src, solve(src).witness)  # the transfers read history tables
-out_full = apply_translation(pack, src, dst, Direction.FULL_TWO, full_two)
+out_full = apply_translation(pack, src, dst, Direction.FULL_TWO, solve(src).witness)
 print("full-table transfer verifies:", verify(dst, out_full).valid)
 
 print("\n== pulling One's strategies back")
@@ -71,8 +70,8 @@ pulled = apply_translation(
 print("target script:", script.indices, "-> source script:", pulled.indices)
 print("pulled script verifies:", verify(mirror_src, pulled).valid)
 
-full_one = expand(mirror_dst, solve(mirror_dst).witness)
 pulled_full = apply_translation(
-    identity, mirror_src, mirror_dst, Direction.FULL_ONE_PULLBACK, full_one
+    identity, mirror_src, mirror_dst, Direction.FULL_ONE_PULLBACK,
+    solve(mirror_dst).witness,
 )
 print("pulled full strategy verifies:", verify(mirror_src, pulled_full).valid)

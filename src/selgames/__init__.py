@@ -71,7 +71,6 @@ from .scenarios import (
     load_scenario,
     parse_scenario,
     emit_scenario,
-    save_scenario,
 )
 from .solver import (
     Determination,

@@ -21,7 +21,7 @@ from .errors import (
     SelGamesError,
 )
 from .fuzzing import ALL_SUITES, FuzzProfile, fuzz
-from .game import Player, StateOne, StateTwo, expand
+from .game import Player
 from .orders import lift_omega_cof, relative_cofinality
 from .scenarios import CORPUS_EXPECTATIONS, build_game, corpus, load_scenario
 from .serialize import (
@@ -197,19 +197,15 @@ def _cmd_translate(args) -> int:
     direction = Direction(args.direction)
     if args.input:
         strategy = strategy_from_json(_load_json(args.input))
-        if isinstance(strategy, (StateOne, StateTwo)):
-            # a solve witness (Two's for src, One's for dst): the transfers
-            # read history tables
-            strategy = expand(src if isinstance(strategy, StateTwo) else dst, strategy)
     else:
         if direction is Direction.MARKOV_TWO:
             strategy = find_markov_two(src, node_budget=args.budget)
         elif direction is Direction.FULL_TWO:
             det = solve(src)
-            strategy = expand(src, det.witness) if det.winner is Player.TWO else None
+            strategy = det.witness if det.winner is Player.TWO else None
         elif direction is Direction.FULL_ONE_PULLBACK:
             det = solve(dst)
-            strategy = expand(dst, det.witness) if det.winner is Player.ONE else None
+            strategy = det.witness if det.winner is Player.ONE else None
         else:
             strategy = find_predetermined_one(dst)
         if strategy is None:

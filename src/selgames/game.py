@@ -253,16 +253,6 @@ class GameSpec:
         )
 
 
-def flatten_selections(kind: Kind, selections: Sequence) -> tuple[int, ...]:
-    """Item sequence a target sees: finite-kind subsets flatten in item order."""
-    if kind is Kind.SINGLE:
-        return tuple(selections)
-    out: list[int] = []
-    for s in selections:
-        out.extend(sorted(s))
-    return tuple(out)
-
-
 def advance(game: "GameSpec", state, x):
     """Target state after Two's selection ``x``; a subset steps in item order."""
     step = game.target.step
@@ -480,12 +470,6 @@ def is_one_play(game: GameSpec, one: Union[StrategyOne, Sequence[int]], selectio
         if isinstance(one, StateOne):
             state = advance(game, state, legal)
     return True
-
-
-def embed_two_into_finite(strategy: Union[FullTwo, MarkovTwo, StateTwo]):
-    """Selection-singleton embedding of a single-kind Two strategy."""
-    wrapped = {k: frozenset([v]) for k, v in strategy.table.items()}
-    return type(strategy)(table=wrapped)
 
 
 def expand(game: GameSpec, strategy) -> Union[FullOne, FullTwo]:

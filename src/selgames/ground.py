@@ -79,10 +79,14 @@ def build_topology(size: int, subbasis: Iterable[int]) -> GroundSpace:
     """
     _check_size(size)
     full = (1 << size) - 1
-    base = {full}
-    for s in subbasis:
+    members = list(subbasis)
+    for s in members:
         if not is_subset(s, full):
             raise ValueError(f"subbasis member {s:#b} not inside the universe")
+    # every member, the empty set and the universe are open
+    _check_opens(set(members) | {0, full})
+    base = {full}
+    for s in members:
         base |= {b & s for b in base}
         _check_opens(base)
     opens = {0}

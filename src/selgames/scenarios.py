@@ -232,11 +232,6 @@ def load_scenario(path: str) -> Scenario:
         return parse_scenario(fh.read())
 
 
-def save_scenario(sc: Scenario, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(emit_scenario(sc))
-
-
 def abstract_scenario(name: str, game: GameSpec) -> Scenario:
     """Wrap a bare game in the scenario schema (replay container for reports)."""
     return Scenario(
@@ -268,7 +263,7 @@ def _sc(name, size, subbasis, fam_a, fam_b, horizon, flavor, params=None) -> Sce
 
 
 def corpus() -> tuple[Scenario, ...]:
-    """Small canned scenarios exercised by ``corpus run`` and the demos."""
+    """Small canned scenarios exercised by ``corpus run`` and the tests."""
     singles2 = [[0], [1]]
     singles3 = [[0], [1], [2]]
     return (

@@ -5,10 +5,14 @@ moves back to source moves and a map pushing source selections forward
 to target selections.  Two axioms make the pack usable: legality
 (pushed selections belong to the move they answer) and preservation
 (pushed selection sequences land in the target game's winning predicate
-whenever the originals land in the source's).  Under those axioms four transfers exist: Markov Two and full
-Two push forward, full One and predetermined One pull back.  Each
-transfer here is built exactly as in its existence proof, then
-re-verified exhaustively before being returned.
+whenever the originals land in the source's).  Under those axioms four
+transfers exist: Markov Two and full Two push forward, full One and
+predetermined One pull back.  The full-information transfers take a
+history table or the state-keyed witness ``solve`` returns (a StateTwo
+pushed forward, a StateOne pulled back) and build the history table of
+the other game in one walk that carries the input game's target state.
+Each transfer is built exactly as in its existence proof; its input is
+checked to win once, and its output before it is returned.
 
 The module also hosts the two strengthening constructions for One over
 filter-base move families: the full-information one (winning uniformly
@@ -41,8 +45,11 @@ from .game import (
     Kind,
     MarkovTwo,
     PreOne,
+    StateOne,
+    StateTwo,
     is_one_play,
     one_move_index,
+    two_selection,
 )
 from .ground import SetFamily
 from .solver import is_winning, one_side_plays
@@ -151,86 +158,89 @@ def apply_translation(
     src: GameSpec,
     dst: GameSpec,
     direction: Direction,
-    strategy: Union[MarkovTwo, FullTwo, FullOne, PreOne],
+    strategy: Union[MarkovTwo, FullTwo, StateTwo, FullOne, StateOne, PreOne],
 ):
-    """Transfer a verified winning strategy along the pack.
+    """Transfer a winning strategy along a pack that satisfies the axioms.
 
-    Markov/full Two strategies for the source game become strategies of
-    the same class for the target game; full/predetermined One
-    strategies for the target game pull back to the source game.  The
-    output is rebuilt exactly per the corresponding existence proof and
-    re-verified before being returned.
+    MARKOV_TWO takes a MarkovTwo and FULL_TWO a FullTwo or StateTwo, for
+    the source game; FULL_ONE_PULLBACK takes a FullOne or StateOne and
+    PRE_ONE_PULLBACK a PreOne, for the target game.  The output plays the
+    other game; the full directions return a FullTwo or FullOne with the
+    rows an ``expand``ed input would give.  Raises AxiomsFail, ValueError
+    for a class the direction does not take, InputNotWinning for an input
+    that loses and TranslationFailed for an output that loses.
     """
     check = check_translation_axioms(pack, src, dst)
     if not check:
         raise AxiomsFail(f"pack violates {check.failure[0]} at {check.failure[1]}")
+    return _transfer(pack, src, dst, direction, strategy)
+
+
+def _transfer(pack: TranslationPack, src: GameSpec, dst: GameSpec,
+              direction: Direction, strategy):
+    """``apply_translation`` for a pack whose axioms already hold."""
+    takes = {
+        Direction.MARKOV_TWO: (MarkovTwo,),
+        Direction.FULL_TWO: (FullTwo, StateTwo),
+        Direction.FULL_ONE_PULLBACK: (FullOne, StateOne),
+        Direction.PRE_ONE_PULLBACK: (PreOne,),
+    }[direction]
+    pushes = direction in (Direction.MARKOV_TWO, Direction.FULL_TWO)
+    in_game, out_game = (src, dst) if pushes else (dst, src)
+    side = "source" if pushes else "target"
+    if not isinstance(strategy, takes):
+        names = " or ".join(cls.__name__ for cls in takes)
+        raise ValueError(f"{direction.value} takes a {names} for the {side} game")
+    if not is_winning(in_game, strategy):
+        raise InputNotWinning(f"input strategy loses the {side} game")
     h = src.horizon
+    t_one, t_two = pack.t_one, pack.t_two
+    table: dict = {}
 
     if direction is Direction.MARKOV_TWO:
-        if not isinstance(strategy, MarkovTwo):
-            raise TypeError("expected a MarkovTwo for the source game")
-        if not is_winning(src, strategy):
-            raise InputNotWinning("input Markov strategy loses the source game")
-        table = {}
         for r in range(h):
             for j in range(len(dst.moves[r])):
-                i = pack.t_one[r][j]
-                x = strategy.table[(i, r)]
-                table[(j, r)] = pack.t_two[r][(x, j)]
+                x = strategy.table[(t_one[r][j], r)]
+                table[(j, r)] = t_two[r][(x, j)]
         out: object = MarkovTwo(table=table)
-        target_game = dst
 
     elif direction is Direction.FULL_TWO:
-        if not isinstance(strategy, FullTwo):
-            raise TypeError("expected a FullTwo for the source game")
-        if not is_winning(src, strategy):
-            raise InputNotWinning("input strategy loses the source game")
-        table = {}
-        for r in range(h):
-            for js in itertools.product(
-                *(range(len(dst.moves[q])) for q in range(r + 1))
-            ):
-                pulled = tuple(pack.t_one[q][js[q]] for q in range(r + 1))
-                x = strategy.table[pulled]
-                table[js] = pack.t_two[r][(x, js[r])]
-        out = FullTwo(table=table)
-        target_game = dst
+        step = src.target.step
 
-    elif direction is Direction.FULL_ONE_PULLBACK:
-        if not isinstance(strategy, FullOne):
-            raise TypeError("expected a FullOne for the target game")
-        if not is_winning(dst, strategy):
-            raise InputNotWinning("input strategy loses the target game")
-        table = {}
-
-        def walk(r: int, src_hist: tuple, dst_hist: tuple) -> None:
+        def push(r: int, js: tuple, src_idx: tuple, state) -> None:
+            # state: the source game's, after Two's replies to src_idx
             if r == h:
                 return
-            b = one_move_index(strategy, dst_hist, r)
-            a = pack.t_one[r][b]
+            for j in range(len(dst.moves[r])):
+                idx = src_idx + (t_one[r][j],)
+                x = two_selection(strategy, idx, r, state)
+                table[js + (j,)] = t_two[r][(x, j)]
+                push(r + 1, js + (j,), idx, step(state, x))
+
+        push(0, (), (), src.target.start)
+        out = FullTwo(table=table)
+
+    elif direction is Direction.FULL_ONE_PULLBACK:
+        step = dst.target.step
+
+        def pull(r: int, src_hist: tuple, dst_hist: tuple, state) -> None:
+            # state: the target game's, after the pushed selections
+            if r == h:
+                return
+            b = one_move_index(strategy, dst_hist, r, state)
+            a = t_one[r][b]
             table[src_hist] = a
             for x in sorted(src.moves[r][a]):
-                y = pack.t_two[r][(x, b)]
-                walk(r + 1, src_hist + (x,), dst_hist + (y,))
+                y = t_two[r][(x, b)]
+                pull(r + 1, src_hist + (x,), dst_hist + (y,), step(state, y))
 
-        walk(0, (), ())
+        pull(0, (), (), dst.target.start)
         out = FullOne(table=table)
-        target_game = src
-
-    elif direction is Direction.PRE_ONE_PULLBACK:
-        if not isinstance(strategy, PreOne):
-            raise TypeError("expected a PreOne for the target game")
-        if not is_winning(dst, strategy):
-            raise InputNotWinning("input script loses the target game")
-        out = PreOne(
-            indices=tuple(pack.t_one[r][strategy.indices[r]] for r in range(h))
-        )
-        target_game = src
 
     else:
-        raise ValueError(f"unknown direction {direction!r}")
+        out = PreOne(indices=tuple(t_one[r][strategy.indices[r]] for r in range(h)))
 
-    if not is_winning(target_game, out):
+    if not is_winning(out_game, out):
         raise TranslationFailed(f"transferred strategy loses ({direction.value})")
     return out
 

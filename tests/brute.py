@@ -21,7 +21,6 @@ from selgames.game import (
     Player,
     PlayRecord,
     PreOne,
-    flatten_selections,
     one_move_index,
     play,
 )
@@ -29,6 +28,16 @@ from selgames.ground import CoverVerdict
 from selgames.orders import make_rel_pair
 from selgames.solver import MAX_EXHIBITS, VerificationReport
 from selgames.transforms import AxiomCheck
+
+
+def flatten_selections(kind: Kind, selections) -> tuple[int, ...]:
+    """Item sequence a target sees: finite-kind subsets flatten in item order."""
+    if kind is Kind.SINGLE:
+        return tuple(selections)
+    out: list[int] = []
+    for s in selections:
+        out.extend(sorted(s))
+    return tuple(out)
 
 
 def brute_two_choices(game: GameSpec, move_set):

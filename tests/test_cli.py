@@ -212,6 +212,23 @@ class TestTranslate:
         assert json.loads(out)["transferred"]["class"] == "markov-two"
 
 
+    def test_wrong_strategy_class_is_an_error(self, capsys, tmp_path):
+        # Two wins the tiny game, so `solve` prints a StateTwo, which the
+        # One pullback does not take
+        tiny = str(SCENARIOS / "tiny-abstract.json")
+        _, out, _ = run(capsys, "solve", tiny, "--json")
+        path = tmp_path / "witness.json"
+        path.write_text(json.dumps(json.loads(out)["witness"]))
+        code, out, err = run(
+            capsys, "translate", str(SCENARIOS / "identity-pack-tiny.json"), tiny, tiny,
+            "--direction", "full-one-pullback", "--input", str(path), "--json",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
+
 class TestCofinality:
     def test_pairs_over_singletons(self, capsys):
         code, out, _ = run(
@@ -285,3 +302,28 @@ def test_pinned_output_bytes(capsys):
     code, out, _ = run(capsys, "corpus", "run", "--json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == CORPUS_RUN_SHA256
+
+
+# sha256 of the `translate --json` stdout of the identity pack on the tiny
+# game in all four directions, then of `full-two` with the `solve`
+# witness as `--input`, concatenated in that order
+TRANSLATE_SHA256 = "cfffff6b23320b3b39945acb4ab1098dbf1c34e60e764458ffaf43b86b2a3249"
+
+
+def test_pinned_translate_bytes(capsys, tmp_path):
+    pack = str(SCENARIOS / "identity-pack-tiny.json")
+    tiny = str(SCENARIOS / "tiny-abstract.json")
+    _, out, _ = run(capsys, "solve", tiny, "--json")
+    witness = tmp_path / "witness.json"
+    witness.write_text(json.dumps(json.loads(out)["witness"]))
+    runs = [
+        ("--direction", direction)
+        for direction in ("markov-two", "full-two", "full-one-pullback", "pre-one-pullback")
+    ]
+    runs.append(("--direction", "full-two", "--input", str(witness)))
+    outs = []
+    for extra in runs:
+        code, out, _ = run(capsys, "translate", pack, tiny, tiny, *extra, "--json")
+        assert code == 0, extra
+        outs.append(out)
+    assert hashlib.sha256("".join(outs).encode()).hexdigest() == TRANSLATE_SHA256

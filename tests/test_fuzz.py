@@ -4,7 +4,7 @@ import pytest
 
 from selgames import fuzzing
 from selgames._bits import items_of
-from selgames.errors import InvalidCount
+from selgames.errors import InvalidCount, TranslationFailed
 from selgames.fuzzing import GATED_SUITES, FuzzProfile, fuzz
 from selgames.ground import MinCoverResult
 from selgames.orders import check_tukey_map
@@ -130,14 +130,15 @@ def _force_determinacy(patch, expected):
 def _force_translation(patch, expected):
     drawn = _recording(patch, "_translation_instance")
 
-    def record(game):
+    def _transfer(*args):
         _, src, dst = drawn[-1][1]
         expected.append({
             "src": scenario_to_json(abstract_scenario("translation-src", src)),
             "dst": scenario_to_json(abstract_scenario("translation-dst", dst)),
         })
+        raise TranslationFailed("forced")
 
-    patch.setattr(fuzzing, "verify", _invalid(record))
+    patch.setattr(fuzzing, "_transfer", _transfer)
 
 
 def _force_duality(patch, expected):

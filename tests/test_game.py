@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from brute import brute_every_subsequence
+from brute import brute_every_subsequence, flatten_selections
 from selgames import (
     CoversFamily,
     EverySubsequence,
@@ -20,12 +20,7 @@ from selgames import (
     verify,
 )
 from selgames.errors import EmptyMove, IllegalMove
-from selgames.game import (
-    embed_two_into_finite,
-    expand,
-    flatten_selections,
-    is_one_play,
-)
+from selgames.game import expand, is_one_play
 
 
 class TestTargets:
@@ -186,7 +181,9 @@ class TestStrategyClassHierarchy:
         det = solve(g)
         assert det.winner is Player.TWO
         g_fin = make_game(g.moves, g.horizon, Kind.FINITE, g.target)
-        embedded = embed_two_into_finite(expand(g, det.witness))
+        # each reply becomes the singleton selection of the same item
+        full_two = expand(g, det.witness)
+        embedded = FullTwo(table={k: frozenset([x]) for k, x in full_two.table.items()})
         assert verify(g_fin, embedded).valid
 
 

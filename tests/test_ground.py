@@ -96,6 +96,12 @@ class TestBuildTopology:
         with pytest.raises(ValueError):
             build_topology(2, [0b100])
 
+    def test_members_are_checked_before_the_cap(self):
+        # a caller bug is reported as such, even after more members than
+        # the cap allows opens
+        with pytest.raises(ValueError):
+            build_topology(13, list(range(1, 5000)) + [1 << 13])
+
 
 class TestSetFamily:
     def test_flags_ideal_base(self, d3):

@@ -3,7 +3,12 @@ import random
 
 import pytest
 
-from brute import brute_translation_axioms, preservation_fails, pulled_plays
+from brute import (
+    brute_translation_axioms,
+    brute_verify,
+    preservation_fails,
+    pulled_plays,
+)
 from selgames import (
     CoversFamily,
     Direction,
@@ -36,12 +41,17 @@ from selgames.errors import (
     InputNotWinning,
     NotFilterBase,
     NotUniformlyWinning,
+    TranslationFailed,
     WitnessMissing,
 )
 from selgames.fuzzing import _translation_instance
 from selgames.game import expand
 from selgames.ground import family_of
-from selgames.transforms import blocks_are_counter_plays, subsequences_are_plays
+from selgames.transforms import (
+    _transfer,
+    blocks_are_counter_plays,
+    subsequences_are_plays,
+)
 
 
 def explicit_game(families, horizon, winning):
@@ -224,8 +234,78 @@ class TestApplyTranslation:
     def test_input_not_winning(self):
         pack, src, dst = self._pair()
         losing = PreOne(indices=(0, 0))
-        with pytest.raises((InputNotWinning, TypeError)):
+        with pytest.raises((InputNotWinning, ValueError)):
             apply_translation(pack, src, dst, Direction.MARKOV_TWO, losing)
+
+    def test_wrong_class_is_a_caller_error(self):
+        pack, src, dst = self._pair()
+        det = solve(src)
+        assert det.winner is Player.TWO
+        with pytest.raises(ValueError, match="FullOne or StateOne"):
+            apply_translation(pack, src, dst, Direction.FULL_ONE_PULLBACK, det.witness)
+
+    def test_state_witness_transfers_as_its_expansion(self):
+        # the solver's state-keyed witness and its history table transfer
+        # to equal tables, which the literal-play verifier accepts
+        rng = random.Random(11)
+        seen = {Direction.FULL_TWO: 0, Direction.FULL_ONE_PULLBACK: 0}
+        for _ in range(300):
+            pack, src, dst = _translation_instance(rng)
+            if not check_translation_axioms(pack, src, dst):
+                continue
+            det_src, det_dst = solve(src), solve(dst)
+            runs = []
+            if det_src.winner is Player.TWO:
+                runs.append((Direction.FULL_TWO, src, det_src.witness, dst))
+            if det_dst.winner is Player.ONE:
+                runs.append((Direction.FULL_ONE_PULLBACK, dst, det_dst.witness, src))
+            for direction, in_game, witness, out_game in runs:
+                out = apply_translation(pack, src, dst, direction, witness)
+                via_history = apply_translation(
+                    pack, src, dst, direction, expand(in_game, witness)
+                )
+                assert type(out) is type(via_history)
+                assert out.table == via_history.table
+                assert brute_verify(out_game, out).valid
+                seen[direction] += 1
+        assert all(n >= 50 for n in seen.values()), seen
+
+    def test_walks_step_the_input_games_automaton(self, d2, singles2):
+        # a point-open game, whose states are cover bitmasks, beside the
+        # same game with its winning sets listed, whose states are item
+        # sets; the identity pack carries the cover game's witness across
+        for h, direction in ((1, Direction.FULL_TWO), (2, Direction.FULL_ONE_PULLBACK)):
+            cover = build_point_open(d2, singles2, singles2, h)
+            items = sorted(cover.universe)
+            listed = make_game(cover.moves, h, Kind.SINGLE, ExplicitSet(winning=tuple(
+                frozenset(c)
+                for k in range(len(items) + 1)
+                for c in itertools.combinations(items, k)
+                if cover.target.evaluate(c)
+            )))
+            pushes = direction is Direction.FULL_TWO
+            src, dst = (cover, listed) if pushes else (listed, cover)
+            pack = lift_item_map(lambda y, r: y, src, dst)
+            witness = solve(cover).witness
+            out = apply_translation(pack, src, dst, direction, witness)
+            via_history = apply_translation(pack, src, dst, direction, expand(cover, witness))
+            assert out.table == via_history.table
+            assert brute_verify(listed, out).valid
+
+    def test_losing_input_is_refused(self):
+        pack, src, dst = self._pair()
+        with pytest.raises(InputNotWinning):
+            apply_translation(pack, src, dst, Direction.PRE_ONE_PULLBACK, PreOne((0, 0)))
+
+    def test_losing_output_is_refused(self):
+        # the pack breaks preservation, so only the output check stands
+        # between the fuzz suite, which calls _transfer, and a losing table
+        src = explicit_game([[frozenset({0, 1})]], 1, [{1}])
+        dst = explicit_game([[frozenset({0, 1})]], 1, [{0}])
+        markov = find_markov_two(src)
+        assert markov.table == {(0, 0): 1}
+        with pytest.raises(TranslationFailed):
+            _transfer(identity_pack(src), src, dst, Direction.MARKOV_TWO, markov)
 
     def test_axioms_fail(self):
         src = explicit_game([[frozenset({0, 1})]], 1, [{0}, {1}])
