@@ -91,6 +91,6 @@ from .transforms import (
     lift_item_map,
     strengthen_one_for_subsequences,
 )
-from .fuzzing import FuzzProfile, FuzzReport, fuzz
+from .fuzzing import FuzzReport, fuzz
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ from .errors import (
     ScenarioFormatError,
     SelGamesError,
 )
-from .fuzzing import ALL_SUITES, FuzzProfile, fuzz
+from .fuzzing import ALL_SUITES, fuzz
 from .game import Player
 from .orders import lift_omega_cof, relative_cofinality
 from .scenarios import CORPUS_EXPECTATIONS, build_game, corpus, load_scenario
@@ -109,7 +109,7 @@ def _cmd_synth(args) -> int:
     sc = load_scenario(args.scenario)
     game = build_game(sc, horizon=args.horizon)
     if args.kind == "pre-one":
-        strategy = find_predetermined_one(game)
+        strategy = find_predetermined_one(game, node_budget=args.budget)
     else:
         strategy = find_markov_two(game, node_budget=args.budget)
     if strategy is None:
@@ -207,7 +207,7 @@ def _cmd_translate(args) -> int:
             det = solve(dst)
             strategy = det.witness if det.winner is Player.ONE else None
         else:
-            strategy = find_predetermined_one(dst)
+            strategy = find_predetermined_one(dst, node_budget=args.budget)
         if strategy is None:
             _emit({"transferred": None, "reason": "no winning input strategy"},
                   args.json, ["nothing to transfer: no winning input strategy"])
@@ -235,12 +235,11 @@ def _cmd_cofinality(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    profile = FuzzProfile(markov_budget=args.budget)
     report = fuzz(
         seed=args.seed,
         count=args.count,
         suites=tuple(args.suite) if args.suite else None,
-        profile=profile,
+        markov_budget=args.budget,
     )
     payload = report.to_json()
     lines = [

@@ -91,11 +91,6 @@ HORIZONS = (1, 2, 3, 4)  # horizons of _random_game's games
 
 
 @dataclass
-class FuzzProfile:
-    markov_budget: int = DEFAULT_NODE_BUDGET
-
-
-@dataclass
 class SuiteResult:
     instances: int = 0
     attempts: int = 0
@@ -218,7 +213,8 @@ def _random_game(rng: random.Random) -> GameSpec:
 # -- suites ----------------------------------------------------------------
 
 
-def suite_determinacy(rng: random.Random, count: int, profile: FuzzProfile) -> SuiteResult:
+def suite_determinacy(rng: random.Random, count: int,
+                      markov_budget: int = DEFAULT_NODE_BUDGET) -> SuiteResult:
     res = SuiteResult()
     while res.instances < count:
         res.attempts += 1
@@ -237,7 +233,7 @@ def suite_determinacy(rng: random.Random, count: int, profile: FuzzProfile) -> S
         res.check("determinacy/witness-verifies", verify(game, det.witness).valid, payload)
         pre = searches.find_predetermined_one()
         try:
-            markov = searches.find_markov_two(node_budget=profile.markov_budget)
+            markov = searches.find_markov_two(node_budget=markov_budget)
         except BudgetExceeded:
             res.budget_exceeded += 1
             res.instances += 1
@@ -298,7 +294,8 @@ def _translation_instance(rng: random.Random):
     return pack, src, dst
 
 
-def suite_translation(rng: random.Random, count: int, profile: FuzzProfile) -> SuiteResult:
+def suite_translation(rng: random.Random, count: int,
+                      markov_budget: int = DEFAULT_NODE_BUDGET) -> SuiteResult:
     res = SuiteResult()
     done = {d: 0 for d in Direction}
     max_attempts = 80 * count + 400
@@ -325,7 +322,7 @@ def suite_translation(rng: random.Random, count: int, profile: FuzzProfile) -> S
         if det_src.winner is Player.TWO:
             inputs[Direction.FULL_TWO] = det_src.witness
             try:
-                mk = src_searches.find_markov_two(node_budget=profile.markov_budget)
+                mk = src_searches.find_markov_two(node_budget=markov_budget)
             except BudgetExceeded:
                 res.budget_exceeded += 1
                 mk = None
@@ -386,7 +383,8 @@ def _duality_instance(rng: random.Random):
     return refl, fam, g_fam, g_refl
 
 
-def suite_duality(rng: random.Random, count: int, profile: FuzzProfile) -> SuiteResult:
+def suite_duality(rng: random.Random, count: int,
+                  markov_budget: int = DEFAULT_NODE_BUDGET) -> SuiteResult:
     res = SuiteResult()
     while res.instances < count:
         res.attempts += 1
@@ -402,7 +400,7 @@ def suite_duality(rng: random.Random, count: int, profile: FuzzProfile) -> Suite
         if not res.check("duality/constructed-reflection", report.is_reflection, payload):
             continue
         try:
-            dual = check_duality(g_fam, g_refl, profile.markov_budget)
+            dual = check_duality(g_fam, g_refl, markov_budget)
         except BudgetExceeded:
             res.budget_exceeded += 1
             res.instances += 1
@@ -423,7 +421,8 @@ def _cof_families(rng: random.Random, size: int):
     return fam_a, fam_b
 
 
-def suite_cofinality(rng: random.Random, count: int, profile: FuzzProfile) -> SuiteResult:
+def suite_cofinality(rng: random.Random, count: int,
+                     markov_budget: int = DEFAULT_NODE_BUDGET) -> SuiteResult:
     res = SuiteResult()
     while res.instances < count:
         res.attempts += 1
@@ -511,7 +510,8 @@ def _cof_as_key(value) -> tuple:
     return (value.kind, value.n)
 
 
-def suite_tukey(rng: random.Random, count: int, profile: FuzzProfile) -> SuiteResult:
+def suite_tukey(rng: random.Random, count: int,
+                markov_budget: int = DEFAULT_NODE_BUDGET) -> SuiteResult:
     res = SuiteResult()
     while res.instances < count:
         res.attempts += 1
@@ -639,7 +639,8 @@ def _ideal_base_family(rng: random.Random, space, max_seed: int = 3) -> SetFamil
     return SetFamily.build(space, _union_closure(seeds), name="ideal-base")
 
 
-def suite_gamma(rng: random.Random, count: int, profile: FuzzProfile) -> SuiteResult:
+def suite_gamma(rng: random.Random, count: int,
+                markov_budget: int = DEFAULT_NODE_BUDGET) -> SuiteResult:
     res = SuiteResult()
     while res.instances < count:
         res.attempts += 1
@@ -764,7 +765,8 @@ def _histories(game: GameSpec, table: dict, low: int, horizon: int):
     return out
 
 
-def suite_ground(rng: random.Random, count: int, profile: FuzzProfile) -> SuiteResult:
+def suite_ground(rng: random.Random, count: int,
+                 markov_budget: int = DEFAULT_NODE_BUDGET) -> SuiteResult:
     res = SuiteResult()
     while res.instances < count:
         res.attempts += 1
@@ -828,7 +830,7 @@ def _union_closure(masks) -> list[int]:
 
 
 def suite_open_question_gamma_two(
-    rng: random.Random, count: int, profile: FuzzProfile
+    rng: random.Random, count: int, markov_budget: int = DEFAULT_NODE_BUDGET
 ) -> SuiteResult:
     """Exploratory search: plain-cover versus window-cover status for Two.
 
@@ -882,7 +884,7 @@ def fuzz(
     seed: int,
     count: int,
     suites: Optional[tuple[str, ...]] = None,
-    profile: Optional[FuzzProfile] = None,
+    markov_budget: int = DEFAULT_NODE_BUDGET,
 ) -> FuzzReport:
     """Run the selected suites deterministically; same seed, same bytes."""
     if count < 1:
@@ -891,8 +893,7 @@ def fuzz(
     for name in chosen:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}")
-    profile = profile or FuzzProfile()
     results = {}
     for name in chosen:
-        results[name] = SUITES[name](_suite_rng(seed, name), count, profile)
+        results[name] = SUITES[name](_suite_rng(seed, name), count, markov_budget)
     return FuzzReport(seed=seed, count=count, suites=chosen, results=results)

@@ -15,16 +15,14 @@ once.  One _Solver per game holds the (state, selection) transition
 cache, Two's selections from each move set and the (round, state) memo
 that determination, extraction, both synthesizers and this prune share;
 callers asking several questions of one game share one _Solver.
-verify() checks a strategy whose move depends on the round, the state
-and One's index (StateOne, StateTwo, PreOne, MarkovTwo) by one walk
-memoized on (round, state) that counts plays by multiplication; a
-history table (FullOne, FullTwo) is walked play by play, stepping each
-(state, selection) transition once.
+verify() checks every strategy class by one walk memoized on (round,
+state, what the strategy remembers) that counts plays by multiplication:
+StateOne, StateTwo, PreOne and MarkovTwo remember nothing, a FullOne
+remembers Two's selections and a FullTwo One's indices.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
@@ -230,7 +228,9 @@ class _Solver:
 
         return least_suffix(0, frozenset([self.game.target.start]))
 
-    def find_predetermined_one(self) -> Optional[PreOne]:
+    def find_predetermined_one(
+        self, node_budget: int = DEFAULT_NODE_BUDGET
+    ) -> Optional[PreOne]:
         moves, transitions, selections = self.game.moves, self.transitions, self.selections
         reached: dict = {}  # (state, move set) -> the states Two's replies reach
 
@@ -246,7 +246,7 @@ class _Solver:
                     out |= nexts
                 yield i, frozenset(out)
 
-        script = self._least_rows(True, indices, DEFAULT_NODE_BUDGET)
+        script = self._least_rows(True, indices, node_budget)
         return None if script is None else PreOne(indices=script)
 
     def find_markov_two(
@@ -291,7 +291,9 @@ def winner(game: GameSpec) -> Player:
     return _Solver(game).winner()
 
 
-def find_predetermined_one(game: GameSpec) -> Optional[PreOne]:
+def find_predetermined_one(
+    game: GameSpec, node_budget: int = DEFAULT_NODE_BUDGET
+) -> Optional[PreOne]:
     """Lexicographically least winning script for One, or None.
 
     A script sees none of Two's replies, so the search recurses over
@@ -302,10 +304,11 @@ def find_predetermined_one(game: GameSpec) -> Optional[PreOne]:
     without search; this cuts only branches that would fail, and a game
     Two wins answers None after one determination.  Each (state, move
     set) step runs once per call, each (state, selection) transition once
-    per game.  The search shares find_markov_two's, under
-    DEFAULT_NODE_BUDGET (round, set) nodes.
+    per game.  The search shares find_markov_two's: each (round, set) node
+    expanded counts against ``node_budget``, and exhaustion raises
+    BudgetExceeded.
     """
-    return _Solver(game).find_predetermined_one()
+    return _Solver(game).find_predetermined_one(node_budget)
 
 
 def find_markov_two(
@@ -367,177 +370,94 @@ class _FirstLoss(Exception):
 def _check(
     game: GameSpec, strategy, max_exhibits: int, first_loss_only: bool
 ) -> VerificationReport:
-    """verify() and is_winning(): the side, the empty game, and the walk
-    that suits the strategy's class."""
+    """verify() and is_winning(): one depth-first walk of the strategy's
+    play tree, the adversary ranging over every legal choice, memoized on
+    (round, target state, what the strategy remembers).
+
+    A StateOne, StateTwo, PreOne or MarkovTwo remembers nothing: its move
+    is a function of the round, the state and One's current index.  A
+    FullOne remembers Two's selections and a FullTwo One's indices.  At the
+    horizon no move is made, so a final state's verdict is shared by every
+    history reaching it.  The walk tallies the plays below each node and
+    the lost ones among them, so plays are counted by multiplication.  Its
+    first visit of a node looks up and checks the strategy's moves in the
+    order a play-by-play walk would, so the first IllegalMove is the same.
+    Counter-plays are then read off in lexicographic order by descending
+    only into nodes that hold a loss.
+    """
     if isinstance(strategy, (PreOne, StateOne, FullOne)):
         side, other = Player.ONE, Player.TWO
     elif isinstance(strategy, (MarkovTwo, StateTwo, FullTwo)):
         side, other = Player.TWO, Player.ONE
     else:
         raise TypeError(f"not a strategy: {strategy!r}")
-    if game.horizon == 0:
-        won = Player.TWO if game.target.accept(game.target.start) else Player.ONE
-        shown = won is other and max_exhibits > 0
-        return VerificationReport(
-            valid=won is side,
-            side=side,
-            counter_plays=(PlayRecord((), (), won),) if shown else (),
-            plays_checked=1,
-        )
-    walk = _walk_histories if isinstance(strategy, (FullOne, FullTwo)) else _walk_states
+    one_side = side is Player.ONE
+    remembers = isinstance(strategy, (FullOne, FullTwo))
+    moves, horizon, accept = game.moves, game.horizon, game.target.accept
+    transitions = _transitions(game)
+    tally: dict = {}  # (round, state, memory) -> (plays, lost plays)
+
+    def choices(r: int, state, memory: tuple) -> Iterator[tuple]:
+        """(One's index, Two's selection, what the strategy remembers after
+        them) in lexicographic order; on Two's side each reply is looked up
+        as its turn comes."""
+        keep = remembers and r + 1 < horizon
+        if one_side:
+            i = one_move_index(strategy, memory, r, state)
+            if not 0 <= i < len(moves[r]):
+                raise IllegalMove(r, f"move index {i} out of range")
+            for x in two_choices(game, moves[r][i]):
+                yield i, x, memory + (x,) if keep else ()
+        else:
+            for i, ms in enumerate(moves[r]):
+                idx = memory + (i,)
+                x = legal_selection(game, r, ms, two_selection(strategy, idx, r, state))
+                yield i, x, idx if keep else ()
+
+    def count(r: int, state, memory: tuple) -> tuple:
+        if r == horizon:
+            # the target is Two's: One loses the plays it accepts
+            lost = int(accept(state) == one_side)
+            if lost and first_loss_only:
+                raise _FirstLoss
+            got = (1, lost)
+        else:
+            plays = lost = 0
+            for _, x, mem in choices(r, state, memory):
+                nxt = transitions[state, x]
+                got = tally.get((r + 1, nxt, mem))
+                if got is None:
+                    got = count(r + 1, nxt, mem)
+                plays, lost = plays + got[0], lost + got[1]
+            got = (plays, lost)
+        tally[r, state, memory] = got
+        return got
+
+    counters: list = []
+
+    def exhibit(r: int, state, memory: tuple, idx_hist: tuple, sel_hist: tuple) -> None:
+        if r == horizon:
+            counters.append(PlayRecord(idx_hist, sel_hist, other))
+            return
+        for i, x, mem in choices(r, state, memory):
+            nxt = transitions[state, x]
+            if tally[r + 1, nxt, mem][1]:
+                exhibit(r + 1, nxt, mem, idx_hist + (i,), sel_hist + (x,))
+                if len(counters) == max_exhibits:
+                    return
+
     try:
-        lost, counters, checked = walk(
-            game, strategy, side, max_exhibits, first_loss_only
-        )
+        plays, lost = count(0, game.target.start, ())
     except _FirstLoss:
-        lost, counters, checked = 1, (), 0
+        plays, lost = 0, 1
+    if lost and max_exhibits > 0:
+        exhibit(0, game.target.start, (), (), ())
     return VerificationReport(
         valid=not lost,
         side=side,
         counter_plays=tuple(counters),
-        plays_checked=checked,
+        plays_checked=plays,
     )
-
-
-def _walk_states(game: GameSpec, strategy, side: Player, max_exhibits: int,
-                 first_loss_only: bool) -> tuple:
-    """(lost plays, counter-plays, plays) for a strategy whose move is a
-    function of the round, the target state and One's current index
-    (StateOne, StateTwo, PreOne, MarkovTwo): every history reaching
-    (round, state) continues alike.
-
-    One depth-first walk, memoized on (round, state), tallies the plays
-    below each pair and the lost ones among them, so plays are counted by
-    multiplication.  Its first visit of each pair looks up and checks the
-    strategy's moves in the order a play-by-play walk would, so the first
-    IllegalMove is the same.  Counter-plays are then read off in
-    lexicographic order by descending only into pairs that hold a loss.
-    """
-    one_side = side is Player.ONE
-    other = Player.TWO if one_side else Player.ONE
-    moves, target, last = game.moves, game.target, game.horizon - 1
-    transitions = _transitions(game)
-    tally: dict = {}  # (round, state) -> (plays, lost plays), round > 0
-
-    def choices(r: int, state) -> Iterator[tuple]:
-        """(One's index, Two's selection) pairs in lexicographic order; on
-        Two's side each reply is looked up as its turn comes."""
-        if one_side:
-            i = one_move_index(strategy, (), r, state)
-            if not 0 <= i < len(moves[r]):
-                raise IllegalMove(r, f"move index {i} out of range")
-            return zip(itertools.repeat(i), two_choices(game, moves[r][i]))
-        return (
-            (i, legal_selection(game, r, ms, two_selection(strategy, (i,), r, state)))
-            for i, ms in enumerate(moves[r])
-        )
-
-    def count(r: int, state) -> tuple:
-        plays = lost = 0
-        for _, x in choices(r, state):
-            nxt = transitions[state, x]
-            if r == last:
-                plays += 1
-                # the target is Two's: One loses the plays it accepts
-                if target.accept(nxt) == one_side:
-                    if first_loss_only:
-                        raise _FirstLoss
-                    lost += 1
-                continue
-            got = tally.get((r + 1, nxt))
-            if got is None:
-                got = tally[r + 1, nxt] = count(r + 1, nxt)
-            plays, lost = plays + got[0], lost + got[1]
-        return plays, lost
-
-    counters: list = []
-
-    def exhibit(r: int, state, idx_hist: tuple, sel_hist: tuple) -> None:
-        for i, x in choices(r, state):
-            nxt = transitions[state, x]
-            if r == last:
-                if target.accept(nxt) == one_side:
-                    counters.append(PlayRecord(idx_hist + (i,), sel_hist + (x,), other))
-            elif tally[r + 1, nxt][1]:
-                exhibit(r + 1, nxt, idx_hist + (i,), sel_hist + (x,))
-            if len(counters) == max_exhibits:
-                return
-
-    plays, lost = count(0, game.target.start)
-    if lost and max_exhibits > 0:
-        exhibit(0, game.target.start, (), ())
-    return lost, counters, plays
-
-
-def _walk_histories(game: GameSpec, strategy, side: Player, max_exhibits: int,
-                    first_loss_only: bool) -> tuple:
-    """(lost plays, counter-plays, plays) for a history table (FullOne,
-    FullTwo): one depth-first walk of the strategy's play tree, the
-    adversary ranging over every legal choice in lexicographic order.
-
-    Every node looks up and checks the strategy's move, raising
-    IllegalMove as ``play`` does.  Each (state, selection) transition is
-    stepped once per call.  On One's side the last round is settled once
-    per (target state, One's index) instead: every node reaching that pair
-    has the same reply count and the same winning replies for Two.
-    """
-    other = Player.TWO if side is Player.ONE else Player.ONE
-    moves, target, last = game.moves, game.target, game.horizon - 1
-    transitions = _transitions(game)
-    settled: dict = {}  # (state, One's last index) -> (reply count, Two's wins)
-    counters: list = []
-    checked = lost = 0
-
-    def lose(idx_hist: tuple, sel_hist: tuple, finals: tuple) -> None:
-        """The plays ``sel_hist + (x,)``, x in ``finals``, are lost."""
-        nonlocal lost
-        lost += len(finals)
-        room = max_exhibits - len(counters)
-        if room > 0:
-            counters.extend(
-                PlayRecord(idx_hist, sel_hist + (x,), other) for x in finals[:room]
-            )
-        if first_loss_only:
-            raise _FirstLoss
-
-    if side is Player.ONE:
-
-        def walk(r: int, idx_hist: tuple, sel_hist: tuple, state) -> None:
-            nonlocal checked
-            i = one_move_index(strategy, sel_hist, r)
-            if not 0 <= i < len(moves[r]):
-                raise IllegalMove(r, f"move index {i} out of range")
-            idx = idx_hist + (i,)
-            if r < last:
-                for x in two_choices(game, moves[r][i]):
-                    walk(r + 1, idx, sel_hist + (x,), transitions[state, x])
-                return
-            pair = settled.get((state, i))
-            if pair is None:
-                xs = tuple(two_choices(game, moves[r][i]))
-                wins = tuple(x for x in xs if target.accept(advance(game, state, x)))
-                pair = settled[state, i] = (len(xs), wins)
-            count, two_winning = pair
-            checked += count
-            if two_winning:
-                lose(idx, sel_hist, two_winning)
-
-    else:
-
-        def walk(r: int, idx_hist: tuple, sel_hist: tuple, state) -> None:
-            nonlocal checked
-            for i, ms in enumerate(moves[r]):
-                idx = idx_hist + (i,)
-                x = legal_selection(game, r, ms, two_selection(strategy, idx, r))
-                if r < last:
-                    walk(r + 1, idx, sel_hist + (x,), transitions[state, x])
-                    continue
-                checked += 1
-                if not target.accept(transitions[state, x]):
-                    lose(idx, sel_hist, (x,))
-
-    walk(0, (), (), target.start)
-    return lost, counters, checked
 
 
 def verify(

@@ -32,13 +32,11 @@ from selgames.fuzzing import (
     suite_ground,
     suite_translation,
     suite_tukey,
-    FuzzProfile,
     _suite_rng,
 )
 from selgames.ground import SetFamily, all_topologies
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
-PROFILE = FuzzProfile()
 
 
 @contextmanager
@@ -85,7 +83,7 @@ def _family_pair_sample(seed: int, count: int):
 
 def test_criterion_01_determinacy_and_hierarchy():
     with criterion(1, "determinacy + hierarchy (500 games)", 120.0) as failures:
-        res = suite_determinacy(_suite_rng(42, "determinacy"), 500, PROFILE)
+        res = suite_determinacy(_suite_rng(42, "determinacy"), 500)
         if res.instances != 500:
             failures.append(f"only {res.instances} instances")
         if res.budget_exceeded:
@@ -95,7 +93,7 @@ def test_criterion_01_determinacy_and_hierarchy():
 
 def test_criterion_02_translation_suite():
     with criterion(2, "strategy translation (200 per direction)", 180.0) as failures:
-        res = suite_translation(_suite_rng(42, "translation"), 200, PROFILE)
+        res = suite_translation(_suite_rng(42, "translation"), 200)
         per_direction = res.findings[-1]["transferred-per-direction"]
         for direction, n in per_direction.items():
             if n < 200:
@@ -105,7 +103,7 @@ def test_criterion_02_translation_suite():
 
 def test_criterion_03_duality_suite():
     with criterion(3, "reflection duality (200 pairs)", 180.0) as failures:
-        res = suite_duality(_suite_rng(42, "duality"), 200, PROFILE)
+        res = suite_duality(_suite_rng(42, "duality"), 200)
         if res.instances != 200:
             failures.append(f"only {res.instances} instances")
         if res.budget_exceeded:
@@ -177,7 +175,7 @@ def test_criterion_06_refinement_vs_cover_inclusion():
 
 def test_criterion_07_gamma_constructions():
     with criterion(7, "subsequence/window strengthenings (100 instances)", 120.0) as failures:
-        res = suite_gamma(_suite_rng(42, "gamma"), 100, PROFILE)
+        res = suite_gamma(_suite_rng(42, "gamma"), 100)
         if res.instances != 100:
             failures.append(f"only {res.instances} instances")
         failures.extend(v["property"] for v in res.violations)
@@ -185,7 +183,7 @@ def test_criterion_07_gamma_constructions():
 
 def test_criterion_08_tukey_suite():
     with criterion(8, "Tukey criterion vs oracle + invariance (500 posets)", 120.0) as failures:
-        res = suite_tukey(_suite_rng(42, "tukey"), 500, PROFILE)
+        res = suite_tukey(_suite_rng(42, "tukey"), 500)
         if res.instances != 500:
             failures.append(f"only {res.instances} instances")
         failures.extend(v["property"] for v in res.violations)
@@ -193,7 +191,7 @@ def test_criterion_08_tukey_suite():
 
 def test_criterion_09_ground_structure():
     with criterion(9, "cover-emptiness + order asymmetry (200 families)", 30.0) as failures:
-        res = suite_ground(_suite_rng(42, "ground"), 200, PROFILE)
+        res = suite_ground(_suite_rng(42, "ground"), 200)
         if res.instances != 200:
             failures.append(f"only {res.instances} instances")
         failures.extend(v["property"] for v in res.violations)

@@ -63,6 +63,21 @@ class TestSynth:
         assert code == 3
         assert "budget" in err.lower()
 
+    def test_script_search_honours_budget(self, capsys):
+        # One wins both games, so the script search expands at least the
+        # root node, which a zero budget does not allow
+        tiny = str(SCENARIOS / "tiny-abstract-one-wins.json")
+        commands = (
+            ("synth", "pre-one", str(SCENARIOS / "point-open-discrete-3-h3.json")),
+            ("translate", str(SCENARIOS / "identity-pack-one-wins.json"), tiny, tiny,
+             "--direction", "pre-one-pullback"),
+        )
+        for command in commands:
+            code, out, err = run(capsys, *command, "--budget", "0")
+            assert code == 3, command
+            assert out == ""
+            assert err.startswith("budget exhausted: "), command
+
 
 class TestVerify:
     def test_valid_strategy(self, capsys, tmp_path):
@@ -327,3 +342,30 @@ def test_pinned_translate_bytes(capsys, tmp_path):
         assert code == 0, extra
         outs.append(out)
     assert hashlib.sha256("".join(outs).encode()).hexdigest() == TRANSLATE_SHA256
+
+
+# sha256 of the `translate --json` stdout of the identity pack on a tiny
+# game One wins, in `full-one-pullback` and `pre-one-pullback`, then of
+# `full-one-pullback` with the `solve` witness as `--input`, concatenated
+# in that order: every output is a transferred strategy
+PULLBACK_SHA256 = "de657434fa66795443ca7e35b908ab86d81dcda81890bc10f88cceaaf0172062"
+
+
+def test_pinned_pullback_bytes(capsys, tmp_path):
+    pack = str(SCENARIOS / "identity-pack-one-wins.json")
+    tiny = str(SCENARIOS / "tiny-abstract-one-wins.json")
+    _, out, _ = run(capsys, "solve", tiny, "--json")
+    witness = tmp_path / "witness.json"
+    witness.write_text(json.dumps(json.loads(out)["witness"]))
+    runs = [
+        ("--direction", "full-one-pullback"),
+        ("--direction", "pre-one-pullback"),
+        ("--direction", "full-one-pullback", "--input", str(witness)),
+    ]
+    outs = []
+    for extra in runs:
+        code, out, _ = run(capsys, "translate", pack, tiny, tiny, *extra, "--json")
+        assert code == 0, extra
+        assert json.loads(out)["transferred"] is not None, extra
+        outs.append(out)
+    assert hashlib.sha256("".join(outs).encode()).hexdigest() == PULLBACK_SHA256

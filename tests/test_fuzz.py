@@ -5,7 +5,7 @@ import pytest
 from selgames import fuzzing
 from selgames._bits import items_of
 from selgames.errors import InvalidCount, TranslationFailed
-from selgames.fuzzing import GATED_SUITES, FuzzProfile, fuzz
+from selgames.fuzzing import GATED_SUITES, fuzz
 from selgames.ground import MinCoverResult
 from selgames.orders import check_tukey_map
 from selgames.scenarios import (
@@ -66,8 +66,7 @@ class TestFuzzContract:
         # budget zero forces the synthesizer to give up wherever Two wins,
         # in every suite that synthesizes Markov tables
         suites = ("determinacy", "duality", "translation")
-        profile = FuzzProfile(markov_budget=0)
-        report = fuzz(seed=3, count=3, suites=suites, profile=profile)
+        report = fuzz(seed=3, count=3, suites=suites, markov_budget=0)
         for suite in suites:
             assert report.results[suite].budget_exceeded > 0, suite
         assert report.total_budget_exceeded > 0

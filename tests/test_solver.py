@@ -43,7 +43,7 @@ from selgames import (
 )
 from selgames.errors import BudgetExceeded, IllegalMove
 from selgames.fuzzing import _random_game
-from selgames.game import MarkovTwo, StateOne, StateTwo, expand, two_choices
+from selgames.game import MarkovTwo, StateOne, StateTwo, advance, expand, two_choices
 from selgames.ground import SetFamily
 from selgames.scenarios import build_game, corpus
 from selgames.serialize import canonical_dumps, strategy_from_json, strategy_to_json
@@ -462,7 +462,7 @@ def test_check_duality_determines_each_game_once(monkeypatch):
     # read the determination check_duality, a fuzz suite or `corpus run`
     # has already made instead of determining the game again
     from selgames import cli, solver
-    from selgames.fuzzing import FuzzProfile, suite_cofinality, suite_determinacy
+    from selgames.fuzzing import suite_cofinality, suite_determinacy
 
     built = []
     init = solver._Solver.__init__
@@ -485,7 +485,7 @@ def test_check_duality_determines_each_game_once(monkeypatch):
     # determinacy: one game per instance; cofinality: two horizons each
     for suite, games_per_instance in ((suite_determinacy, 1), (suite_cofinality, 2)):
         built.clear()
-        res = suite(random.Random(5), 20, FuzzProfile())
+        res = suite(random.Random(5), 20)
         assert res.instances == 20
         assert len(built) == games_per_instance * res.instances
 
@@ -705,6 +705,35 @@ class TestVerifyAgainstLiteralPlays:
         with pytest.raises(IllegalMove):
             verify(g, FullOne(table=table))
         assert not is_winning(g, FullOne(table=table))
+
+    def test_history_tables_are_never_merged(self, d3, singles3):
+        # two histories reach the same (round, covered set) and the table
+        # continues them differently, one way winning and the other losing:
+        # a walk keyed on (round, state) alone would judge both alike
+        g = build_point_open(d3, singles3, singles3, 3)
+        start = g.target.start
+        # Two's replies ({0}, {1}) and ({0,1}, {1}) to points 0 and 1
+        first, second = (0b001, 0b010), (0b011, 0b010)
+        assert advance(g, advance(g, start, 0b001), 0b010) == advance(
+            g, advance(g, start, 0b011), 0b010
+        )
+        # then point 2 wins for One, and point 0 loses to the reply {0}
+        scripted = expand(g, PreOne(indices=(0, 1, 2))).table
+        ones = [FullOne(table={**scripted, first: 2, second: 0}),
+                FullOne(table={**scripted, first: 0, second: 2})]
+
+        g2 = build_point_open(d3, singles3, singles3, 2)
+        least = expand(g2, _least_reply_markov(g2)).table
+        # Two answers points 0 and 1 alike with {0,1}; after point 0 again
+        # the reply {0} keeps point 2 uncovered, the reply {0,2} does not
+        twos = [FullTwo(table={**least, (0,): 0b011, (1,): 0b011,
+                               (0, 0): 0b001, (1, 0): 0b101}),
+                FullTwo(table={**least, (0,): 0b011, (1,): 0b011,
+                               (0, 0): 0b101, (1, 0): 0b001})]
+        for game, strategies in ((g, ones), (g2, twos)):
+            for strategy in strategies:
+                assert not verify(game, strategy).valid
+            _assert_matches_oracle(game, strategies)
 
     def test_finite_kind_games(self):
         # replies are frozensets, as transition keys and in counter-plays
