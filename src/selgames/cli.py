@@ -239,7 +239,7 @@ def _cmd_fuzz(args) -> int:
         seed=args.seed,
         count=args.count,
         suites=tuple(args.suite) if args.suite else None,
-        markov_budget=args.budget,
+        node_budget=args.budget,
     )
     payload = report.to_json()
     lines = [

@@ -119,8 +119,8 @@ def check_duality(game_over_fam: GameSpec, game_over_refl: GameSpec,
     The limited clauses stay two: neither player need have a script or a
     Markov table, so they are independent even here.
 
-    Requires equal horizons and the mirrored target.  Markov synthesis
-    runs under ``node_budget`` and may raise BudgetExceeded; callers
+    Requires equal horizons and the mirrored target.  Both synthesizers
+    run under ``node_budget`` and may raise BudgetExceeded; callers
     report that separately from a negative answer.
     """
     if game_over_fam.horizon != game_over_refl.horizon:
@@ -132,8 +132,8 @@ def check_duality(game_over_fam: GameSpec, game_over_refl: GameSpec,
     fam, refl = _Solver(game_over_fam), _Solver(game_over_refl)
     one_fam = fam.winner() is Player.ONE
     one_refl = refl.winner() is Player.ONE
-    pre_fam = fam.find_predetermined_one() is not None
-    pre_refl = refl.find_predetermined_one() is not None
+    pre_fam = fam.find_predetermined_one(node_budget) is not None
+    pre_refl = refl.find_predetermined_one(node_budget) is not None
     markov_fam = fam.find_markov_two(node_budget) is not None
     markov_refl = refl.find_markov_two(node_budget) is not None
     strategic = one_fam != one_refl

@@ -214,7 +214,7 @@ def _random_game(rng: random.Random) -> GameSpec:
 
 
 def suite_determinacy(rng: random.Random, count: int,
-                      markov_budget: int = DEFAULT_NODE_BUDGET) -> SuiteResult:
+                      node_budget: int = DEFAULT_NODE_BUDGET) -> SuiteResult:
     res = SuiteResult()
     while res.instances < count:
         res.attempts += 1
@@ -231,9 +231,9 @@ def suite_determinacy(rng: random.Random, count: int,
         searches = _Solver(game)
         det = searches.solve()
         res.check("determinacy/witness-verifies", verify(game, det.witness).valid, payload)
-        pre = searches.find_predetermined_one()
         try:
-            markov = searches.find_markov_two(node_budget=markov_budget)
+            pre = searches.find_predetermined_one(node_budget)
+            markov = searches.find_markov_two(node_budget)
         except BudgetExceeded:
             res.budget_exceeded += 1
             res.instances += 1
@@ -295,7 +295,7 @@ def _translation_instance(rng: random.Random):
 
 
 def suite_translation(rng: random.Random, count: int,
-                      markov_budget: int = DEFAULT_NODE_BUDGET) -> SuiteResult:
+                      node_budget: int = DEFAULT_NODE_BUDGET) -> SuiteResult:
     res = SuiteResult()
     done = {d: 0 for d in Direction}
     max_attempts = 80 * count + 400
@@ -315,28 +315,33 @@ def suite_translation(rng: random.Random, count: int,
             payload,
         ):
             continue
-        src_searches, dst_searches = _Solver(src), _Solver(dst)
-        det_src = src_searches.solve()
-        det_dst = dst_searches.solve()
+        # each game is searched only for the directions still short of
+        # count, so every input found is transferred and budget_exceeded
+        # counts only the syntheses that ran
         inputs = {}
-        if det_src.winner is Player.TWO:
-            inputs[Direction.FULL_TWO] = det_src.witness
-            try:
-                mk = src_searches.find_markov_two(node_budget=markov_budget)
-            except BudgetExceeded:
-                res.budget_exceeded += 1
-                mk = None
-            if mk is not None:
-                inputs[Direction.MARKOV_TWO] = mk
-        if det_dst.winner is Player.ONE:
-            inputs[Direction.FULL_ONE_PULLBACK] = det_dst.witness
-            pre = dst_searches.find_predetermined_one()
-            if pre is not None:
-                inputs[Direction.PRE_ONE_PULLBACK] = pre
+        for game, side, full, limited, synthesize in (
+            (src, Player.TWO, Direction.FULL_TWO, Direction.MARKOV_TWO,
+             _Solver.find_markov_two),
+            (dst, Player.ONE, Direction.FULL_ONE_PULLBACK, Direction.PRE_ONE_PULLBACK,
+             _Solver.find_predetermined_one),
+        ):
+            if done[full] >= count and done[limited] >= count:
+                continue
+            searches = _Solver(game)
+            if searches.winner() is not side:
+                continue
+            if done[full] < count:
+                inputs[full] = searches.solve().witness
+            if done[limited] < count:
+                try:
+                    strategy = synthesize(searches, node_budget)
+                except BudgetExceeded:
+                    res.budget_exceeded += 1
+                    strategy = None
+                if strategy is not None:
+                    inputs[limited] = strategy
         progressed = False
         for direction, strategy in inputs.items():
-            if done[direction] >= count:
-                continue
             # the pack passed its axiom check above; _transfer refuses an
             # output that loses, so a violation is anything it raises
             try:
@@ -384,7 +389,7 @@ def _duality_instance(rng: random.Random):
 
 
 def suite_duality(rng: random.Random, count: int,
-                  markov_budget: int = DEFAULT_NODE_BUDGET) -> SuiteResult:
+                  node_budget: int = DEFAULT_NODE_BUDGET) -> SuiteResult:
     res = SuiteResult()
     while res.instances < count:
         res.attempts += 1
@@ -400,7 +405,7 @@ def suite_duality(rng: random.Random, count: int,
         if not res.check("duality/constructed-reflection", report.is_reflection, payload):
             continue
         try:
-            dual = check_duality(g_fam, g_refl, markov_budget)
+            dual = check_duality(g_fam, g_refl, node_budget)
         except BudgetExceeded:
             res.budget_exceeded += 1
             res.instances += 1
@@ -422,7 +427,7 @@ def _cof_families(rng: random.Random, size: int):
 
 
 def suite_cofinality(rng: random.Random, count: int,
-                     markov_budget: int = DEFAULT_NODE_BUDGET) -> SuiteResult:
+                     node_budget: int = DEFAULT_NODE_BUDGET) -> SuiteResult:
     res = SuiteResult()
     while res.instances < count:
         res.attempts += 1
@@ -448,7 +453,11 @@ def suite_cofinality(rng: random.Random, count: int,
         for horizon in sorted(rng.sample(range(0, 5), 2)):
             game = build_point_open(space, fam_a, fam_b, horizon)
             searches = _Solver(game)
-            pre = searches.find_predetermined_one()
+            try:
+                pre = searches.find_predetermined_one(node_budget)
+            except BudgetExceeded:
+                res.budget_exceeded += 1
+                continue
             res.check(
                 "cofinality/pre-iff-cof-at-most-horizon",
                 (pre is not None) == cof.at_most(horizon),
@@ -511,7 +520,7 @@ def _cof_as_key(value) -> tuple:
 
 
 def suite_tukey(rng: random.Random, count: int,
-                markov_budget: int = DEFAULT_NODE_BUDGET) -> SuiteResult:
+                node_budget: int = DEFAULT_NODE_BUDGET) -> SuiteResult:
     res = SuiteResult()
     while res.instances < count:
         res.attempts += 1
@@ -640,7 +649,7 @@ def _ideal_base_family(rng: random.Random, space, max_seed: int = 3) -> SetFamil
 
 
 def suite_gamma(rng: random.Random, count: int,
-                markov_budget: int = DEFAULT_NODE_BUDGET) -> SuiteResult:
+                node_budget: int = DEFAULT_NODE_BUDGET) -> SuiteResult:
     res = SuiteResult()
     while res.instances < count:
         res.attempts += 1
@@ -721,7 +730,12 @@ def suite_gamma(rng: random.Random, count: int,
             payload,
         )
 
-        pre_low = searches.find_predetermined_one()
+        try:
+            pre_low = searches.find_predetermined_one(node_budget)
+        except BudgetExceeded:
+            res.budget_exceeded += 1
+            res.instances += 1
+            continue
         if res.check("gamma/full-win-gives-script-on-discrete",
                      pre_low is not None, payload):
             script = PreOne(indices=pre_low.indices + (0,) * (n - low))
@@ -761,12 +775,15 @@ def _histories(game: GameSpec, table: dict, low: int, horizon: int):
         for x in sorted(family[idx]):
             walk(hist + (x,))
 
-    walk(())
+    try:
+        walk(())
+    finally:
+        del walk
     return out
 
 
 def suite_ground(rng: random.Random, count: int,
-                 markov_budget: int = DEFAULT_NODE_BUDGET) -> SuiteResult:
+                 node_budget: int = DEFAULT_NODE_BUDGET) -> SuiteResult:
     res = SuiteResult()
     while res.instances < count:
         res.attempts += 1
@@ -830,7 +847,7 @@ def _union_closure(masks) -> list[int]:
 
 
 def suite_open_question_gamma_two(
-    rng: random.Random, count: int, markov_budget: int = DEFAULT_NODE_BUDGET
+    rng: random.Random, count: int, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> SuiteResult:
     """Exploratory search: plain-cover versus window-cover status for Two.
 
@@ -884,7 +901,7 @@ def fuzz(
     seed: int,
     count: int,
     suites: Optional[tuple[str, ...]] = None,
-    markov_budget: int = DEFAULT_NODE_BUDGET,
+    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> FuzzReport:
     """Run the selected suites deterministically; same seed, same bytes."""
     if count < 1:
@@ -895,5 +912,5 @@ def fuzz(
             raise ValueError(f"unknown suite {name!r}")
     results = {}
     for name in chosen:
-        results[name] = SUITES[name](_suite_rng(seed, name), count, markov_budget)
+        results[name] = SUITES[name](_suite_rng(seed, name), count, node_budget)
     return FuzzReport(seed=seed, count=count, suites=chosen, results=results)

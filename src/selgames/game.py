@@ -497,8 +497,11 @@ def expand(game: GameSpec, strategy) -> Union[FullOne, FullTwo]:
                 for x in two_choices(game, moves[r][i]):
                     walk_one(r + 1, hist + (x,), advance(game, state, x))
 
-        if horizon:
-            walk_one(0, (), game.target.start)
+        try:
+            if horizon:
+                walk_one(0, (), game.target.start)
+        finally:
+            del walk_one
         return FullOne(table=table)
 
     if not isinstance(strategy, (MarkovTwo, StateTwo)):
@@ -519,6 +522,9 @@ def expand(game: GameSpec, strategy) -> Union[FullOne, FullTwo]:
                     continue
                 walk_two(r + 1, idx, advance(game, state, x))
 
-    if horizon:
-        walk_two(0, (), game.target.start)
+    try:
+        if horizon:
+            walk_two(0, (), game.target.start)
+    finally:
+        del walk_two
     return FullTwo(table=table)

@@ -298,7 +298,10 @@ def min_covers(space: GroundSpace, fam: SetFamily, max_count: int = 256) -> MinC
         for u in candidates[pivot]:
             search(chosen | {u})
 
-    search(frozenset())
+    try:
+        search(frozenset())
+    finally:
+        del search
     minimal = [
         cov
         for cov in found

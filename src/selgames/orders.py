@@ -230,7 +230,10 @@ def relative_cofinality(pair: RelPair) -> ExtendedNat:
             if dom[b] >> pos & 1:
                 search(bi + 1, covered | cover_of[pos], chosen + 1)
 
-    search(0, 0, 0)
+    try:
+        search(0, 0, 0)
+    finally:
+        del search
     return ExtendedNat.finite(best_size[0])
 
 

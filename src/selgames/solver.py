@@ -19,6 +19,14 @@ verify() checks every strategy class by one walk memoized on (round,
 state, what the strategy remembers) that counts plays by multiplication:
 StateOne, StateTwo, PreOne and MarkovTwo remember nothing, a FullOne
 remembers Two's selections and a FullTwo One's indices.
+
+A recursive helper nested in a search refers to itself through its
+closure cell, a reference cycle that would keep it and every table it
+closes over alive until the cyclic collector runs.  So every search in
+the package deletes such a helper in a ``finally`` once its top-level call
+returns or raises, and a recursive generator, which cannot delete itself
+while it is iterated, is a module-level function: a search's tables are
+freed by reference counting, never left to the collector.
 """
 
 from __future__ import annotations
@@ -162,8 +170,11 @@ class _Solver:
                 for nxt in nexts:
                     walk(r + 1, nxt)
 
-        if game.horizon:
-            walk(0, game.target.start)
+        try:
+            if game.horizon:
+                walk(0, game.target.start)
+        finally:
+            del walk
         return StateOne(table=table)
 
     def extract_two(self) -> StateTwo:
@@ -191,8 +202,11 @@ class _Solver:
                 for _, nxt in replies:
                     walk(r + 1, nxt)
 
-        if game.horizon:
-            walk(0, game.target.start)
+        try:
+            if game.horizon:
+                walk(0, game.target.start)
+        finally:
+            del walk
         return StateTwo(table=table)
 
     def _least_rows(self, one_side: bool, rows, node_budget: int) -> Optional[tuple]:
@@ -226,7 +240,10 @@ class _Solver:
                     break
             return memo[key]
 
-        return least_suffix(0, frozenset([self.game.target.start]))
+        try:
+            return least_suffix(0, frozenset([self.game.target.start]))
+        finally:
+            del least_suffix
 
     def find_predetermined_one(
         self, node_budget: int = DEFAULT_NODE_BUDGET
@@ -346,21 +363,23 @@ def one_side_plays(
 ) -> Iterator[PlayRecord]:
     """Every completed play with Two ranging over all legal replies, in
     canonical order, depth first."""
-    accept = game.target.accept
+    return _plays_from(game, one, 0, (), (), game.target.start)
 
-    def walk(r: int, idx_hist: tuple, sel_hist: tuple, state) -> Iterator[PlayRecord]:
-        if r == game.horizon:
-            won = Player.TWO if accept(state) else Player.ONE
-            yield PlayRecord(idx_hist, sel_hist, won)
-            return
-        i = one_move_index(one, sel_hist, r, state)
-        if not 0 <= i < len(game.moves[r]):
-            raise IllegalMove(r, f"move index {i} out of range")
-        idx = idx_hist + (i,)
-        for x in two_choices(game, game.moves[r][i]):
-            yield from walk(r + 1, idx, sel_hist + (x,), advance(game, state, x))
 
-    return walk(0, (), (), game.target.start)
+def _plays_from(game: GameSpec, one, r: int, idx_hist: tuple, sel_hist: tuple,
+                state) -> Iterator[PlayRecord]:
+    """``one_side_plays`` below the history (idx_hist, sel_hist)."""
+    if r == game.horizon:
+        won = Player.TWO if game.target.accept(state) else Player.ONE
+        yield PlayRecord(idx_hist, sel_hist, won)
+        return
+    i = one_move_index(one, sel_hist, r, state)
+    if not 0 <= i < len(game.moves[r]):
+        raise IllegalMove(r, f"move index {i} out of range")
+    idx = idx_hist + (i,)
+    for x in two_choices(game, game.moves[r][i]):
+        yield from _plays_from(game, one, r + 1, idx, sel_hist + (x,),
+                               advance(game, state, x))
 
 
 class _FirstLoss(Exception):
@@ -448,10 +467,12 @@ def _check(
 
     try:
         plays, lost = count(0, game.target.start, ())
-    except _FirstLoss:
+        if lost and max_exhibits > 0:
+            exhibit(0, game.target.start, (), (), ())
+    except _FirstLoss:  # is_winning's early stop, which exhibits nothing
         plays, lost = 0, 1
-    if lost and max_exhibits > 0:
-        exhibit(0, game.target.start, (), (), ())
+    finally:
+        del count, exhibit
     return VerificationReport(
         valid=not lost,
         side=side,

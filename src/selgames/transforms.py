@@ -141,7 +141,11 @@ def check_translation_axioms(
         safe.add((r, s, d))
         return False
 
-    if fails(0, src_target.start, dst_target.start):
+    try:
+        failed = fails(0, src_target.start, dst_target.start)
+    finally:
+        del fails
+    if failed:
         return AxiomCheck(False, ("preservation", (tuple(js), tuple(xs))))
     return AxiomCheck(True)
 
@@ -217,7 +221,10 @@ def _transfer(pack: TranslationPack, src: GameSpec, dst: GameSpec,
                 table[js + (j,)] = t_two[r][(x, j)]
                 push(r + 1, js + (j,), idx, step(state, x))
 
-        push(0, (), (), src.target.start)
+        try:
+            push(0, (), (), src.target.start)
+        finally:
+            del push
         out = FullTwo(table=table)
 
     elif direction is Direction.FULL_ONE_PULLBACK:
@@ -234,7 +241,10 @@ def _transfer(pack: TranslationPack, src: GameSpec, dst: GameSpec,
                 y = t_two[r][(x, b)]
                 pull(r + 1, src_hist + (x,), dst_hist + (y,), step(state, y))
 
-        pull(0, (), (), dst.target.start)
+        try:
+            pull(0, (), (), dst.target.start)
+        finally:
+            del pull
         out = FullOne(table=table)
 
     else:
@@ -351,7 +361,10 @@ def strengthen_one_for_subsequences(
         for x in sorted(family[idx]):
             walk(hist + (x,))
 
-    walk(())
+    try:
+        walk(())
+    finally:
+        del walk
     return FullOne(table=table)
 
 

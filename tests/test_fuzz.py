@@ -15,6 +15,7 @@ from selgames.scenarios import (
     scenario_to_json,
 )
 from selgames.serialize import canonical_dumps, rel_pair_from_json, rel_pair_to_json
+from selgames.solver import _Solver
 
 
 class TestFuzzContract:
@@ -63,14 +64,30 @@ class TestFuzzContract:
                 replays(instance)
 
     def test_markov_budget_threads_through(self):
-        # budget zero forces the synthesizer to give up wherever Two wins,
+        # budget zero forces Markov synthesis to give up wherever Two wins,
         # in every suite that synthesizes Markov tables
         suites = ("determinacy", "duality", "translation")
-        report = fuzz(seed=3, count=3, suites=suites, markov_budget=0)
+        report = fuzz(seed=3, count=3, suites=suites, node_budget=0)
         for suite in suites:
             assert report.results[suite].budget_exceeded > 0, suite
         assert report.total_budget_exceeded > 0
         assert fuzz(seed=3, count=3, suites=suites).total_budget_exceeded == 0
+
+    def test_budget_reaches_the_script_search(self, monkeypatch):
+        # every script search of every gated suite runs under the budget
+        # given to fuzz, and running out is counted, never raised
+        budgets = []
+        original = _Solver.find_predetermined_one
+
+        def wrapper(self, node_budget=None):
+            budgets.append(node_budget)
+            return original(self, node_budget)
+
+        monkeypatch.setattr(_Solver, "find_predetermined_one", wrapper)
+        report = fuzz(seed=3, count=3, node_budget=0)
+        assert budgets and set(budgets) == {0}
+        for suite in ("determinacy", "translation", "duality", "cofinality", "gamma"):
+            assert report.results[suite].budget_exceeded > 0, suite
 
 
 # -- forced violations ------------------------------------------------------
