@@ -17,14 +17,12 @@ def mask_of(items: Iterable[int]) -> int:
 
 
 def items_of(mask: int) -> tuple[int, ...]:
+    """The set bits of ``mask``, ascending; clear bits are never visited."""
     out = []
-    i = 0
-    m = mask
-    while m:
-        if m & 1:
-            out.append(i)
-        m >>= 1
-        i += 1
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return tuple(out)
 
 

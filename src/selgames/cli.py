@@ -8,6 +8,7 @@ canonical machine-readable form used by the fuzz reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -289,7 +290,10 @@ def _cmd_corpus(args) -> int:
     return EXIT_VIOLATIONS if failures else EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of the process: parsing never mutates it, so every
+    call of ``main`` reuses it."""
     parser = _Parser(prog="selgames",
                      description="finite selection-game laboratory")
     sub = parser.add_subparsers(dest="command", required=True)

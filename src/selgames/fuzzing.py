@@ -481,22 +481,29 @@ def _random_order_pair(rng: random.Random) -> RelPair:
         leq: Callable = lambda x, y: is_subset(x, y)
         pair_carrier = carrier
     else:
-        closure = [[i == j for j in range(n)] for i in range(n)]
+        rows = [1 << i for i in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
                 if rng.random() < 0.3:
-                    closure[i][j] = True
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    if closure[i][k] and closure[k][j]:
-                        closure[i][j] = True
+                    rows[i] |= 1 << j
+        closure = _transitive_closure(rows)
         pair_carrier = list(range(n))
-        leq = lambda x, y: closure[x][y]
+        leq = lambda x, y: closure[x] >> y & 1
     m = len(pair_carrier)
     sub_a = rng.sample(range(m), rng.randint(1, min(6, m)))
     sub_b = rng.sample(range(m), rng.randint(1, min(5, m)))
     return make_rel_pair(pair_carrier, leq, sub_a, sub_b)
+
+
+def _transitive_closure(rows: list[int]) -> list[int]:
+    """Warshall's closure on bit rows: row i gains row k whenever it holds k."""
+    rows = list(rows)
+    for k in range(len(rows)):
+        bit = 1 << k
+        for i, row in enumerate(rows):
+            if row & bit:
+                rows[i] = row | rows[k]
+    return rows
 
 
 def _permuted_copy(rng: random.Random, pair: RelPair):
@@ -691,14 +698,18 @@ def suite_gamma(rng: random.Random, count: int,
             is_filter_base(game.moves[0]),
             payload,
         )
-        for h in range(1, n + 1):
-            searches = _Solver(game.truncated(h))
-            if searches.winner() is Player.ONE:
-                low = h
-                break
+        # Every round offers the same move sets, so the last h rounds of the
+        # n-round game are the h-round game: Two wins game.truncated(h) iff
+        # Two wins from the start state at round n - h, and one memo on the
+        # n-round game answers every truncation.
+        whole = _Solver(game)
+        start = game.target.start
+        low = next((h for h in range(1, n + 1)
+                    if not whole.two_wins(n - h, start)), None)
         if low is None:
             continue  # constructions need a winning horizon; try again
 
+        searches = _Solver(game.truncated(low))
         truncated = searches.game
         table = dict(expand(truncated, searches.solve().witness).table)
         frontier = [hist for hist in _histories(game, table, low, n)]
@@ -906,7 +917,7 @@ def fuzz(
     """Run the selected suites deterministically; same seed, same bytes."""
     if count < 1:
         raise InvalidCount(f"count must be at least 1, got {count}")
-    chosen = tuple(suites) if suites else GATED_SUITES
+    chosen = tuple(dict.fromkeys(suites)) if suites else GATED_SUITES  # a repeated suite runs once
     for name in chosen:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}")

@@ -17,7 +17,7 @@ import itertools
 from functools import reduce
 from operator import or_
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union, get_args
 
 from ._bits import is_subset
 from .errors import EmptyMove, IllegalMove
@@ -215,6 +215,7 @@ class Not(_Automaton):
 
 
 Target = Union[CoversFamily, MultiCover, WindowCover, ExplicitSet, EverySubsequence, Not]
+_TARGET_CLASSES = get_args(Target)  # isinstance on a tuple skips typing's Union check
 
 
 # -- game specs --------------------------------------------------------
@@ -264,7 +265,7 @@ def advance(game: "GameSpec", state, x):
 
 
 def _check_target(target) -> None:
-    if not isinstance(target, Target):
+    if not isinstance(target, _TARGET_CLASSES):
         raise TypeError(f"not a built-in target: {target!r}")
     if isinstance(target, (Not, EverySubsequence)):
         _check_target(target.inner)

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
-from ._bits import is_subset
+from ._bits import is_subset, items_of
 from .errors import CarrierTooLarge
 
 BRUTE_SUB_A_CAP = 12
@@ -103,8 +103,8 @@ def _checked_rel_pair(
             raise ValueError(f"relation not reflexive at {carrier[i]!r}")
     # transitivity: i <= j forces everything above j to sit above i too
     for row in up:
-        for j in range(n):
-            if row >> j & 1 and up[j] & ~row:
+        for j in items_of(row):
+            if up[j] & ~row:
                 raise ValueError(
                     f"relation not transitive through {carrier[j]!r}"
                 )
@@ -146,7 +146,7 @@ def truncate_product(pair: RelPair, bound: int) -> RelPair:
     carrier = [(x, k) for x in pair.carrier for k in counters]
     up = []
     for row in pair.up:
-        blocks = [j * width for j in range(len(pair.carrier)) if row >> j & 1]
+        blocks = [j * width for j in items_of(row)]
         for k in counters:
             chain = (1 << width) - (1 << k)
             mask = 0
@@ -173,10 +173,13 @@ def projection_map(product_pair: RelPair, base_pair: RelPair) -> dict[int, int]:
 
 def _dominator_masks(pair: RelPair) -> dict[int, int]:
     """For each sub_b index, the bitmask (over sub_a positions) of dominators."""
+    bit_of = {a: 1 << pos for pos, a in enumerate(pair.sub_a)}
     masks = {}
     for b in pair.sub_b:
-        row = pair.up[b]
-        masks[b] = sum(1 << pos for pos, a in enumerate(pair.sub_a) if row >> a & 1)
+        dom = 0
+        for a in items_of(pair.up[b]):
+            dom |= bit_of.get(a, 0)
+        masks[b] = dom
     return masks
 
 
@@ -202,15 +205,14 @@ def relative_cofinality(pair: RelPair) -> ExtendedNat:
     positions = range(len(pair.sub_a))
     cover_of = [0] * len(pair.sub_a)
     for bi, b in enumerate(pair.sub_b):
-        for pos in positions:
-            if dom[b] >> pos & 1:
-                cover_of[pos] |= 1 << bi
+        for pos in items_of(dom[b]):
+            cover_of[pos] |= 1 << bi
     full = (1 << len(pair.sub_b)) - 1
 
     # Greedy upper bound.
     covered, greedy = 0, 0
     while covered != full:
-        best = max(positions, key=lambda p: bin(cover_of[p] & ~covered).count("1"))
+        best = max(positions, key=lambda p: (cover_of[p] & ~covered).bit_count())
         covered |= cover_of[best]
         greedy += 1
 
@@ -226,9 +228,8 @@ def relative_cofinality(pair: RelPair) -> ExtendedNat:
         while covered >> bi & 1:
             bi += 1
         b = pair.sub_b[bi]
-        for pos in positions:
-            if dom[b] >> pos & 1:
-                search(bi + 1, covered | cover_of[pos], chosen + 1)
+        for pos in items_of(dom[b]):
+            search(bi + 1, covered | cover_of[pos], chosen + 1)
 
     try:
         search(0, 0, 0)

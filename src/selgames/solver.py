@@ -31,6 +31,7 @@ freed by reference counting, never left to the collector.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
@@ -39,6 +40,7 @@ from .game import (
     FullOne,
     FullTwo,
     GameSpec,
+    Kind,
     MarkovTwo,
     Player,
     PlayRecord,
@@ -71,9 +73,13 @@ class _Table(dict):
 
 
 def _transitions(game: GameSpec) -> _Table:
-    """(state, selection) -> ``advance``: each transition is stepped once,
-    however often the searches sharing the table meet it."""
-    return _Table(lambda key: advance(game, *key))
+    """(state, selection) -> next state: each transition is stepped once,
+    however often the searches sharing the table meet it.  A single-kind
+    selection is one item, stepped by the target itself; a finite-kind one
+    goes through ``advance``."""
+    step = (game.target.step if game.kind is Kind.SINGLE
+            else functools.partial(advance, game))
+    return _Table(lambda key: step(*key))
 
 
 @dataclass(frozen=True)

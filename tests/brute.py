@@ -331,3 +331,26 @@ def brute_family_flags(space, members) -> dict:
         "all_open": all(m in opens for m in members),
         "all_closed": all(full & ~m in opens for m in members),
     }
+
+
+def brute_transitive_closure(rows: list[int]) -> list[int]:
+    """Warshall's triple loop over a matrix of booleans, read back as rows."""
+    n = len(rows)
+    rel = [[bool(row >> j & 1) for j in range(n)] for row in rows]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if rel[i][k] and rel[k][j]:
+                    rel[i][j] = True
+    return [sum(1 << j for j in range(n) if rel[i][j]) for i in range(n)]
+
+
+def brute_first_intransitive(carrier, up):
+    """The transitivity error ``make_rel_pair`` raises, by scanning every
+    column of every row: the first (row, j) with i <= j and some element
+    above j not above i; None for a transitive relation."""
+    for row in up:
+        for j in range(len(carrier)):
+            if row >> j & 1 and up[j] & ~row:
+                return f"relation not transitive through {carrier[j]!r}"
+    return None

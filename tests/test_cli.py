@@ -1,8 +1,11 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-from selgames.cli import main
+from selgames.cli import _build_parser, main
 from selgames.fuzzing import fuzz
 from selgames.serialize import canonical_dumps
 
@@ -273,6 +276,14 @@ class TestFuzzCommand:
                          "--suite", "determinacy", "--json")
         assert out1 == out2
 
+    def test_repeated_suite_runs_once(self, capsys):
+        args = ("fuzz", "--seed", "1", "--count", "2", "--json")
+        _, once, _ = run(capsys, *args, "--suite", "ground")
+        code, twice, _ = run(capsys, *args, "--suite", "ground", "--suite", "ground")
+        assert code == 0
+        assert json.loads(twice)["suites"] == ["ground"]
+        assert twice == once
+
     def test_invalid_count_is_usage_error(self, capsys):
         code, _, err = run(capsys, "fuzz", "--seed", "1", "--count", "0")
         assert code == 1
@@ -302,6 +313,23 @@ class TestUsageErrors:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert run(capsys, "solve", str(path))[0] == 1
+
+
+def test_cached_parser_answers_like_a_fresh_process(capsys):
+    # one process reuses the parser: a usage error, two commands and the
+    # same usage error again each print and exit as a fresh interpreter does
+    calls = [
+        ("fuzz", "--seed", "1"),
+        ("fuzz", "--seed", "3", "--count", "2", "--json"),
+        ("corpus", "list", "--json"),
+        ("fuzz", "--seed", "1"),
+    ]
+    env = dict(os.environ, PYTHONPATH=str(SCENARIOS.parent / "src"))
+    for argv in calls:
+        fresh = subprocess.run([sys.executable, "-m", "selgames", *argv],
+                               capture_output=True, text=True, env=env)
+        assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert _build_parser() is _build_parser()
 
 
 # sha256 of two canonical outputs: the byte-identity rule, checked; a

@@ -1,16 +1,20 @@
+import random
 import types
 
 import pytest
 
+from brute import brute_winner
 from selgames import fuzzing
 from selgames._bits import items_of
 from selgames.errors import InvalidCount, TranslationFailed
 from selgames.fuzzing import GATED_SUITES, fuzz
-from selgames.ground import MinCoverResult
+from selgames.game import Player
+from selgames.ground import MinCoverResult, SetFamily, discrete_space
 from selgames.orders import check_tukey_map
 from selgames.scenarios import (
     Scenario,
     abstract_scenario,
+    build_point_open,
     scenario_from_json,
     scenario_to_json,
 )
@@ -63,6 +67,12 @@ class TestFuzzContract:
             for instance in got:
                 replays(instance)
 
+    def test_repeated_suite_runs_once(self):
+        once = fuzz(seed=1, count=2, suites=("ground", "tukey"))
+        twice = fuzz(seed=1, count=2, suites=("ground", "tukey", "ground", "tukey"))
+        assert twice.suites == ("ground", "tukey")
+        assert canonical_dumps(twice.to_json()) == canonical_dumps(once.to_json())
+
     def test_markov_budget_threads_through(self):
         # budget zero forces Markov synthesis to give up wherever Two wins,
         # in every suite that synthesizes Markov tables
@@ -88,6 +98,68 @@ class TestFuzzContract:
         assert budgets and set(budgets) == {0}
         for suite in ("determinacy", "translation", "duality", "cofinality", "gamma"):
             assert report.results[suite].budget_exceeded > 0, suite
+
+
+def test_one_memo_answers_every_gamma_truncation():
+    # the gamma suite's point-open games offer the same move sets every
+    # round, so Two wins the h-round game iff Two wins the n-round game
+    # from the start state at round n - h, all read off one memo.  Half the
+    # draws take the suite's ideal-base families; the rest take any family,
+    # where One may need more than one round
+    rng = random.Random(8)
+    patterns = {"two everywhere": 0, "one at once": 0, "one later": 0}
+    for trial in range(120):
+        space = discrete_space(2 + trial % 2)
+        if trial % 4 < 2:
+            members = fuzzing._ideal_base_family(rng, space).members
+        else:
+            members = rng.sample(range(1, space.full), rng.randint(1, 2))
+        fam_a = SetFamily.build(
+            space, [m for m in members if m != space.full] or [1], name="a"
+        )
+        fam_b = SetFamily.build(
+            space, rng.sample(range(1, space.full), rng.randint(1, 2)), name="b"
+        )
+        n = 1 + trial % 4
+        game = build_point_open(space, fam_a, fam_b, n)
+        searches = _Solver(game)
+        verdicts = []
+        for h in range(n + 1):
+            two = searches.two_wins(n - h, game.target.start)
+            assert two == (brute_winner(game.truncated(h)) is Player.TWO), (trial, h)
+            verdicts.append(two)
+        if all(verdicts):
+            patterns["two everywhere"] += 1
+        else:
+            patterns["one at once" if not verdicts[1] else "one later"] += 1
+    assert min(patterns.values()) >= 5, patterns
+
+
+def test_gamma_strengthens_at_the_least_winning_horizon(monkeypatch):
+    # the suite hands the least horizon One wins to the strengthening, and
+    # no report byte shows it unless a check fails, so read it off there.
+    # One wins at once or never when One's family is an ideal base, so the
+    # suite draws any family here, and One may need two or three rounds
+    seen = []
+    real = fuzzing.strengthen_one_for_subsequences
+
+    def strengthen(s, game, low):
+        seen.append((game, low))
+        return real(s, game, low)
+
+    def any_family(rng, space):
+        k = rng.randint(1, min(3, space.full - 1))
+        return SetFamily.build(space, rng.sample(range(1, space.full), k), name="a")
+
+    monkeypatch.setattr(fuzzing, "strengthen_one_for_subsequences", strengthen)
+    monkeypatch.setattr(fuzzing, "_ideal_base_family", any_family)
+    fuzz(seed=4, count=40, suites=("gamma",))
+    assert {low for _, low in seen} >= {1, 2}
+    for game, low in seen:
+        assert low == next(
+            h for h in range(1, game.horizon + 1)
+            if brute_winner(game.truncated(h)) is Player.ONE
+        )
 
 
 # -- forced violations ------------------------------------------------------

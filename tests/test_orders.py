@@ -3,7 +3,11 @@ import random
 
 import pytest
 
-from brute import brute_truncate_product
+from brute import (
+    brute_first_intransitive,
+    brute_transitive_closure,
+    brute_truncate_product,
+)
 from selgames import (
     OMEGA,
     UNDEFINED,
@@ -16,8 +20,9 @@ from selgames import (
     relative_cofinality,
     truncate_product,
 )
+from selgames._bits import items_of
 from selgames.errors import CarrierTooLarge
-from selgames.fuzzing import _random_order_pair
+from selgames.fuzzing import _random_order_pair, _transitive_closure
 from selgames.orders import RelPair, is_cofinal, projection_map
 
 
@@ -236,3 +241,47 @@ class TestCofinalityInvariance:
             assert check_tukey_map(back, copy, pair)
             v, w = relative_cofinality(pair), relative_cofinality(copy)
             assert (v.kind, v.n) == (w.kind, w.n)
+
+
+class TestSetBitKernels:
+    def test_items_of_lists_set_bits_ascending(self):
+        rng = random.Random(5)
+        masks = [0, 1, 2**40 - 1, 2**39 | 2**20 | 5] + [
+            rng.getrandbits(rng.randint(1, 48)) for _ in range(200)
+        ]
+        for m in masks:
+            assert items_of(m) == tuple(i for i in range(m.bit_length()) if m >> i & 1)
+
+    def test_bit_row_closure_matches_the_triple_loop(self):
+        rng = random.Random(17)
+        for trial in range(600):
+            n = 1 + trial % 8
+            density = rng.random()
+            rows = [
+                sum(1 << j for j in range(n) if rng.random() < density)
+                for _ in range(n)
+            ]
+            assert _transitive_closure(rows) == brute_transitive_closure(rows), rows
+
+    def test_intransitive_error_names_the_first_failing_column(self):
+        # reflexive relations, most of them not transitive: the set-bit
+        # scan stops at the same (row, column) as a scan of every column
+        rng = random.Random(23)
+        failures = 0
+        for trial in range(400):
+            n = 2 + trial % 7
+            carrier = [f"x{i}" for i in rng.sample(range(20), n)]
+            up = [
+                1 << i | sum(1 << j for j in range(n) if rng.random() < 0.35)
+                for i in range(n)
+            ]
+            expected = brute_first_intransitive(carrier, up)
+            leq = lambda x, y: up[carrier.index(x)] >> carrier.index(y) & 1
+            if expected is None:
+                make_rel_pair(carrier, leq, [0], [0])
+                continue
+            failures += 1
+            with pytest.raises(ValueError) as info:
+                make_rel_pair(carrier, leq, [0], [0])
+            assert str(info.value) == expected
+        assert failures > 200
