@@ -27,11 +27,7 @@ from selgames import (
     verify,
 )
 from selgames.game import FullOne, expand
-from selgames.transforms import (
-    blocks_are_counter_plays,
-    is_filter_base,
-    subsequences_are_plays,
-)
+from selgames.transforms import is_filter_base
 
 space = discrete_space(3)
 base = family_of(space, [{0}, {1}, {0, 1}])
@@ -58,8 +54,6 @@ def extend(hist):
 extend(())
 s = FullOne(table=table)
 sigma = strengthen_one_for_subsequences(s, game, low)
-print("every subsequence of every play of the result is a play of s:",
-      subsequences_are_plays(game, s, sigma))
 core = Not(EverySubsequence(
     inner=CoversFamily(full=space.full, members=targets.members), m=low,
 ))
@@ -81,8 +75,6 @@ print("upgraded script (family indices):", script.indices, "->", upgraded.indice
 window_game = build_point_open(space, base, both, 3, window=2)
 print("upgraded script wins width-2 windows at horizon 3:",
       verify(window_game, upgraded).valid)
-print("every 2-block of every counter-play replays against the script:",
-      blocks_are_counter_plays(window_game, upgraded, script, base, 2))
 
 print("\n== the predetermined synthesizer agrees")
 print("least winning script for the window game:",

@@ -41,7 +41,7 @@ from .solver import (
     solve,
     verify,
 )
-from .transforms import Direction, apply_translation
+from .transforms import Direction, _require_axioms, _transfer
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -196,6 +196,7 @@ def _cmd_translate(args) -> int:
     src = build_game(load_scenario(args.src))
     dst = build_game(load_scenario(args.dst))
     direction = Direction(args.direction)
+    _require_axioms(pack, src, dst)
     if args.input:
         strategy = strategy_from_json(_load_json(args.input))
     else:
@@ -213,7 +214,7 @@ def _cmd_translate(args) -> int:
             _emit({"transferred": None, "reason": "no winning input strategy"},
                   args.json, ["nothing to transfer: no winning input strategy"])
             return EXIT_OK
-    out = apply_translation(pack, src, dst, direction, strategy)
+    out = _transfer(pack, src, dst, direction, strategy)
     out_game_kind = (
         dst.kind if direction in (Direction.MARKOV_TWO, Direction.FULL_TWO) else src.kind
     )

@@ -455,24 +455,6 @@ def play(
     return PlayRecord(one_moves=idx_hist, two_selections=sel_hist, winner=winner)
 
 
-def is_one_play(game: GameSpec, one: Union[StrategyOne, Sequence[int]], selections: Sequence) -> bool:
-    """Whether a selection sequence can arise against this One strategy."""
-    hist: tuple = ()
-    state = game.target.start  # read by a StateOne alone
-    for r, x in enumerate(selections):
-        try:
-            i = one_move_index(one, hist, r, state)
-            if not 0 <= i < len(game.moves[r]):
-                return False
-            legal = legal_selection(game, r, game.moves[r][i], x)
-        except IllegalMove:
-            return False
-        hist = hist + (x,)
-        if isinstance(one, StateOne):
-            state = advance(game, state, legal)
-    return True
-
-
 def expand(game: GameSpec, strategy) -> Union[FullOne, FullTwo]:
     """The full-information table of a strategy whose move is a function
     of the round, the target state and One's current index: a StateOne,

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .game import CoversFamily, GameSpec, Kind, MultiCover, Not, WindowCover, make_game
 from .ground import GroundSpace, SetFamily, build_topology, min_covers
-from .serialize import canonical_dumps, game_from_json, game_to_json
+from .serialize import _int, canonical_dumps, game_from_json, game_to_json
 
 FLAVORS = (
     "point-open-o",
@@ -151,12 +151,12 @@ def validate_scenario(sc: Scenario) -> None:
         raise ScenarioFormatError(
             "point-open flavors need every singleton closed"
         )
-    if sc.flavor == "point-open-window" and "w" not in sc.params:
-        raise ScenarioFormatError("point-open-window needs params.w")
-    if sc.flavor == "rothberger-lambda" and "m" not in sc.params:
-        raise ScenarioFormatError("rothberger-lambda needs params.m")
-    if sc.flavor == "abstract-game" and "game" not in sc.params:
-        raise ScenarioFormatError("abstract-game needs params.game")
+    needs = {"point-open-window": "w", "rothberger-lambda": "m",
+             "abstract-game": "game"}.get(sc.flavor)
+    if needs is not None and needs not in sc.params:
+        raise ScenarioFormatError(f"{sc.flavor} needs params.{needs}")
+    if needs in ("w", "m") and type(sc.params[needs]) is not int:
+        raise ScenarioFormatError(f"params.{needs} must be an integer")
 
 
 def build_game(sc: Scenario, horizon: Optional[int] = None) -> GameSpec:
@@ -201,11 +201,11 @@ def scenario_from_json(data: Mapping) -> Scenario:
     try:
         sc = Scenario(
             name=data["name"],
-            space_size=data["space"]["size"],
+            space_size=_int(data["space"]["size"]),
             subbasis=tuple(sorted(mask_of(s) for s in data["space"]["subbasis"])),
             fam_a=tuple(mask_of(s) for s in data["families"]["a"]),
             fam_b=tuple(mask_of(s) for s in data["families"]["b"]),
-            horizon=data["horizon"],
+            horizon=_int(data["horizon"]),
             flavor=data["flavor"],
             params=dict(data["params"]),
         )

@@ -43,6 +43,14 @@ def canonical_dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _int(value) -> int:
+    """``value`` itself if it is an integer; TypeError otherwise, which
+    the decoders report as a bad record."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 # -- targets -------------------------------------------------------------
 
 
@@ -241,11 +249,12 @@ def strategy_from_json(data: Mapping):
         cls = data["class"]
         kind = Kind(data.get("kind", "single"))
         if cls == "pre-one":
-            return PreOne(indices=tuple(data["indices"]))
+            return PreOne(indices=tuple(_int(i) for i in data["indices"]))
         if cls == "full-one":
             return FullOne(
                 table={
-                    tuple(_item_from_json(x, kind) for x in row["history"]): row["move"]
+                    tuple(_item_from_json(x, kind) for x in row["history"]):
+                        _int(row["move"])
                     for row in data["table"]
                 }
             )
@@ -259,21 +268,24 @@ def strategy_from_json(data: Mapping):
         if cls == "markov-two":
             return MarkovTwo(
                 table={
-                    (row["move"], row["round"]): _item_from_json(row["item"], kind)
+                    (_int(row["move"]), _int(row["round"])):
+                        _item_from_json(row["item"], kind)
                     for row in data["table"]
                 }
             )
         if cls == "state-one":
             return StateOne(
                 table={
-                    (row["round"], state_from_json(row["state"])): row["move"]
+                    (_int(row["round"]), state_from_json(row["state"])):
+                        _int(row["move"])
                     for row in data["table"]
                 }
             )
         if cls == "state-two":
             return StateTwo(
                 table={
-                    (row["round"], state_from_json(row["state"]), row["move"]):
+                    (_int(row["round"]), state_from_json(row["state"]),
+                     _int(row["move"])):
                         _item_from_json(row["item"], kind)
                     for row in data["table"]
                 }

@@ -24,16 +24,15 @@ A recursive helper nested in a search refers to itself through its
 closure cell, a reference cycle that would keep it and every table it
 closes over alive until the cyclic collector runs.  So every search in
 the package deletes such a helper in a ``finally`` once its top-level call
-returns or raises, and a recursive generator, which cannot delete itself
-while it is iterated, is a module-level function: a search's tables are
-freed by reference counting, never left to the collector.
+returns or raises: a search's tables are freed by reference counting,
+never left to the collector.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Union
 
 from .errors import BudgetExceeded, IllegalMove
 from .game import (
@@ -362,30 +361,6 @@ class VerificationReport:
     side: Player
     counter_plays: tuple[PlayRecord, ...]
     plays_checked: int
-
-
-def one_side_plays(
-    game: GameSpec, one: Union[StrategyOne, Sequence[int]]
-) -> Iterator[PlayRecord]:
-    """Every completed play with Two ranging over all legal replies, in
-    canonical order, depth first."""
-    return _plays_from(game, one, 0, (), (), game.target.start)
-
-
-def _plays_from(game: GameSpec, one, r: int, idx_hist: tuple, sel_hist: tuple,
-                state) -> Iterator[PlayRecord]:
-    """``one_side_plays`` below the history (idx_hist, sel_hist)."""
-    if r == game.horizon:
-        won = Player.TWO if game.target.accept(state) else Player.ONE
-        yield PlayRecord(idx_hist, sel_hist, won)
-        return
-    i = one_move_index(one, sel_hist, r, state)
-    if not 0 <= i < len(game.moves[r]):
-        raise IllegalMove(r, f"move index {i} out of range")
-    idx = idx_hist + (i,)
-    for x in two_choices(game, game.moves[r][i]):
-        yield from _plays_from(game, one, r + 1, idx, sel_hist + (x,),
-                               advance(game, state, x))
 
 
 class _FirstLoss(Exception):

@@ -18,7 +18,11 @@ The module also hosts the two strengthening constructions for One over
 filter-base move families: the full-information one (winning uniformly
 over a horizon interval upgrades to winning the every-subsequence
 target) and the predetermined one (running intersections via an ideal
-base upgrade a cover script to a window-cover script).
+base upgrade a cover script to a window-cover script).  Each result is
+checked by ``verify`` on the upgraded game; the lemmas their proofs go
+through (every subsequence of a play is a play of the input, every
+window-long block of replies is a counter-play against the script) are
+checked play by play only in the tests.
 """
 
 from __future__ import annotations
@@ -47,12 +51,11 @@ from .game import (
     PreOne,
     StateOne,
     StateTwo,
-    is_one_play,
     one_move_index,
     two_selection,
 )
 from .ground import SetFamily
-from .solver import is_winning, one_side_plays
+from .solver import is_winning
 
 
 @dataclass(frozen=True)
@@ -174,10 +177,15 @@ def apply_translation(
     for a class the direction does not take, InputNotWinning for an input
     that loses and TranslationFailed for an output that loses.
     """
+    _require_axioms(pack, src, dst)
+    return _transfer(pack, src, dst, direction, strategy)
+
+
+def _require_axioms(pack: TranslationPack, src: GameSpec, dst: GameSpec) -> None:
+    """Raise AxiomsFail, naming the first failure, unless the axioms hold."""
     check = check_translation_axioms(pack, src, dst)
     if not check:
         raise AxiomsFail(f"pack violates {check.failure[0]} at {check.failure[1]}")
-    return _transfer(pack, src, dst, direction, strategy)
 
 
 def _transfer(pack: TranslationPack, src: GameSpec, dst: GameSpec,
@@ -368,22 +376,6 @@ def strengthen_one_for_subsequences(
     return FullOne(table=table)
 
 
-def subsequences_are_plays(game: GameSpec, s: FullOne, sigma: FullOne) -> bool:
-    """Structural guarantee behind the strengthening, checked literally.
-
-    For every play of ``sigma`` and every index subsequence of its
-    selection sequence, the induced sequence is a play of ``s``.
-    """
-    for rec in one_side_plays(game, sigma):
-        sel = rec.two_selections
-        n = len(sel)
-        for k in range(n + 1):
-            for idxs in itertools.combinations(range(n), k):
-                if not is_one_play(game, s, tuple(sel[i] for i in idxs)):
-                    return False
-    return True
-
-
 def intersect_predetermined(s: PreOne, fam: SetFamily) -> PreOne:
     """Running-union upgrade of a predetermined script over an ideal base.
 
@@ -414,27 +406,3 @@ def intersect_predetermined(s: PreOne, fam: SetFamily) -> PreOne:
         out.append(witness)
     return PreOne(indices=tuple(out))
 
-
-def blocks_are_counter_plays(
-    sigma_game: GameSpec,
-    sigma: PreOne,
-    s: PreOne,
-    fam: SetFamily,
-    width: int,
-) -> bool:
-    """Block decomposition behind the window upgrade, checked on transcripts.
-
-    Every contiguous width-long block of every counter-play against the
-    upgraded script, re-indexed from zero, must be a legal counter-play
-    against the original script: reply i of the block contains the
-    script's round-i pick.
-    """
-    if width < 1:
-        return True
-    for rec in one_side_plays(sigma_game, sigma):
-        sel = rec.two_selections
-        for start in range(len(sel) - width + 1):
-            for i in range(width):
-                if not is_subset(fam.members[s.indices[i]], sel[start + i]):
-                    return False
-    return True

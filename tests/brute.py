@@ -185,6 +185,45 @@ def brute_one_side_plays(game: GameSpec, one):
     yield from walk(0, (), ())
 
 
+def brute_is_one_play(game: GameSpec, one, selections) -> bool:
+    """Whether Two can answer ``one`` with ``selections``: each is a legal
+    reply to the move ``one`` names after the ones before it."""
+    for r, x in enumerate(selections):
+        try:
+            i = one_move_index(one, tuple(selections[:r]), r)
+        except IllegalMove:
+            return False
+        if not 0 <= i < len(game.moves[r]):
+            return False
+        if x not in brute_two_choices(game, game.moves[r][i]):
+            return False
+    return True
+
+
+def brute_subsequences_are_plays(game: GameSpec, s, sigma) -> bool:
+    """The lemma behind the subsequence strengthening: every subsequence
+    of every play of ``sigma`` is a play of ``s``."""
+    for rec in brute_one_side_plays(game, sigma):
+        sel = rec.two_selections
+        for k in range(len(sel) + 1):
+            for idxs in itertools.combinations(range(len(sel)), k):
+                if not brute_is_one_play(game, s, [sel[i] for i in idxs]):
+                    return False
+    return True
+
+
+def brute_blocks_are_counter_plays(game: GameSpec, sigma, script, width: int) -> bool:
+    """The lemma behind the window upgrade: every ``width`` consecutive
+    replies of every play of ``sigma``, re-indexed from round 0, are a
+    play of ``script``."""
+    for rec in brute_one_side_plays(game, sigma):
+        sel = rec.two_selections
+        for start in range(len(sel) - width + 1):
+            if not brute_is_one_play(game, script, sel[start : start + width]):
+                return False
+    return True
+
+
 def brute_verify(game: GameSpec, strategy, max_exhibits: int = MAX_EXHIBITS):
     """Literal-play verification: list every play, then count the lost ones."""
     if isinstance(strategy, (PreOne, FullOne)):

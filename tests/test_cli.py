@@ -247,6 +247,21 @@ class TestTranslate:
         assert "Traceback" not in err
 
 
+    def test_axioms_fail_in_every_direction(self, capsys, tmp_path):
+        # a pack that breaks legality is refused before any input is looked
+        # for, so a direction with no winning input also exits 2
+        pack = tmp_path / "pack.json"
+        pack.write_text(json.dumps({"t_one": [[[0, 7]], [[0, 7]]], "t_two": [[], []]}))
+        tiny = str(SCENARIOS / "tiny-abstract.json")
+        for direction in ("markov-two", "full-two", "full-one-pullback",
+                          "pre-one-pullback"):
+            code, out, err = run(capsys, "translate", str(pack), tiny, tiny,
+                                 "--direction", direction)
+            assert code == 2, direction
+            assert out == ""
+            assert err.startswith("translation axioms fail: "), direction
+
+
 class TestCofinality:
     def test_pairs_over_singletons(self, capsys):
         code, out, _ = run(
@@ -313,6 +328,29 @@ class TestUsageErrors:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert run(capsys, "solve", str(path))[0] == 1
+
+    def test_wrongly_typed_fields_are_errors(self, capsys, tmp_path):
+        base = json.loads((SCENARIOS / "point-open-discrete-2-h1.json").read_text())
+        window = dict(base, flavor="point-open-window", params={"w": "a"})
+        scenarios = (
+            dict(base, space=dict(base["space"], size="2")),
+            dict(base, horizon="1"),
+            window,
+        )
+        commands = []
+        for k, data in enumerate(scenarios):
+            path = tmp_path / f"scenario-{k}.json"
+            path.write_text(json.dumps(data))
+            commands.append(("solve", str(path)))
+        strategy = tmp_path / "strategy.json"
+        strategy.write_text(json.dumps({"class": "pre-one", "indices": "ab"}))
+        commands.append(("verify", str(SCENARIOS / "point-open-discrete-2-h1.json"),
+                         str(strategy)))
+        for command in commands:
+            code, out, err = run(capsys, *command)
+            assert code == 1, command
+            assert out == ""
+            assert err.startswith("error: ") and len(err.splitlines()) == 1, command
 
 
 def test_cached_parser_answers_like_a_fresh_process(capsys):

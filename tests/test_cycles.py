@@ -36,7 +36,7 @@ from selgames.errors import BudgetExceeded, IllegalMove, InputNotWinning, Transl
 from selgames.fuzzing import fuzz
 from selgames.game import expand
 from selgames.ground import min_covers
-from selgames.solver import is_winning, one_side_plays
+from selgames.solver import is_winning
 from selgames.transforms import _transfer
 
 
@@ -103,7 +103,6 @@ def _searches() -> dict:
         "expand short PreOne": lambda: expand(one_won, PreOne(indices=(0,))),
         "expand StateTwo": lambda: expand(two_won, state_two),
         "expand MarkovTwo": lambda: expand(two_won, markov),
-        "plays, partly read": lambda: next(one_side_plays(one_won, script)),
         "axioms hold": lambda: check_translation_axioms(pack_two, always, always),
         "axioms fail": lambda: check_translation_axioms(bad_pack, src, dst),
         "transfer markov-two": lambda: apply_translation(

@@ -3,7 +3,11 @@ import types
 
 import pytest
 
-from brute import brute_winner
+from brute import (
+    brute_blocks_are_counter_plays,
+    brute_subsequences_are_plays,
+    brute_winner,
+)
 from selgames import fuzzing
 from selgames._bits import items_of
 from selgames.errors import InvalidCount, TranslationFailed
@@ -162,6 +166,48 @@ def test_gamma_strengthens_at_the_least_winning_horizon(monkeypatch):
         )
 
 
+def test_gamma_lemmas_hold_play_by_play(monkeypatch):
+    # the suite checks both strengthenings with verify on the upgraded
+    # games; the lemmas their proofs go through are checked here, play by
+    # play, on all 800 instances of seeds 0-39.  One's family is an ideal
+    # base, so One offering its least member every round wins at once or
+    # never: every instance strengthens at horizon 1
+    strengthened, upgraded, windows = [], [], []
+    strengthen = fuzzing.strengthen_one_for_subsequences
+    intersect = fuzzing.intersect_predetermined
+    build = fuzzing.build_point_open
+
+    def recording_strengthen(s, game, low):
+        sigma = strengthen(s, game, low)
+        strengthened.append((game, s, sigma, low))
+        return sigma
+
+    def recording_intersect(script, fam):
+        sigma = intersect(script, fam)
+        upgraded.append((script, sigma))
+        return sigma
+
+    def recording_build(space, fam_a, fam_b, horizon, window=None):
+        game = build(space, fam_a, fam_b, horizon, window=window)
+        if window is not None:
+            windows.append((game, window))
+        return game
+
+    monkeypatch.setattr(fuzzing, "strengthen_one_for_subsequences",
+                        recording_strengthen)
+    monkeypatch.setattr(fuzzing, "intersect_predetermined", recording_intersect)
+    monkeypatch.setattr(fuzzing, "build_point_open", recording_build)
+    for seed in range(40):
+        assert fuzz(seed=seed, count=20, suites=("gamma",)).total_violations == 0
+    assert len(strengthened) == len(upgraded) == len(windows) == 800
+    for game, s, sigma, low in strengthened:
+        assert low == 1
+        assert brute_subsequences_are_plays(game, s, sigma)
+    for (script, sigma), (game, width) in zip(upgraded, windows):
+        assert width == 1
+        assert brute_blocks_are_counter_plays(game, sigma, script, width)
+
+
 # -- forced violations ------------------------------------------------------
 #
 # Each ``force`` patches the predicate one or more checks of a suite read,
@@ -286,17 +332,20 @@ def _force_gamma(patch, expected):
         expected.append(base_payload())
         return False
 
-    def subsequences_are_plays(game, s, sigma):
-        low = next(
+    def strengthen_one_for_subsequences(s, game, low):
+        # a strengthening that raises is a violation whose payload carries
+        # the least horizon One wins, found here without the suite's memo
+        least = next(
             h for h in range(1, game.horizon + 1)
             if fuzzing.winner(game.truncated(h)) is fuzzing.Player.ONE
         )
-        expected.append(dict(base_payload(), low=low))
+        expected.append(dict(base_payload(), low=least))
         accepted.append(game)
-        return False
+        raise ValueError("forced")
 
     patch.setattr(fuzzing, "is_filter_base", is_filter_base)
-    patch.setattr(fuzzing, "subsequences_are_plays", subsequences_are_plays)
+    patch.setattr(fuzzing, "strengthen_one_for_subsequences",
+                  strengthen_one_for_subsequences)
 
 
 def _force_ground(patch, expected):

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from brute import brute_every_subsequence, flatten_selections
+from brute import brute_every_subsequence, brute_is_one_play, flatten_selections
 from selgames import (
     CoversFamily,
     EverySubsequence,
@@ -20,7 +20,7 @@ from selgames import (
     verify,
 )
 from selgames.errors import EmptyMove, IllegalMove
-from selgames.game import expand, is_one_play
+from selgames.game import expand
 
 
 class TestTargets:
@@ -191,8 +191,8 @@ class TestIsOnePlay:
     def test_accepts_legal_and_rejects_illegal(self, d2, singles2):
         g = build_point_open(d2, singles2, singles2, 2)
         pre = PreOne(indices=(0, 1))
-        assert is_one_play(g, pre, (1, 2))
-        assert not is_one_play(g, pre, (2, 2))  # 2 = {1} does not contain {0}
+        assert brute_is_one_play(g, pre, (1, 2))
+        assert not brute_is_one_play(g, pre, (2, 2))  # 2 = {1} does not contain {0}
 
 
 def test_cover_targets_agree_with_the_classifier():

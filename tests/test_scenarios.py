@@ -37,10 +37,12 @@ from selgames.scenarios import (
     scenario_to_json,
 )
 from selgames.serialize import (
+    canonical_dumps,
     game_from_json,
     game_to_json,
     pack_from_json,
     pack_to_json,
+    rel_pair_from_json,
     strategy_from_json,
     strategy_to_json,
 )
@@ -100,6 +102,28 @@ class TestScenarioFiles:
         assert shared
         for sc in shared:
             assert files[sc.name].read_text() == emit_scenario(sc), sc.name
+
+    def test_every_file_is_canonical_and_decodes(self):
+        # each file holds a scenario, a strategy, a pack, an order pair or
+        # a pair of scenarios, in canonical form
+        files = sorted(SCENARIO_DIR.glob("*.json"))
+        assert files
+        for path in files:
+            text = path.read_text()
+            data = json.loads(text)
+            assert canonical_dumps(data) == text, path.name
+            if "flavor" in data:
+                scenario_from_json(data)
+            elif "class" in data:
+                strategy_from_json(data)
+            elif "t_one" in data:
+                pack_from_json(data)
+            elif "type" in data:
+                rel_pair_from_json(data)
+            else:
+                assert set(data) == {"left", "right"}, path.name
+                scenario_from_json(data["left"])
+                scenario_from_json(data["right"])
 
     def test_round_trip_corpus(self):
         for sc in corpus():

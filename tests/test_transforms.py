@@ -4,6 +4,8 @@ import random
 import pytest
 
 from brute import (
+    brute_blocks_are_counter_plays,
+    brute_subsequences_are_plays,
     brute_translation_axioms,
     brute_verify,
     preservation_fails,
@@ -47,11 +49,7 @@ from selgames.errors import (
 from selgames.fuzzing import _translation_instance
 from selgames.game import expand
 from selgames.ground import family_of
-from selgames.transforms import (
-    _transfer,
-    blocks_are_counter_plays,
-    subsequences_are_plays,
-)
+from selgames.transforms import _transfer
 
 
 def explicit_game(families, horizon, winning):
@@ -457,7 +455,7 @@ class TestStrengthenForSubsequences:
         extend(())
         s = FullOne(table=table)
         sigma = strengthen_one_for_subsequences(s, game, low)
-        assert subsequences_are_plays(game, s, sigma)
+        assert brute_subsequences_are_plays(game, s, sigma)
         core = Not(
             EverySubsequence(
                 inner=CoversFamily(full=d3.full, members=fam_b.members), m=low
@@ -491,7 +489,7 @@ class TestIntersectPredetermined:
         upgraded = intersect_predetermined(script, fam_a)
         window_game = build_point_open(d3, fam_a, fam_b, 2, window=1)
         assert verify(window_game, upgraded).valid
-        assert blocks_are_counter_plays(window_game, upgraded, script, fam_a, 1)
+        assert brute_blocks_are_counter_plays(window_game, upgraded, script, 1)
 
     def test_window_upgrade_two_member_target(self, d3):
         # second family of two singletons: wins from horizon 2, windows of 2
@@ -506,4 +504,4 @@ class TestIntersectPredetermined:
         upgraded = intersect_predetermined(script, fam_a)
         window_game = build_point_open(d3, fam_a, fam_b, 3, window=2)
         assert verify(window_game, upgraded).valid
-        assert blocks_are_counter_plays(window_game, upgraded, script, fam_a, 2)
+        assert brute_blocks_are_counter_plays(window_game, upgraded, script, 2)
