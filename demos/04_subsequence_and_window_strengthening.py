@@ -22,11 +22,9 @@ from selgames import (
     find_predetermined_one,
     intersect_predetermined,
     make_game,
-    solve,
     strengthen_one_for_subsequences,
     verify,
 )
-from selgames.game import FullOne, expand
 from selgames.transforms import is_filter_base
 
 space = discrete_space(3)
@@ -39,20 +37,9 @@ print("filter base?", is_filter_base(game.moves[0]))
 
 print("\n== uniform wins strengthen to subsequence-proof wins")
 low = 1  # a single reply above {0} already covers the target family
-witness = solve(game.truncated(low)).witness
-table = dict(expand(game.truncated(low), witness).table)  # history -> move
-
-
-def extend(hist):
-    if len(hist) >= 3:
-        return
-    table.setdefault(hist, 0)
-    for x in sorted(game.moves[len(hist)][table[hist]]):
-        extend(hist + (x,))
-
-
-extend(())
-s = FullOne(table=table)
+# One's least winning script at one round, padded: it wins every horizon
+pre = find_predetermined_one(game.truncated(low))
+s = PreOne(indices=pre.indices + (0,) * (3 - low))
 sigma = strengthen_one_for_subsequences(s, game, low)
 core = Not(EverySubsequence(
     inner=CoversFamily(full=space.full, members=targets.members), m=low,

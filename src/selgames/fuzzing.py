@@ -27,7 +27,6 @@ from .game import (
     CoversFamily,
     EverySubsequence,
     ExplicitSet,
-    FullOne,
     GameSpec,
     Kind,
     MultiCover,
@@ -35,7 +34,6 @@ from .game import (
     Player,
     PreOne,
     WindowCover,
-    expand,
     make_game,
     play,
 )
@@ -520,10 +518,6 @@ def _permuted_copy(rng: random.Random, pair: RelPair):
     return copy, fwd, back
 
 
-def _cof_as_key(value) -> tuple:
-    return (value.kind, value.n)
-
-
 def suite_tukey(rng: random.Random, count: int,
                 node_budget: int = DEFAULT_NODE_BUDGET) -> SuiteResult:
     res = SuiteResult()
@@ -583,8 +577,7 @@ def suite_tukey(rng: random.Random, count: int,
         ):
             res.check(
                 "cofinality/invariant-under-two-way-maps",
-                _cof_as_key(relative_cofinality(src))
-                == _cof_as_key(relative_cofinality(copy)),
+                relative_cofinality(src) == relative_cofinality(copy),
                 payload,
             )
 
@@ -602,7 +595,7 @@ def suite_tukey(rng: random.Random, count: int,
             prod = truncate_product(base, bound)
             proj = projection_map(prod, base)
             ok = check_tukey_map(proj, prod, base)
-            stabilized.append((ok, _cof_as_key(relative_cofinality(prod))))
+            stabilized.append((ok, relative_cofinality(prod)))
         res.check(
             "tukey/projection-validates-at-every-truncation",
             all(ok for ok, _ in stabilized),
@@ -615,21 +608,17 @@ def suite_tukey(rng: random.Random, count: int,
         )
         res.check(
             "tukey/truncation-agrees-with-base",
-            stabilized[0][1] == _cof_as_key(base_cof),
+            stabilized[0][1] == base_cof,
             payload,
         )
-        lifted = lift_omega_cof(base_cof, b_empty=not base.sub_b)
-        expected = (
-            relative_cofinality(base)
-            if not base.sub_b
-            else (UNDEFINED if base_cof.is_undefined else OMEGA)
-        )
+        # base.sub_b is every index of the base carrier, so never empty
         res.check(
             "tukey/symbolic-lift-table",
-            _cof_as_key(lifted) == _cof_as_key(expected),
+            lift_omega_cof(base_cof, b_empty=False)
+            == (UNDEFINED if base_cof.is_undefined else OMEGA),
             payload,
         )
-        if base_cof.is_finite and base.sub_b:
+        if base_cof.is_finite:
             # No fixed finite family survives raising the counter bound:
             # every trunc-2 candidate embeds into trunc-3, where obligations
             # at counter 3 escape them all.  This is why the symbolic lift
@@ -696,26 +685,27 @@ def suite_gamma(rng: random.Random, count: int,
             is_filter_base(game.moves[0]),
             payload,
         )
-        # Every round offers the same move sets, so the last h rounds of the
-        # n-round game are the h-round game: Two wins game.truncated(h) iff
-        # Two wins from the start state at round n - h, and one memo on the
-        # n-round game answers every truncation.
-        whole = _Solver(game)
-        start = game.target.start
-        low = next((h for h in range(1, n + 1)
-                    if not whole.two_wins(n - h, start)), None)
-        if low is None:
+        # One's move sets form a finite filter base, so its least member lies
+        # inside every other: One offering it every round wins the n-round
+        # game iff One wins the one-round game, and one round decides it.
+        searches = _Solver(game.truncated(1))
+        if searches.winner() is Player.TWO:
             continue  # constructions need a winning horizon; try again
+        low = 1
 
-        searches = _Solver(game.truncated(low))
-        truncated = searches.game
-        table = dict(expand(truncated, searches.solve().witness).table)
-        frontier = [hist for hist in _histories(game, table, low, n)]
-        for hist in frontier:
-            table.setdefault(hist, 0)
-        s = FullOne(table=table)
         try:
-            sigma = strengthen_one_for_subsequences(s, game, low)
+            pre = searches.find_predetermined_one(node_budget)
+        except BudgetExceeded:
+            res.budget_exceeded += 1
+            res.instances += 1
+            continue
+        if not res.check("gamma/full-win-gives-script-on-discrete",
+                         pre is not None, payload):
+            res.instances += 1
+            continue
+        script = PreOne(indices=pre.indices + (0,) * (n - low))
+        try:
+            sigma = strengthen_one_for_subsequences(script, game, low)
         except Exception as exc:  # noqa: BLE001
             res.violate(f"gamma/strengthen-raised:{type(exc).__name__}", payload)
             res.instances += 1
@@ -735,50 +725,19 @@ def suite_gamma(rng: random.Random, count: int,
         )
 
         try:
-            pre_low = searches.find_predetermined_one(node_budget)
-        except BudgetExceeded:
-            res.budget_exceeded += 1
+            upgraded = intersect_predetermined(script, fam_a)
+        except Exception as exc:  # noqa: BLE001
+            res.violate(f"gamma/intersect-raised:{type(exc).__name__}", payload)
             res.instances += 1
             continue
-        if res.check("gamma/full-win-gives-script-on-discrete",
-                     pre_low is not None, payload):
-            script = PreOne(indices=pre_low.indices + (0,) * (n - low))
-            try:
-                upgraded = intersect_predetermined(script, fam_a)
-            except Exception as exc:  # noqa: BLE001
-                res.violate(f"gamma/intersect-raised:{type(exc).__name__}", payload)
-                res.instances += 1
-                continue
-            window_game = build_point_open(space, fam_a, fam_b, n, window=low)
-            res.check(
-                "gamma/intersected-script-wins-window",
-                verify(window_game, upgraded).valid,
-                payload,
-            )
+        window_game = build_point_open(space, fam_a, fam_b, n, window=low)
+        res.check(
+            "gamma/intersected-script-wins-window",
+            verify(window_game, upgraded).valid,
+            payload,
+        )
         res.instances += 1
     return res
-
-
-def _histories(game: GameSpec, table: dict, low: int, horizon: int):
-    """Reachable histories of length >= low missing from a truncated table."""
-    out = []
-
-    def walk(hist: tuple) -> None:
-        if len(hist) == horizon:
-            return
-        if hist not in table and len(hist) >= low:
-            out.append(hist)
-        idx = table.get(hist, 0)
-        family = game.moves[len(hist)]
-        idx = idx if idx < len(family) else 0
-        for x in sorted(family[idx]):
-            walk(hist + (x,))
-
-    try:
-        walk(())
-    finally:
-        del walk
-    return out
 
 
 def suite_ground(rng: random.Random, count: int,

@@ -141,6 +141,8 @@ def build_rothberger(
 
 
 def validate_scenario(sc: Scenario) -> None:
+    if type(sc.name) is not str:
+        raise ScenarioFormatError("name must be a string")
     if sc.flavor not in FLAVORS:
         raise ScenarioFormatError(f"unknown flavor {sc.flavor!r}")
     space = sc.space()
@@ -155,8 +157,11 @@ def validate_scenario(sc: Scenario) -> None:
              "abstract-game": "game"}.get(sc.flavor)
     if needs is not None and needs not in sc.params:
         raise ScenarioFormatError(f"{sc.flavor} needs params.{needs}")
-    if needs in ("w", "m") and type(sc.params[needs]) is not int:
-        raise ScenarioFormatError(f"params.{needs} must be an integer")
+    if needs in ("w", "m"):
+        if type(sc.params[needs]) is not int:
+            raise ScenarioFormatError(f"params.{needs} must be an integer")
+        if sc.params[needs] < 1:
+            raise ScenarioFormatError(f"params.{needs} must be at least 1")
 
 
 def build_game(sc: Scenario, horizon: Optional[int] = None) -> GameSpec:

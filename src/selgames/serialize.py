@@ -94,23 +94,24 @@ def target_to_json(target: Target) -> dict:
 def target_from_json(data: Mapping) -> Target:
     try:
         kind = data["type"]
+        if kind in ("covers-family", "multi-cover", "window-cover"):
+            full = _int(data["full"])
+            members = tuple(_int(m) for m in data["members"])
         if kind == "covers-family":
-            return CoversFamily(full=data["full"], members=tuple(data["members"]))
+            return CoversFamily(full=full, members=members)
         if kind == "multi-cover":
-            return MultiCover(
-                full=data["full"], members=tuple(data["members"]), m=data["m"]
-            )
+            return MultiCover(full=full, members=members, m=_int(data["m"]))
         if kind == "window-cover":
-            return WindowCover(
-                full=data["full"], members=tuple(data["members"]), w=data["w"]
-            )
+            return WindowCover(full=full, members=members, w=_int(data["w"]))
         if kind == "explicit-set":
             return ExplicitSet(
-                winning=tuple(frozenset(w) for w in data["winning"])
+                winning=tuple(
+                    frozenset(_int(x) for x in w) for w in data["winning"]
+                )
             )
         if kind == "every-subsequence":
             return EverySubsequence(
-                inner=target_from_json(data["inner"]), m=data["m"]
+                inner=target_from_json(data["inner"]), m=_int(data["m"])
             )
         if kind == "not":
             return Not(inner=target_from_json(data["inner"]))
@@ -137,9 +138,10 @@ def game_from_json(data: Mapping) -> GameSpec:
     try:
         return make_game(
             moves=[
-                [frozenset(ms) for ms in family] for family in data["moves"]
+                [frozenset(_int(x) for x in ms) for ms in family]
+                for family in data["moves"]
             ],
-            horizon=data["horizon"],
+            horizon=_int(data["horizon"]),
             kind=Kind(data["kind"]),
             target=target_from_json(data["target"]),
         )

@@ -15,14 +15,15 @@ Each transfer is built exactly as in its existence proof; its input is
 checked to win once, and its output before it is returned.
 
 The module also hosts the two strengthening constructions for One over
-filter-base move families: the full-information one (winning uniformly
-over a horizon interval upgrades to winning the every-subsequence
-target) and the predetermined one (running intersections via an ideal
-base upgrade a cover script to a window-cover script).  Each result is
-checked by ``verify`` on the upgraded game; the lemmas their proofs go
-through (every subsequence of a play is a play of the input, every
-window-long block of replies is a counter-play against the script) are
-checked play by play only in the tests.
+filter-base move families: the full-information one (a script or a
+history table winning uniformly over a horizon interval upgrades to a
+table winning the every-subsequence target) and the predetermined one
+(running intersections via an ideal base upgrade a cover script to a
+window-cover script).  Each result is checked by ``verify`` on the
+upgraded game; the lemmas their proofs go through (every subsequence of
+a play is a play of the input, every window-long block of replies is a
+counter-play against the script) are checked play by play only in the
+tests.
 """
 
 from __future__ import annotations
@@ -323,12 +324,13 @@ def _round_constant_family(game: GameSpec) -> tuple[frozenset, ...]:
 
 
 def strengthen_one_for_subsequences(
-    s: FullOne, game: GameSpec, low: int
+    s: Union[FullOne, PreOne], game: GameSpec, low: int
 ) -> FullOne:
     """Upgrade a uniformly winning One strategy to a subsequence-proof one.
 
-    ``s`` must win the game at every horizon in [low, game.horizon] (the
-    same table, truncated).  The returned strategy answers each history
+    ``s`` is a history table or a script, read from the history alone,
+    and must win the game at every horizon in [low, game.horizon] (the
+    same strategy, truncated).  The returned strategy answers each history
     with the least move set contained in the intersection of every move
     ``s`` would have offered along every subsequence of that history; a
     filter-base move family guarantees such a move exists.  Consequently
@@ -336,6 +338,10 @@ def strengthen_one_for_subsequences(
     ``s``, so every subsequence of length >= low of the final selection
     satisfies whatever the uniform wins force on full selections.
     """
+    if not isinstance(s, (FullOne, PreOne)):
+        raise ValueError(
+            f"strengthening takes a FullOne or PreOne, not a {type(s).__name__}"
+        )
     _require_single(game)
     family = _round_constant_family(game)
     if not is_filter_base(family):

@@ -332,10 +332,32 @@ class TestUsageErrors:
     def test_wrongly_typed_fields_are_errors(self, capsys, tmp_path):
         base = json.loads((SCENARIOS / "point-open-discrete-2-h1.json").read_text())
         window = dict(base, flavor="point-open-window", params={"w": "a"})
+        tiny = json.loads((SCENARIOS / "tiny-abstract.json").read_text())
+
+        def abstract(**fields):
+            game = dict(tiny["params"]["game"], **fields)
+            return dict(tiny, params={"game": game})
+
+        def covers(full=3, members=(1, 2)):
+            return {"type": "covers-family", "full": full, "members": list(members)}
+
         scenarios = (
             dict(base, space=dict(base["space"], size="2")),
             dict(base, horizon="1"),
             window,
+            abstract(target={"type": "not", "inner": covers(full="3")}),
+            abstract(target={"type": "not", "inner": covers(members=("1", 2))}),
+            abstract(target=dict(covers(), type="window-cover", w="1")),
+            abstract(target=dict(covers(), type="multi-cover", m="1")),
+            abstract(target={"type": "every-subsequence", "inner": covers(), "m": "1"}),
+            abstract(target={"type": "explicit-set", "winning": [["0"], [0, 1]]}),
+            abstract(moves=[[["0", 1]], [[0, 1]]]),
+            abstract(horizon="2"),
+            # a width or multiplicity below 1 names no game
+            dict(base, flavor="point-open-window", params={"w": 0}),
+            dict(base, flavor="point-open-window", params={"w": -2}),
+            dict(base, flavor="rothberger-lambda", params={"m": 0}),
+            dict(base, name=[1]),
         )
         commands = []
         for k, data in enumerate(scenarios):

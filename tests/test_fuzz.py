@@ -105,11 +105,12 @@ class TestFuzzContract:
 
 
 def test_one_memo_answers_every_gamma_truncation():
-    # the gamma suite's point-open games offer the same move sets every
-    # round, so Two wins the h-round game iff Two wins the n-round game
-    # from the start state at round n - h, all read off one memo.  Half the
-    # draws take the suite's ideal-base families; the rest take any family,
-    # where One may need more than one round
+    # a solver test on the gamma suite's kind of game: its point-open games
+    # offer the same move sets every round, so Two wins the h-round game iff
+    # Two wins the n-round game from the start state at round n - h, all
+    # read off one memo.  Half the draws take the suite's ideal-base
+    # families; the rest take any family, where One may need more than one
+    # round
     rng = random.Random(8)
     patterns = {"two everywhere": 0, "one at once": 0, "one later": 0}
     for trial in range(120):
@@ -139,39 +140,37 @@ def test_one_memo_answers_every_gamma_truncation():
     assert min(patterns.values()) >= 5, patterns
 
 
-def test_gamma_strengthens_at_the_least_winning_horizon(monkeypatch):
-    # the suite hands the least horizon One wins to the strengthening, and
-    # no report byte shows it unless a check fails, so read it off there.
-    # One wins at once or never when One's family is an ideal base, so the
-    # suite draws any family here, and One may need two or three rounds
-    seen = []
-    real = fuzzing.strengthen_one_for_subsequences
+def test_gamma_games_are_decided_at_one_round(monkeypatch):
+    # the suite decides each game it draws at one round, since One's move
+    # sets form a finite filter base: One wins the n-round game iff One
+    # wins the one-round game.  Every game of seeds 0-39 bears it out,
+    # rejected draws included, whichever player wins
+    games = []
+    build = fuzzing.build_point_open
 
-    def strengthen(s, game, low):
-        seen.append((game, low))
-        return real(s, game, low)
+    def recording_build(space, fam_a, fam_b, horizon, window=None):
+        game = build(space, fam_a, fam_b, horizon, window=window)
+        if window is None:
+            games.append(game)
+        return game
 
-    def any_family(rng, space):
-        k = rng.randint(1, min(3, space.full - 1))
-        return SetFamily.build(space, rng.sample(range(1, space.full), k), name="a")
-
-    monkeypatch.setattr(fuzzing, "strengthen_one_for_subsequences", strengthen)
-    monkeypatch.setattr(fuzzing, "_ideal_base_family", any_family)
-    fuzz(seed=4, count=40, suites=("gamma",))
-    assert {low for _, low in seen} >= {1, 2}
-    for game, low in seen:
-        assert low == next(
-            h for h in range(1, game.horizon + 1)
-            if brute_winner(game.truncated(h)) is Player.ONE
-        )
+    monkeypatch.setattr(fuzzing, "build_point_open", recording_build)
+    for seed in range(40):
+        fuzz(seed=seed, count=20, suites=("gamma",))
+    won = {Player.ONE: 0, Player.TWO: 0}
+    for game in games:
+        verdicts = {brute_winner(game.truncated(h)) for h in range(1, game.horizon + 1)}
+        assert len(verdicts) == 1, game
+        won[verdicts.pop()] += 1
+    assert won == {Player.ONE: 800, Player.TWO: 2179}
 
 
 def test_gamma_lemmas_hold_play_by_play(monkeypatch):
     # the suite checks both strengthenings with verify on the upgraded
     # games; the lemmas their proofs go through are checked here, play by
-    # play, on all 800 instances of seeds 0-39.  One's family is an ideal
-    # base, so One offering its least member every round wins at once or
-    # never: every instance strengthens at horizon 1
+    # play, on all 800 instances of seeds 0-39.  The suite decides each
+    # game at one round and hands one script to both strengthenings, so
+    # every instance strengthens at horizon 1
     strengthened, upgraded, windows = [], [], []
     strengthen = fuzzing.strengthen_one_for_subsequences
     intersect = fuzzing.intersect_predetermined
@@ -334,7 +333,7 @@ def _force_gamma(patch, expected):
 
     def strengthen_one_for_subsequences(s, game, low):
         # a strengthening that raises is a violation whose payload carries
-        # the least horizon One wins, found here without the suite's memo
+        # the least horizon One wins, found here by deciding each truncation
         least = next(
             h for h in range(1, game.horizon + 1)
             if fuzzing.winner(game.truncated(h)) is fuzzing.Player.ONE

@@ -442,18 +442,9 @@ class TestStrengthenForSubsequences:
         n = 3
         game = build_point_open(d3, fam_a, fam_b, n)
         low = 1  # a single neighborhood reply already covers {0}
-        det = solve(game.truncated(low))
-        assert det.winner is Player.ONE
-        table = dict(expand(game.truncated(low), det.witness).table)
-        # extend to horizon n: later rounds free-play move 0
-        def extend(hist):
-            if len(hist) >= n:
-                return
-            table.setdefault(hist, 0)
-            for x in sorted(game.moves[len(hist)][table[hist]]):
-                extend(hist + (x,))
-        extend(())
-        s = FullOne(table=table)
+        # One's least winning script at one round, padded, wins every horizon
+        pre = find_predetermined_one(game.truncated(low))
+        s = PreOne(indices=pre.indices + (0,) * (n - low))
         sigma = strengthen_one_for_subsequences(s, game, low)
         assert brute_subsequences_are_plays(game, s, sigma)
         core = Not(
@@ -463,6 +454,16 @@ class TestStrengthenForSubsequences:
         )
         core_game = make_game([game.moves[0]] * n, n, Kind.SINGLE, core)
         assert verify(core_game, sigma).valid
+
+    def test_state_witness_is_rejected_by_name(self, d2):
+        # solve's witness wins, but it reads the target state, which the
+        # strengthening's subsequences of a history do not carry
+        fam = family_of(d2, [{0}])
+        game = build_point_open(d2, fam, fam, 2)
+        det = solve(game)
+        assert det.winner is Player.ONE
+        with pytest.raises(ValueError, match="not a StateOne"):
+            strengthen_one_for_subsequences(det.witness, game, 1)
 
 
 class TestIntersectPredetermined:
