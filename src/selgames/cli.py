@@ -24,7 +24,13 @@ from .errors import (
 from .fuzzing import ALL_SUITES, fuzz
 from .game import Player
 from .orders import lift_omega_cof, relative_cofinality
-from .scenarios import CORPUS_EXPECTATIONS, build_game, corpus, load_scenario
+from .scenarios import (
+    CORPUS_EXPECTATIONS,
+    build_game,
+    corpus,
+    load_scenario,
+    scenario_from_json,
+)
 from .serialize import (
     canonical_dumps,
     pack_from_json,
@@ -160,8 +166,6 @@ def _cmd_verify(args) -> int:
 def _cmd_duality(args) -> int:
     data = _load_json(args.pair)
     try:
-        from .scenarios import scenario_from_json
-
         left = scenario_from_json(data["left"])
         right = scenario_from_json(data["right"])
     except KeyError as exc:
@@ -280,7 +284,7 @@ def _cmd_corpus(args) -> int:
         markov = searches.find_markov_two()
         expected = CORPUS_EXPECTATIONS[sc.name]
         got = (det.winner.value, pre is not None, markov is not None)
-        ok = got == expected and verify(game, det.witness).valid
+        ok = got == expected and searches.verify(det.witness).valid
         lines.append(f"{'PASS' if ok else 'FAIL'} {sc.name}: winner {got[0]},"
                      f" pre {got[1]}, markov {got[2]}")
         if not ok:

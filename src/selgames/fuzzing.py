@@ -147,11 +147,11 @@ def _suite_rng(seed: int, suite: str) -> random.Random:
 # -- shared generators ---------------------------------------------------
 
 
-def _random_explicit_target(rng: random.Random, items: list[int], density: float = 0.5):
+def _random_explicit_target(rng: random.Random, items: list[int]):
     winning = []
     for r in range(len(items) + 1):
         for combo in itertools.combinations(items, r):
-            if rng.random() < density:
+            if rng.random() < 0.5:
                 winning.append(frozenset(combo))
     return ExplicitSet(winning=tuple(winning))
 
@@ -227,7 +227,7 @@ def suite_determinacy(rng: random.Random, count: int,
         )
         searches = _Solver(game)
         det = searches.solve()
-        res.check("determinacy/witness-verifies", verify(game, det.witness).valid, payload)
+        res.check("determinacy/witness-verifies", searches.verify(det.witness).valid, payload)
         try:
             pre = searches.find_predetermined_one(node_budget)
             markov = searches.find_markov_two(node_budget)
@@ -237,10 +237,10 @@ def suite_determinacy(rng: random.Random, count: int,
             continue
         if pre is not None:
             res.check("hierarchy/pre-implies-one-wins", det.winner is Player.ONE, payload)
-            res.check("hierarchy/pre-verifies", verify(game, pre).valid, payload)
+            res.check("hierarchy/pre-verifies", searches.verify(pre).valid, payload)
         if markov is not None:
             res.check("hierarchy/markov-implies-two-wins", det.winner is Player.TWO, payload)
-            res.check("hierarchy/markov-verifies", verify(game, markov).valid, payload)
+            res.check("hierarchy/markov-verifies", searches.verify(markov).valid, payload)
         if det.winner is Player.ONE:
             res.check("determinacy/loser-side-markov-none", markov is None, payload)
         else:
@@ -636,9 +636,9 @@ def suite_tukey(rng: random.Random, count: int,
     return res
 
 
-def _ideal_base_family(rng: random.Random, space, max_seed: int = 3) -> SetFamily:
+def _ideal_base_family(rng: random.Random, space) -> SetFamily:
     full = space.full
-    seeds = rng.sample(range(1, full), min(rng.randint(1, max_seed), full - 1))
+    seeds = rng.sample(range(1, full), min(rng.randint(1, 3), full - 1))
     return SetFamily.build(space, _union_closure(seeds), name="ideal-base")
 
 

@@ -267,6 +267,9 @@ def advance(game: "GameSpec", state, x):
 def _check_target(target) -> None:
     if not isinstance(target, _TARGET_CLASSES):
         raise TypeError(f"not a built-in target: {target!r}")
+    # 0 is a legal width or multiplicity: classify_cover builds such targets
+    if getattr(target, "w", 0) < 0 or getattr(target, "m", 0) < 0:
+        raise ValueError(f"negative width or multiplicity in {target!r}")
     if isinstance(target, (Not, EverySubsequence)):
         _check_target(target.inner)
 

@@ -313,8 +313,8 @@ def min_covers(space: GroundSpace, fam: SetFamily, max_count: int = 256) -> MinC
     return MinCoverResult(covers=tuple(ordered), truncated=False)
 
 
-def all_topologies(size: int, opens_cap: int = OPENS_CAP) -> list[GroundSpace]:
-    """Every topology on {0..size-1} with at most ``opens_cap`` opens.
+def all_topologies(size: int) -> list[GroundSpace]:
+    """Every topology on {0..size-1}.
 
     Exhaustive over all families containing {empty, full} closed under
     union/intersection; intended for sizes <= 4.
@@ -327,8 +327,6 @@ def all_topologies(size: int, opens_cap: int = OPENS_CAP) -> list[GroundSpace]:
     for r in range(len(middles) + 1):
         for combo in itertools.combinations(middles, r):
             fam = set(combo) | {0, full}
-            if len(fam) > opens_cap:
-                continue
             ok = all(
                 (a | b) in fam and (a & b) in fam
                 for a, b in itertools.combinations(fam, 2)

@@ -42,7 +42,6 @@ FLAVORS = (
     "abstract-game",
 )
 POINT_OPEN_FLAVORS = ("point-open-o", "point-open-window")
-COVER_BOUND = 256  # most minimal covers a Rothberger move list may hold
 
 
 @dataclass(frozen=True)
@@ -59,11 +58,11 @@ class Scenario:
     def space(self) -> GroundSpace:
         return build_topology(self.space_size, self.subbasis)
 
-    def family_a(self, space: Optional[GroundSpace] = None) -> SetFamily:
-        return SetFamily.build(space or self.space(), self.fam_a, name="a")
+    def family_a(self, space: GroundSpace) -> SetFamily:
+        return SetFamily.build(space, self.fam_a, name="a")
 
-    def family_b(self, space: Optional[GroundSpace] = None) -> SetFamily:
-        return SetFamily.build(space or self.space(), self.fam_b, name="b")
+    def family_b(self, space: GroundSpace) -> SetFamily:
+        return SetFamily.build(space, self.fam_b, name="b")
 
 
 def neighborhood_move_set(space: GroundSpace, member: int) -> frozenset[int]:
@@ -121,10 +120,10 @@ def build_rothberger(
     minimal covers is itself justified by an item-map pack; the tests
     build and validate it.
     """
-    result = min_covers(space, fam_a, max_count=COVER_BOUND)
+    result = min_covers(space, fam_a)
     if result.truncated:
         raise CoverEnumerationTruncated(
-            f"more than {COVER_BOUND} minimal covers; refusing a partial move list"
+            f"more than {len(result.covers)} minimal covers; refusing a partial move list"
         )
     if not result.covers:
         raise NoCovers("the first family admits no covers")
@@ -140,7 +139,8 @@ def build_rothberger(
     )
 
 
-def validate_scenario(sc: Scenario) -> None:
+def validate_scenario(sc: Scenario) -> GroundSpace:
+    """Check the scenario's fields; returns the space it built to do so."""
     if type(sc.name) is not str:
         raise ScenarioFormatError("name must be a string")
     if sc.flavor not in FLAVORS:
@@ -162,16 +162,16 @@ def validate_scenario(sc: Scenario) -> None:
             raise ScenarioFormatError(f"params.{needs} must be an integer")
         if sc.params[needs] < 1:
             raise ScenarioFormatError(f"params.{needs} must be at least 1")
+    return space
 
 
 def build_game(sc: Scenario, horizon: Optional[int] = None) -> GameSpec:
     """Materialize the scenario's game, optionally overriding the horizon."""
-    validate_scenario(sc)
+    space = validate_scenario(sc)
     h = sc.horizon if horizon is None else horizon
     if sc.flavor == "abstract-game":
         game = game_from_json(sc.params["game"])
         return game if horizon is None else game.truncated(horizon)
-    space = sc.space()
     fam_a = sc.family_a(space)
     fam_b = sc.family_b(space)
     if sc.flavor == "point-open-o":

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from typing import Any, Mapping
 
+from ._bits import mask_of
 from .errors import ScenarioFormatError
 from .game import (
     CoversFamily,
@@ -59,20 +60,20 @@ def target_to_json(target: Target) -> dict:
         return {
             "type": "covers-family",
             "full": target.full,
-            "members": sorted(target.members),
+            "members": list(target.members),
         }
     if isinstance(target, MultiCover):
         return {
             "type": "multi-cover",
             "full": target.full,
-            "members": sorted(target.members),
+            "members": list(target.members),
             "m": target.m,
         }
     if isinstance(target, WindowCover):
         return {
             "type": "window-cover",
             "full": target.full,
-            "members": sorted(target.members),
+            "members": list(target.members),
             "w": target.w,
         }
     if isinstance(target, ExplicitSet):
@@ -338,8 +339,6 @@ def rel_pair_to_json(pair: RelPair) -> dict:
 def rel_pair_from_json(data: Mapping) -> RelPair:
     try:
         if data["type"] == "inclusion":
-            from ._bits import mask_of
-
             return inclusion_pair(
                 [mask_of(s) for s in data["a"]],
                 [mask_of(s) for s in data["b"]],

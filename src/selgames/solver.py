@@ -11,14 +11,15 @@ table).  find_predetermined_one() and find_markov_two() share one search
 over (round, set of states the other side can reach): a script sees no
 reply and a Markov table no history, so each fixes one row per round,
 and a set holding a state the other side wins from is answered None at
-once.  One _Solver per game holds the (state, selection) transition
-cache, Two's selections from each move set and the (round, state) memo
-that determination, extraction, both synthesizers and this prune share;
-callers asking several questions of one game share one _Solver.
-verify() checks every strategy class by one walk memoized on (round,
-state, what the strategy remembers) that counts plays by multiplication:
-StateOne, StateTwo, PreOne and MarkovTwo remember nothing, a FullOne
-remembers Two's selections and a FullTwo One's indices.
+once.  verify() checks every strategy class by one walk memoized on
+(round, state, what the strategy remembers) that counts plays by
+multiplication: StateOne, StateTwo, PreOne and MarkovTwo remember
+nothing, a FullOne remembers Two's selections and a FullTwo One's
+indices.  One _Solver per game holds the (state, selection) transition
+cache and Two's selections from each move set, which determination,
+extraction, both synthesizers and verification share, and the (round,
+state) memo that determination, extraction and the synthesizers' prune
+share; callers asking several questions of one game share one _Solver.
 
 A recursive helper nested in a search refers to itself through its
 closure cell, a reference cycle that would keep it and every table it
@@ -71,22 +72,20 @@ class _Table(dict):
         return value
 
 
-def _transitions(game: GameSpec) -> _Table:
-    """(state, selection) -> next state: each transition is stepped once,
-    however often the searches sharing the table meet it.  A single-kind
-    selection is one item, stepped by the target itself; a finite-kind one
-    goes through ``advance``."""
-    step = (game.target.step if game.kind is Kind.SINGLE
-            else functools.partial(advance, game))
-    return _Table(lambda key: step(*key))
-
-
 @dataclass(frozen=True)
 class Determination:
     winner: Player
     witness: Union[StateOne, StateTwo]
     nodes_explored: int
     memo_hits: int
+
+
+@dataclass(frozen=True)
+class VerificationReport:
+    valid: bool
+    side: Player
+    counter_plays: tuple[PlayRecord, ...]
+    plays_checked: int
 
 
 class _Solver:
@@ -96,16 +95,21 @@ class _Solver:
     from each move set as a tuple (listed on first use: a finite-kind
     move set of k items has 2^k - 1 of them) and the (round, state)
     determination memo; the determination, both extraction walks, the
-    script search and Markov synthesis read selections and step the
-    target only through those tables, and both synthesizers read their
-    prune off that memo.  A caller asking several questions of
+    script search, Markov synthesis and verification read selections and
+    step the target only through those tables, and both synthesizers read
+    their prune off that memo.  A caller asking several questions of
     one game builds one and asks them all of it; the nodes and memo hits
     ``solve`` reports then count every search made on it so far.
     """
 
     def __init__(self, game: GameSpec):
         self.game = game
-        self.transitions = _transitions(game)
+        # each transition is stepped once, however often the searches meet
+        # it: a single-kind selection is one item, stepped by the target
+        # itself; a finite-kind one goes through ``advance``
+        step = (game.target.step if game.kind is Kind.SINGLE
+                else functools.partial(advance, game))
+        self.transitions = _Table(lambda key: step(*key))
         self.selections = _Table(lambda ms: tuple(two_choices(game, ms)))
         self.memo: dict = {}  # (round, state) -> whether Two wins from there
         self.nodes = 0
@@ -302,6 +306,97 @@ class _Solver:
             (j, r): x for r, row in enumerate(table) for j, x in enumerate(row)
         })
 
+    def verify(
+        self,
+        strategy: Union[StrategyOne, StrategyTwo],
+        max_exhibits: int = MAX_EXHIBITS,
+    ) -> VerificationReport:
+        """One depth-first walk of the strategy's play tree, the adversary
+        ranging over every legal choice, memoized on (round, target state,
+        what the strategy remembers).
+
+        A StateOne, StateTwo, PreOne or MarkovTwo remembers nothing: its
+        move is a function of the round, the state and One's current index.
+        A FullOne remembers Two's selections and a FullTwo One's indices.
+        At the horizon no move is made, so a final state's verdict is shared
+        by every history reaching it.  The walk tallies the plays below each
+        node and the lost ones among them, so plays are counted by
+        multiplication.  Its first visit of a node looks up and checks the
+        strategy's moves in the order a play-by-play walk would, so the
+        first IllegalMove is the same.  Counter-plays are then read off in
+        lexicographic order by descending only into nodes that hold a loss.
+        """
+        if isinstance(strategy, (PreOne, StateOne, FullOne)):
+            side, other = Player.ONE, Player.TWO
+        elif isinstance(strategy, (MarkovTwo, StateTwo, FullTwo)):
+            side, other = Player.TWO, Player.ONE
+        else:
+            raise TypeError(f"not a strategy: {strategy!r}")
+        one_side = side is Player.ONE
+        remembers = isinstance(strategy, (FullOne, FullTwo))
+        game, transitions, selections = self.game, self.transitions, self.selections
+        moves, horizon, accept = game.moves, game.horizon, game.target.accept
+        tally: dict = {}  # (round, state, memory) -> (plays, lost plays)
+
+        def choices(r: int, state, memory: tuple) -> Iterator[tuple]:
+            """(One's index, Two's selection, what the strategy remembers
+            after them) in lexicographic order; on Two's side each reply is
+            looked up as its turn comes."""
+            keep = remembers and r + 1 < horizon
+            if one_side:
+                i = one_move_index(strategy, memory, r, state)
+                if not 0 <= i < len(moves[r]):
+                    raise IllegalMove(r, f"move index {i} out of range")
+                for x in selections[moves[r][i]]:
+                    yield i, x, memory + (x,) if keep else ()
+            else:
+                for i, ms in enumerate(moves[r]):
+                    idx = memory + (i,)
+                    x = legal_selection(game, r, ms, two_selection(strategy, idx, r, state))
+                    yield i, x, idx if keep else ()
+
+        def count(r: int, state, memory: tuple) -> tuple:
+            if r == horizon:
+                # the target is Two's: One loses the plays it accepts
+                got = (1, int(accept(state) == one_side))
+            else:
+                plays = lost = 0
+                for _, x, mem in choices(r, state, memory):
+                    nxt = transitions[state, x]
+                    got = tally.get((r + 1, nxt, mem))
+                    if got is None:
+                        got = count(r + 1, nxt, mem)
+                    plays, lost = plays + got[0], lost + got[1]
+                got = (plays, lost)
+            tally[r, state, memory] = got
+            return got
+
+        counters: list = []
+
+        def exhibit(r: int, state, memory: tuple, idx_hist: tuple, sel_hist: tuple) -> None:
+            if r == horizon:
+                counters.append(PlayRecord(idx_hist, sel_hist, other))
+                return
+            for i, x, mem in choices(r, state, memory):
+                nxt = transitions[state, x]
+                if tally[r + 1, nxt, mem][1]:
+                    exhibit(r + 1, nxt, mem, idx_hist + (i,), sel_hist + (x,))
+                    if len(counters) == max_exhibits:
+                        return
+
+        try:
+            plays, lost = count(0, game.target.start, ())
+            if lost and max_exhibits > 0:
+                exhibit(0, game.target.start, (), (), ())
+        finally:
+            del count, exhibit
+        return VerificationReport(
+            valid=not lost,
+            side=side,
+            counter_plays=tuple(counters),
+            plays_checked=plays,
+        )
+
 
 def solve(game: GameSpec) -> Determination:
     """Winner by backward induction plus a verified-by-construction witness."""
@@ -355,113 +450,6 @@ def find_markov_two(
     return _Solver(game).find_markov_two(node_budget)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    valid: bool
-    side: Player
-    counter_plays: tuple[PlayRecord, ...]
-    plays_checked: int
-
-
-class _FirstLoss(Exception):
-    """Ends an is_winning walk at its first losing play."""
-
-
-def _check(
-    game: GameSpec, strategy, max_exhibits: int, first_loss_only: bool
-) -> VerificationReport:
-    """verify() and is_winning(): one depth-first walk of the strategy's
-    play tree, the adversary ranging over every legal choice, memoized on
-    (round, target state, what the strategy remembers).
-
-    A StateOne, StateTwo, PreOne or MarkovTwo remembers nothing: its move
-    is a function of the round, the state and One's current index.  A
-    FullOne remembers Two's selections and a FullTwo One's indices.  At the
-    horizon no move is made, so a final state's verdict is shared by every
-    history reaching it.  The walk tallies the plays below each node and
-    the lost ones among them, so plays are counted by multiplication.  Its
-    first visit of a node looks up and checks the strategy's moves in the
-    order a play-by-play walk would, so the first IllegalMove is the same.
-    Counter-plays are then read off in lexicographic order by descending
-    only into nodes that hold a loss.
-    """
-    if isinstance(strategy, (PreOne, StateOne, FullOne)):
-        side, other = Player.ONE, Player.TWO
-    elif isinstance(strategy, (MarkovTwo, StateTwo, FullTwo)):
-        side, other = Player.TWO, Player.ONE
-    else:
-        raise TypeError(f"not a strategy: {strategy!r}")
-    one_side = side is Player.ONE
-    remembers = isinstance(strategy, (FullOne, FullTwo))
-    moves, horizon, accept = game.moves, game.horizon, game.target.accept
-    transitions = _transitions(game)
-    tally: dict = {}  # (round, state, memory) -> (plays, lost plays)
-
-    def choices(r: int, state, memory: tuple) -> Iterator[tuple]:
-        """(One's index, Two's selection, what the strategy remembers after
-        them) in lexicographic order; on Two's side each reply is looked up
-        as its turn comes."""
-        keep = remembers and r + 1 < horizon
-        if one_side:
-            i = one_move_index(strategy, memory, r, state)
-            if not 0 <= i < len(moves[r]):
-                raise IllegalMove(r, f"move index {i} out of range")
-            for x in two_choices(game, moves[r][i]):
-                yield i, x, memory + (x,) if keep else ()
-        else:
-            for i, ms in enumerate(moves[r]):
-                idx = memory + (i,)
-                x = legal_selection(game, r, ms, two_selection(strategy, idx, r, state))
-                yield i, x, idx if keep else ()
-
-    def count(r: int, state, memory: tuple) -> tuple:
-        if r == horizon:
-            # the target is Two's: One loses the plays it accepts
-            lost = int(accept(state) == one_side)
-            if lost and first_loss_only:
-                raise _FirstLoss
-            got = (1, lost)
-        else:
-            plays = lost = 0
-            for _, x, mem in choices(r, state, memory):
-                nxt = transitions[state, x]
-                got = tally.get((r + 1, nxt, mem))
-                if got is None:
-                    got = count(r + 1, nxt, mem)
-                plays, lost = plays + got[0], lost + got[1]
-            got = (plays, lost)
-        tally[r, state, memory] = got
-        return got
-
-    counters: list = []
-
-    def exhibit(r: int, state, memory: tuple, idx_hist: tuple, sel_hist: tuple) -> None:
-        if r == horizon:
-            counters.append(PlayRecord(idx_hist, sel_hist, other))
-            return
-        for i, x, mem in choices(r, state, memory):
-            nxt = transitions[state, x]
-            if tally[r + 1, nxt, mem][1]:
-                exhibit(r + 1, nxt, mem, idx_hist + (i,), sel_hist + (x,))
-                if len(counters) == max_exhibits:
-                    return
-
-    try:
-        plays, lost = count(0, game.target.start, ())
-        if lost and max_exhibits > 0:
-            exhibit(0, game.target.start, (), (), ())
-    except _FirstLoss:  # is_winning's early stop, which exhibits nothing
-        plays, lost = 0, 1
-    finally:
-        del count, exhibit
-    return VerificationReport(
-        valid=not lost,
-        side=side,
-        counter_plays=tuple(counters),
-        plays_checked=plays,
-    )
-
-
 def verify(
     game: GameSpec,
     strategy: Union[StrategyOne, StrategyTwo],
@@ -470,10 +458,4 @@ def verify(
     """Exhaustive adversary enumeration; lists the first ``max_exhibits``
     losing counter-plays in lexicographic order.  ``valid`` counts every
     losing play, exhibited or not."""
-    return _check(game, strategy, max_exhibits, first_loss_only=False)
-
-
-def is_winning(game: GameSpec, strategy) -> bool:
-    """Like verify(...).valid but stops at the first counter-play."""
-    return _check(game, strategy, 0, first_loss_only=True).valid
-
+    return _Solver(game).verify(strategy, max_exhibits)

@@ -11,8 +11,8 @@ predetermined One pull back.  The full-information transfers take a
 history table or the state-keyed witness ``solve`` returns (a StateTwo
 pushed forward, a StateOne pulled back) and build the history table of
 the other game in one walk that carries the input game's target state.
-Each transfer is built exactly as in its existence proof; its input is
-checked to win once, and its output before it is returned.
+Each transfer is built exactly as in its existence proof; ``verify``
+checks that its input wins once, and its output before it is returned.
 
 The module also hosts the two strengthening constructions for One over
 filter-base move families: the full-information one (a script or a
@@ -56,7 +56,7 @@ from .game import (
     two_selection,
 )
 from .ground import SetFamily
-from .solver import is_winning
+from .solver import verify
 
 
 @dataclass(frozen=True)
@@ -204,7 +204,7 @@ def _transfer(pack: TranslationPack, src: GameSpec, dst: GameSpec,
     if not isinstance(strategy, takes):
         names = " or ".join(cls.__name__ for cls in takes)
         raise ValueError(f"{direction.value} takes a {names} for the {side} game")
-    if not is_winning(in_game, strategy):
+    if not verify(in_game, strategy).valid:
         raise InputNotWinning(f"input strategy loses the {side} game")
     h = src.horizon
     t_one, t_two = pack.t_one, pack.t_two
@@ -259,7 +259,7 @@ def _transfer(pack: TranslationPack, src: GameSpec, dst: GameSpec,
     else:
         out = PreOne(indices=tuple(t_one[r][strategy.indices[r]] for r in range(h)))
 
-    if not is_winning(out_game, out):
+    if not verify(out_game, out).valid:
         raise TranslationFailed(f"transferred strategy loses ({direction.value})")
     return out
 
@@ -271,7 +271,8 @@ def lift_item_map(
 
     The image of each target move set must equal some source move set of
     the same round (least matching index is used); the selection
-    pushforward takes the least preimage in item order.
+    pushforward sends each item of that source move set to its least
+    preimage in item order.
     """
     _require_single(src, dst)
     if src.horizon != dst.horizon:
@@ -295,9 +296,6 @@ def lift_item_map(
             one_map[j] = found
             for x in sorted(image):
                 two_map[(x, j)] = min(y for y in move if phi(y, r) == x)
-            filler = min(move)
-            for x in sorted(src.universe - image):
-                two_map[(x, j)] = filler
         t_one.append(one_map)
         t_two.append(two_map)
     return TranslationPack(t_one=tuple(t_one), t_two=tuple(t_two))
@@ -349,7 +347,7 @@ def strengthen_one_for_subsequences(
     if not 0 <= low <= game.horizon:
         raise ValueError("low outside 0..horizon")
     for h in range(low, game.horizon + 1):
-        if not is_winning(game.truncated(h), s):
+        if not verify(game.truncated(h), s).valid:
             raise NotUniformlyWinning(h)
 
     table: dict = {}

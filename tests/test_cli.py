@@ -357,6 +357,10 @@ class TestUsageErrors:
             dict(base, flavor="point-open-window", params={"w": 0}),
             dict(base, flavor="point-open-window", params={"w": -2}),
             dict(base, flavor="rothberger-lambda", params={"m": 0}),
+            # nor does a negative one in a target (0 stays legal there)
+            abstract(target={"type": "every-subsequence", "inner": covers(), "m": -1}),
+            abstract(target=dict(covers(), type="window-cover", w=-1)),
+            abstract(target=dict(covers(), type="multi-cover", m=-1)),
             dict(base, name=[1]),
         )
         commands = []

@@ -36,7 +36,6 @@ from selgames.errors import BudgetExceeded, IllegalMove, InputNotWinning, Transl
 from selgames.fuzzing import fuzz
 from selgames.game import expand
 from selgames.ground import min_covers
-from selgames.solver import is_winning
 from selgames.transforms import _transfer
 
 
@@ -95,8 +94,6 @@ def _searches() -> dict:
             BudgetExceeded, find_markov_two, two_won, node_budget=0),
         "verify winning": lambda: verify(one_won, state_one),
         "verify losing": lambda: verify(one_won, losing),
-        "is_winning winning": lambda: is_winning(two_won, markov),
-        "is_winning losing": lambda: is_winning(one_won, losing),
         "verify illegal": _raising(IllegalMove, verify, one_won, PreOne(indices=(0,))),
         "expand StateOne": lambda: expand(one_won, state_one),
         "expand PreOne": lambda: expand(one_won, script),

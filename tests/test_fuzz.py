@@ -228,8 +228,8 @@ def _recording(patch, name: str) -> list:
 
 
 def _invalid(record):
-    def verify(game, strategy):
-        record(game)
+    def verify(searches, strategy):
+        record(searches.game)
         return types.SimpleNamespace(valid=False)
 
     return verify
@@ -257,7 +257,7 @@ def _force_determinacy(patch, expected):
         k = [g for _, g in drawn].index(game)
         expected.append(scenario_to_json(abstract_scenario(f"determinacy-{k}", game)))
 
-    patch.setattr(fuzzing, "verify", _invalid(record))
+    patch.setattr(_Solver, "verify", _invalid(record))
 
 
 def _force_translation(patch, expected):

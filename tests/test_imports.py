@@ -1,7 +1,8 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and every
+import sits at module level.
 
-The package's ``__init__`` is exempt: its imports are the public names it
-re-exports.
+The package's ``__init__`` is exempt from the first rule: its imports are
+the public names it re-exports.
 """
 
 import ast
@@ -25,6 +26,18 @@ def unused_imports(source: str) -> list[str]:
                   if name not in used)
 
 
+def nested_imports(source: str) -> list[int]:
+    """The lines of the imports made inside a function body."""
+    tree = ast.parse(source)
+    return sorted({
+        node.lineno
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    })
+
+
 def test_library_modules_use_every_import():
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
     assert len(modules) > 10
@@ -41,3 +54,21 @@ def test_an_unused_import_is_found():
         "    return os.sep\n"
     )
     assert unused_imports(source) == ["Union (line 3)", "system (line 2)"]
+
+
+def test_library_modules_import_at_module_level():
+    modules = sorted(PACKAGE.glob("*.py"))
+    found = {p.name: nested_imports(p.read_text(encoding="utf-8")) for p in modules}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_a_nested_import_is_found():
+    source = (
+        "import os\n"
+        "def f():\n"
+        "    from json import dumps\n"
+        "    def g():\n"
+        "        import sys\n"
+        "    return dumps\n"
+    )
+    assert nested_imports(source) == [3, 5]

@@ -45,6 +45,8 @@ from selgames.serialize import (
     rel_pair_from_json,
     strategy_from_json,
     strategy_to_json,
+    target_from_json,
+    target_to_json,
 )
 
 
@@ -198,8 +200,14 @@ class TestSerializeCodecs:
             build_point_open(d3, singles3, singles3, 2),
             build_rothberger(discrete_space(2), singleton_family(discrete_space(2)),
                              singleton_family(discrete_space(2)), 2),
+            # member k is bit k of a cover target's state, so unsorted
+            # members must keep their order for the witness to fit
+            build_point_open(d3, SetFamily.build(d3, [1, 2, 4]),
+                             SetFamily.build(d3, [4, 1]), 2, window=2),
         ]:
-            assert game_from_json(game_to_json(g)) == g
+            back = game_from_json(game_to_json(g))
+            assert back == g
+            assert verify(back, solve(g).witness).valid
 
     def test_strategy_codec_round_trip(self, d2, singles2):
         g = build_point_open(d2, singles2, singles2, 2)
@@ -271,7 +279,7 @@ def _target_trees():
 
     members = st.lists(
         st.integers(min_value=0, max_value=7), max_size=3, unique=True
-    ).map(lambda ms: tuple(sorted(ms)))
+    ).map(tuple)
     leaves = st.one_of(
         st.builds(CoversFamily, full=st.just(7), members=members),
         st.builds(
@@ -288,7 +296,7 @@ def _target_trees():
                 st.frozensets(st.integers(min_value=0, max_value=5), max_size=3),
                 max_size=4,
                 unique=True,
-            ).map(tuple),
+            ).map(lambda ws: tuple(sorted(ws, key=sorted))),  # a set: emitted sorted
         ),
     )
     return st.recursive(
@@ -307,15 +315,8 @@ def _target_trees():
 @settings(max_examples=80, deadline=None)
 @given(target=_target_trees())
 def test_target_codec_round_trips(target):
-    import itertools
-
-    from selgames.serialize import target_from_json, target_to_json
-
-    back = target_from_json(target_to_json(target))
-    # member order canonicalizes on emit, so compare by behavior
-    for n in range(0, 3):
-        for sel in itertools.product(range(8), repeat=n):
-            assert back.evaluate(sel) == target.evaluate(sel)
+    # a cover target's members keep their order: member k is bit k of its state
+    assert target_from_json(target_to_json(target)) == target
 
 
 @settings(max_examples=80, deadline=None)

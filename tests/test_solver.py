@@ -47,7 +47,7 @@ from selgames.game import MarkovTwo, StateOne, StateTwo, advance, expand, two_ch
 from selgames.ground import SetFamily
 from selgames.scenarios import build_game, corpus
 from selgames.serialize import canonical_dumps, strategy_from_json, strategy_to_json
-from selgames.solver import MAX_EXHIBITS, is_winning
+from selgames.solver import MAX_EXHIBITS
 
 
 class TestSolve:
@@ -524,6 +524,19 @@ def test_one_search_context_steps_each_transition_once(monkeypatch):
         assert verify(g, det.witness).valid
 
 
+def test_verifying_the_witness_steps_no_new_transition():
+    # extraction steps every move the witness makes, so verifying it on
+    # the same search context reads each transition off the shared table
+    from selgames import solver
+
+    for g in _oracle_games():
+        searches = solver._Solver(g)
+        det = searches.solve()
+        stepped = len(searches.transitions)
+        assert searches.verify(det.witness).valid
+        assert len(searches.transitions) == stepped
+
+
 def _oracle_games():
     """Corpus games, point-open discrete d3/d4, and seeded random games
     (some finite-kind, some with negated or explicit targets)."""
@@ -644,7 +657,6 @@ def _assert_matches_oracle(g, strategies, caps=(0, 1, 2, MAX_EXHIBITS)):
         for cap in caps:
             report = verify(g, strategy, max_exhibits=cap)
             assert report == brute_verify(g, _brute_form(g, strategy), max_exhibits=cap)
-        assert is_winning(g, strategy) == report.valid
 
 
 class TestVerifyAgainstLiteralPlays:
@@ -661,7 +673,6 @@ class TestVerifyAgainstLiteralPlays:
                     assert report == oracle
                     if cap and len(report.counter_plays) == cap:
                         capped += 1
-                assert is_winning(g, strategy) == report.valid
         # the losing strategies lose often enough for every cap to bind
         assert capped > 20
 
@@ -695,16 +706,6 @@ class TestVerifyAgainstLiteralPlays:
         first, second = verify(g, strategy, max_exhibits=2).counter_plays
         assert first.two_selections[:-1] == second.two_selections[:-1]
         _assert_matches_oracle(g, [strategy], caps=(1, 2))
-
-    def test_is_winning_stops_at_first_loss(self, d3, singles3):
-        # the first play already loses; a row missing further on is never
-        # reached by is_winning, while verify walks on and meets it
-        g = build_point_open(d3, singles3, singles3, 2)
-        table = dict(expand(g, PreOne(indices=(0, 0))).table)
-        del table[max(table)]
-        with pytest.raises(IllegalMove):
-            verify(g, FullOne(table=table))
-        assert not is_winning(g, FullOne(table=table))
 
     def test_history_tables_are_never_merged(self, d3, singles3):
         # two histories reach the same (round, covered set) and the table
