@@ -35,7 +35,7 @@ closed = closure_family(space, fam)
 print("members before:", [f"{m:03b}" for m in fam.members])
 print("members after: ", [f"{m:03b}" for m in closed.members])
 
-show("family flags are computed once, at construction")
+show("family flags are read off the members")
 d3 = discrete_space(3)
 ideal = family_of(d3, [{0}, {1}, {0, 1}])
 print("ideal base?", ideal.ideal_base, "| covers universe?", ideal.covers_universe)

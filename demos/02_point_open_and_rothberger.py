@@ -13,7 +13,6 @@ from selgames import (
     build_rothberger,
     check_duality,
     discrete_space,
-    expand,
     find_markov_two,
     find_predetermined_one,
     play,
@@ -29,11 +28,11 @@ print("== point-open on two points, singleton families")
 for horizon in (1, 2):
     game = build_point_open(space, singles, singles, horizon)
     det = solve(game)
+    report = verify(game, det.witness)
     print(f"horizon {horizon}: winner {det.winner.value}"
-          f" ({det.nodes_explored} nodes, witness verifies:"
-          f" {verify(game, det.witness).valid})")
-    print(f"  witness: {len(det.witness.table)} (round, state) rows, standing for"
-          f" {len(expand(game, det.witness).table)} history rows")
+          f" ({det.nodes_explored} nodes, witness verifies: {report.valid})")
+    print(f"  witness: {len(det.witness.table)} (round, state) rows,"
+          f" plays checked: {report.plays_checked}")
 
 print("\nOne needs as many rounds as the cofinality of the family pair:")
 game2 = build_point_open(space, singles, singles, 2)

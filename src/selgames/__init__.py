@@ -12,7 +12,6 @@ from .duality import (
     ReflectionReport,
     check_duality,
     is_reflection,
-    is_selection_basis,
 )
 from .game import (
     CoversFamily,
@@ -31,7 +30,6 @@ from .game import (
     StateOne,
     StateTwo,
     WindowCover,
-    expand,
     make_game,
     play,
 )

@@ -1,4 +1,4 @@
-"""Reflections, selection bases, transversal enumeration, duality checks.
+"""Reflections, transversal enumeration, duality checks.
 
 A family R of nonempty sets is a reflection of a family F when the
 ranges of choice functions on R all belong to F and form a selection
@@ -21,15 +21,6 @@ from .solver import DEFAULT_NODE_BUDGET, _Solver
 Family = Sequence[frozenset]
 
 CHOICE_CAP = 10**6
-
-
-def is_selection_basis(candidate: Family, fam: Family) -> bool:
-    """candidate sits inside fam and undercuts every member of fam."""
-    fam_set = set(map(frozenset, fam))
-    cand = [frozenset(c) for c in candidate]
-    if any(c not in fam_set for c in cand):
-        return False
-    return all(any(c <= a for c in cand) for a in fam_set)
 
 
 def _choice_space_size(refl: Family) -> int:

@@ -431,8 +431,8 @@ def suite_cofinality(rng: random.Random, count: int,
         size = rng.choice(SPACE_SIZES)
         space = discrete_space(size)
         fam_a_masks, fam_b_masks = _cof_families(rng, size)
-        fam_a = SetFamily.build(space, fam_a_masks, name="a")
-        fam_b = SetFamily.build(space, fam_b_masks, name="b")
+        fam_a = SetFamily.build(space, fam_a_masks)
+        fam_b = SetFamily.build(space, fam_b_masks)
         cof = relative_cofinality(inclusion_pair(fam_a.members, fam_b.members))
 
         def payload(k=res.instances) -> dict:
@@ -639,7 +639,7 @@ def suite_tukey(rng: random.Random, count: int,
 def _ideal_base_family(rng: random.Random, space) -> SetFamily:
     full = space.full
     seeds = rng.sample(range(1, full), min(rng.randint(1, 3), full - 1))
-    return SetFamily.build(space, _union_closure(seeds), name="ideal-base")
+    return SetFamily.build(space, _union_closure(seeds))
 
 
 def suite_gamma(rng: random.Random, count: int,
@@ -651,15 +651,11 @@ def suite_gamma(rng: random.Random, count: int,
         space = discrete_space(size)
         fam_a = _ideal_base_family(rng, space)
         if any(m == space.full for m in fam_a.members):
-            fam_a = SetFamily.build(
-                space, [m for m in fam_a.members if m != space.full], name="ideal-base"
-            )
+            fam_a = SetFamily.build(space, [m for m in fam_a.members if m != space.full])
             if not fam_a.members or not fam_a.ideal_base:
                 continue
         full = space.full
-        fam_b = SetFamily.build(
-            space, rng.sample(range(1, full), rng.randint(1, 2)), name="b"
-        )
+        fam_b = SetFamily.build(space, rng.sample(range(1, full), rng.randint(1, 2)))
         n = rng.choice([2, 3] if size == 3 else [2, 3, 4])
         game = build_point_open(space, fam_a, fam_b, n)
         low = None
@@ -750,8 +746,8 @@ def suite_ground(rng: random.Random, count: int,
         fam = _ideal_base_family(rng, space)
         if rng.random() < 0.6 and not fam.covers_universe:
             extra = space.full & ~_union(fam.members)
-            fam = SetFamily.build(space, fam.members + (extra | fam.members[0],), name="f")
-            fam = SetFamily.build(space, _union_closure(fam.members), name=fam.name)
+            fam = SetFamily.build(space, fam.members + (extra | fam.members[0],))
+            fam = SetFamily.build(space, _union_closure(fam.members))
 
         def payload() -> dict:
             return {
@@ -824,7 +820,7 @@ def suite_open_question_gamma_two(
     for size, horizon, w in combos[: count if count < len(combos) else len(combos)]:
         res.attempts += 1
         space = discrete_space(size)
-        singles = SetFamily.build(space, [1 << i for i in range(size)], name="s")
+        singles = SetFamily.build(space, [1 << i for i in range(size)])
         plain = build_point_open(space, singles, singles, horizon)
         window = build_point_open(space, singles, singles, horizon, window=w)
         two_plain = winner(plain) is Player.TWO

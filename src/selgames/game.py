@@ -6,8 +6,7 @@ kind).  Two wins a play when the target predicate accepts the final
 selection sequence.  Strategy classes: full-information One and Two
 (keyed by history), script-only (predetermined) One, Markov Two (latest
 move plus round number only), and the state-keyed One and Two that the
-solver returns (round plus target state).  ``expand`` turns any of the
-last four into the history table of the full-information class.
+solver returns (round plus target state).
 """
 
 from __future__ import annotations
@@ -165,9 +164,16 @@ class WindowCover(_CoverAutomaton):
 
 @dataclass(frozen=True)
 class ExplicitSet(_SelectedSet):
-    """True when the selected set is one of an explicit list of winning sets."""
+    """True when the selected set is one of an explicit list of winning sets.
 
-    winning: tuple[frozenset[int], ...]
+    The list is stored as a set of sets: its order and repeats are not
+    part of the target.
+    """
+
+    winning: frozenset[frozenset[int]]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "winning", frozenset(map(frozenset, self.winning)))
 
     def accept(self, state: frozenset) -> bool:
         return state in self.winning
@@ -456,61 +462,3 @@ def play(
         state = advance(game, state, x)
     winner = Player.TWO if game.target.accept(state) else Player.ONE
     return PlayRecord(one_moves=idx_hist, two_selections=sel_hist, winner=winner)
-
-
-def expand(game: GameSpec, strategy) -> Union[FullOne, FullTwo]:
-    """The full-information table of a strategy whose move is a function
-    of the round, the target state and One's current index: a StateOne,
-    StateTwo, PreOne or MarkovTwo becomes the FullOne or FullTwo that
-    answers every reachable history as it does.
-
-    Reachable means: the adversary ranges over every legal choice.  A
-    history the strategy has no answer for gets no row, and one answered
-    with an illegal move gets its row but no rows below it, so a play of
-    the expansion breaks a rule in the round where the strategy's does.
-    """
-    moves, horizon = game.moves, game.horizon
-    table: dict = {}
-    if isinstance(strategy, (PreOne, StateOne)):
-
-        def walk_one(r: int, hist: tuple, state) -> None:
-            try:
-                i = one_move_index(strategy, hist, r, state)
-            except IllegalMove:
-                return
-            table[hist] = i
-            if r + 1 < horizon and 0 <= i < len(moves[r]):
-                for x in two_choices(game, moves[r][i]):
-                    walk_one(r + 1, hist + (x,), advance(game, state, x))
-
-        try:
-            if horizon:
-                walk_one(0, (), game.target.start)
-        finally:
-            del walk_one
-        return FullOne(table=table)
-
-    if not isinstance(strategy, (MarkovTwo, StateTwo)):
-        raise TypeError(f"not a state-determined strategy: {strategy!r}")
-
-    def walk_two(r: int, idx_hist: tuple, state) -> None:
-        for i, ms in enumerate(moves[r]):
-            idx = idx_hist + (i,)
-            try:
-                x = two_selection(strategy, idx, r, state)
-            except IllegalMove:
-                continue
-            table[idx] = x
-            if r + 1 < horizon:
-                try:
-                    x = legal_selection(game, r, ms, x)
-                except IllegalMove:
-                    continue
-                walk_two(r + 1, idx, advance(game, state, x))
-
-    try:
-        if horizon:
-            walk_two(0, (), game.target.start)
-    finally:
-        del walk_two
-    return FullTwo(table=table)

@@ -13,7 +13,9 @@ contain a superset of every member).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Iterable, Optional, Sequence
 
 from ._bits import is_subset, mask_of
@@ -115,83 +117,62 @@ def indiscrete_space(size: int) -> GroundSpace:
 
 @dataclass(frozen=True)
 class SetFamily:
-    """A named, ordered list of distinct subsets with structural flags.
+    """An ordered list of distinct subsets of a space's universe.
 
-    Flags are computed once at construction (values are immutable, so
-    they can never go stale): ``ideal_base`` -- every two members' union
-    lies inside some member; ``covers_universe`` -- the members' union is
-    the whole universe; ``all_open`` / ``all_closed`` -- membership of
-    every member in the opens / closeds of the space.
+    Its flags are read off the members: ``ideal_base`` -- every two
+    members' union lies inside some member; ``covers_universe`` -- the
+    members' union is the whole universe; ``all_open`` / ``all_closed``
+    -- every member is open / closed in the space.
     """
 
     space: GroundSpace
     members: tuple[int, ...]
-    name: str = ""
-    ideal_base: bool = field(default=False, compare=False)
-    covers_universe: bool = field(default=False, compare=False)
-    all_open: bool = field(default=False, compare=False)
-    all_closed: bool = field(default=False, compare=False)
 
     @staticmethod
-    def build(space: GroundSpace, members: Iterable[int], name: str = "") -> "SetFamily":
-        full, opens = space.full, space.opens
+    def build(space: GroundSpace, members: Iterable[int]) -> "SetFamily":
+        """Check the members against the universe and drop repeats."""
         seen: dict[int, None] = {}
-        union = 0
-        all_open = all_closed = True
         for m in members:
-            if m & ~full:
+            if m & ~space.full:
                 raise ValueError(f"member {m:#b} not inside the universe")
             seen[m] = None
-            union |= m
-            if m not in opens:
-                all_open = False
-            if full & ~m not in opens:
-                all_closed = False
-        ordered = tuple(seen)
-        return SetFamily(
-            space=space,
-            members=ordered,
-            name=name,
-            ideal_base=_is_ideal_base(ordered),
-            covers_universe=union == full,
-            all_open=all_open,
-            all_closed=all_closed,
+        return SetFamily(space=space, members=tuple(seen))
+
+    @property
+    def ideal_base(self) -> bool:
+        # a member's union with itself is that member
+        members = self.members
+        return all(
+            any((a | b) & ~c == 0 for c in members)
+            for k, a in enumerate(members)
+            for b in members[k + 1:]
         )
 
+    @property
+    def covers_universe(self) -> bool:
+        return reduce(or_, self.members, 0) == self.space.full
 
-def _is_ideal_base(members: tuple[int, ...]) -> bool:
-    """Every two members' union lies inside some member (a member's union
-    with itself is that member)."""
-    for k, a in enumerate(members):
-        for b in members[k + 1:]:
-            u = a | b
-            for c in members:
-                if u & ~c == 0:
-                    break
-            else:
-                return False
-    return True
+    @property
+    def all_open(self) -> bool:
+        return all(self.space.is_open(m) for m in self.members)
+
+    @property
+    def all_closed(self) -> bool:
+        return all(self.space.is_closed(m) for m in self.members)
 
 
-def family_of(space: GroundSpace, sets: Iterable[Iterable[int]], name: str = "") -> SetFamily:
+def family_of(space: GroundSpace, sets: Iterable[Iterable[int]]) -> SetFamily:
     """Convenience constructor from item iterables instead of masks."""
-    return SetFamily.build(space, (mask_of(s) for s in sets), name=name)
+    return SetFamily.build(space, (mask_of(s) for s in sets))
 
 
-def singleton_family(space: GroundSpace, name: str = "singletons") -> SetFamily:
-    return SetFamily.build(space, (1 << i for i in range(space.size)), name=name)
+def singleton_family(space: GroundSpace) -> SetFamily:
+    return SetFamily.build(space, (1 << i for i in range(space.size)))
 
 
-def finite_subsets_family(space: GroundSpace, name: str = "nonempty-subsets") -> SetFamily:
-    """All nonempty subsets of the universe (one reading of the ambient family)."""
-    return SetFamily.build(space, range(1, space.full + 1), name=name)
-
-
-def nonempty_opens_family(space: GroundSpace, name: str = "nonempty-opens") -> SetFamily:
-    """All nonempty open sets (the other reading; see module tests)."""
-    return SetFamily.build(
-        space, (u for u in space.sorted_opens() if u != 0), name=name
-    )
+def nonempty_opens_family(space: GroundSpace) -> SetFamily:
+    """All nonempty open sets of the space."""
+    return SetFamily.build(space, (u for u in space.sorted_opens() if u != 0))
 
 
 @dataclass(frozen=True)
@@ -239,9 +220,7 @@ def classify_cover(
 
 def closure_family(space: GroundSpace, fam: SetFamily) -> SetFamily:
     """Replace each member by its topological closure, merging duplicates."""
-    return SetFamily.build(
-        space, (space.closure_of(m) for m in fam.members), name=fam.name
-    )
+    return SetFamily.build(space, (space.closure_of(m) for m in fam.members))
 
 
 def refines(fam_a: SetFamily, fam_b: SetFamily) -> bool:

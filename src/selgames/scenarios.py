@@ -46,6 +46,9 @@ POINT_OPEN_FLAVORS = ("point-open-o", "point-open-window")
 
 @dataclass(frozen=True)
 class Scenario:
+    """A checked scenario record; ``space`` is the topology its subbasis
+    generates, built once when the record is made."""
+
     name: str
     space_size: int
     subbasis: tuple[int, ...]
@@ -54,15 +57,31 @@ class Scenario:
     horizon: int
     flavor: str
     params: dict = field(default_factory=dict)
+    space: GroundSpace = field(init=False, compare=False, repr=False)
 
-    def space(self) -> GroundSpace:
-        return build_topology(self.space_size, self.subbasis)
-
-    def family_a(self, space: GroundSpace) -> SetFamily:
-        return SetFamily.build(space, self.fam_a, name="a")
-
-    def family_b(self, space: GroundSpace) -> SetFamily:
-        return SetFamily.build(space, self.fam_b, name="b")
+    def __post_init__(self) -> None:
+        if type(self.name) is not str:
+            raise ScenarioFormatError("name must be a string")
+        if self.flavor not in FLAVORS:
+            raise ScenarioFormatError(f"unknown flavor {self.flavor!r}")
+        space = build_topology(self.space_size, self.subbasis)
+        for m in self.fam_a + self.fam_b:
+            if not is_subset(m, space.full):
+                raise ScenarioFormatError("family member outside the universe")
+        if self.flavor in POINT_OPEN_FLAVORS and not space.points_closed():
+            raise ScenarioFormatError(
+                "point-open flavors need every singleton closed"
+            )
+        needs = {"point-open-window": "w", "rothberger-lambda": "m",
+                 "abstract-game": "game"}.get(self.flavor)
+        if needs is not None and needs not in self.params:
+            raise ScenarioFormatError(f"{self.flavor} needs params.{needs}")
+        if needs in ("w", "m"):
+            if type(self.params[needs]) is not int:
+                raise ScenarioFormatError(f"params.{needs} must be an integer")
+            if self.params[needs] < 1:
+                raise ScenarioFormatError(f"params.{needs} must be at least 1")
+        object.__setattr__(self, "space", space)
 
 
 def neighborhood_move_set(space: GroundSpace, member: int) -> frozenset[int]:
@@ -139,41 +158,15 @@ def build_rothberger(
     )
 
 
-def validate_scenario(sc: Scenario) -> GroundSpace:
-    """Check the scenario's fields; returns the space it built to do so."""
-    if type(sc.name) is not str:
-        raise ScenarioFormatError("name must be a string")
-    if sc.flavor not in FLAVORS:
-        raise ScenarioFormatError(f"unknown flavor {sc.flavor!r}")
-    space = sc.space()
-    for m in sc.fam_a + sc.fam_b:
-        if not is_subset(m, space.full):
-            raise ScenarioFormatError("family member outside the universe")
-    if sc.flavor in POINT_OPEN_FLAVORS and not space.points_closed():
-        raise ScenarioFormatError(
-            "point-open flavors need every singleton closed"
-        )
-    needs = {"point-open-window": "w", "rothberger-lambda": "m",
-             "abstract-game": "game"}.get(sc.flavor)
-    if needs is not None and needs not in sc.params:
-        raise ScenarioFormatError(f"{sc.flavor} needs params.{needs}")
-    if needs in ("w", "m"):
-        if type(sc.params[needs]) is not int:
-            raise ScenarioFormatError(f"params.{needs} must be an integer")
-        if sc.params[needs] < 1:
-            raise ScenarioFormatError(f"params.{needs} must be at least 1")
-    return space
-
-
 def build_game(sc: Scenario, horizon: Optional[int] = None) -> GameSpec:
     """Materialize the scenario's game, optionally overriding the horizon."""
-    space = validate_scenario(sc)
     h = sc.horizon if horizon is None else horizon
     if sc.flavor == "abstract-game":
         game = game_from_json(sc.params["game"])
         return game if horizon is None else game.truncated(horizon)
-    fam_a = sc.family_a(space)
-    fam_b = sc.family_b(space)
+    space = sc.space
+    fam_a = SetFamily.build(space, sc.fam_a)
+    fam_b = SetFamily.build(space, sc.fam_b)
     if sc.flavor == "point-open-o":
         return build_point_open(space, fam_a, fam_b, h)
     if sc.flavor == "point-open-window":
@@ -216,7 +209,6 @@ def scenario_from_json(data: Mapping) -> Scenario:
         )
     except (KeyError, TypeError) as exc:
         raise ScenarioFormatError(f"bad scenario record: {exc}") from exc
-    validate_scenario(sc)
     return sc
 
 

@@ -6,12 +6,11 @@ is backward induction memoized on (round, state); its witness is the
 least winning move per (round, state) -- a StateOne table
 (round, state) -> least winning index, or a StateTwo table
 (round, state, One's index) -> least winning reply -- so it has one row
-per reachable state, not per history (``game.expand`` gives the history
-table).  find_predetermined_one() and find_markov_two() share one search
-over (round, set of states the other side can reach): a script sees no
-reply and a Markov table no history, so each fixes one row per round,
-and a set holding a state the other side wins from is answered None at
-once.  verify() checks every strategy class by one walk memoized on
+per reachable state, not per history.  find_predetermined_one() and
+find_markov_two() share one search over (round, set of states the other
+side can reach): a script sees no reply and a Markov table no history,
+so each fixes one row per round, and a set holding a state the other
+side wins from is answered None at once.  verify() checks every strategy class by one walk memoized on
 (round, state, what the strategy remembers) that counts plays by
 multiplication: StateOne, StateTwo, PreOne and MarkovTwo remember
 nothing, a FullOne remembers Two's selections and a FullTwo One's

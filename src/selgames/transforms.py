@@ -173,8 +173,9 @@ def apply_translation(
     MARKOV_TWO takes a MarkovTwo and FULL_TWO a FullTwo or StateTwo, for
     the source game; FULL_ONE_PULLBACK takes a FullOne or StateOne and
     PRE_ONE_PULLBACK a PreOne, for the target game.  The output plays the
-    other game; the full directions return a FullTwo or FullOne with the
-    rows an ``expand``ed input would give.  Raises AxiomsFail, ValueError
+    other game; the full directions return a FullTwo or FullOne, with the
+    same rows for a state-keyed input as for the history table it stands
+    for.  Raises AxiomsFail, ValueError
     for a class the direction does not take, InputNotWinning for an input
     that loses and TranslationFailed for an output that loses.
     """

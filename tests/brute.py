@@ -21,10 +21,15 @@ from selgames.game import (
     Player,
     PlayRecord,
     PreOne,
+    StateOne,
+    StateTwo,
+    advance,
+    legal_selection,
     one_move_index,
     play,
+    two_selection,
 )
-from selgames.ground import CoverVerdict
+from selgames.ground import CoverVerdict, SetFamily
 from selgames.orders import make_rel_pair
 from selgames.solver import MAX_EXHIBITS, VerificationReport
 from selgames.transforms import AxiomCheck
@@ -114,6 +119,58 @@ def brute_history_witness(game: GameSpec):
 
     walk_one(0, ())
     return FullOne(table=table)
+
+
+def expand(game: GameSpec, strategy):
+    """The full-information table of a strategy whose move is a function
+    of the round, the target state and One's current index: a StateOne,
+    StateTwo, PreOne or MarkovTwo becomes the FullOne or FullTwo that
+    answers every reachable history as it does.
+
+    Reachable means: the adversary ranges over every legal choice.  A
+    history the strategy has no answer for gets no row, and one answered
+    with an illegal move gets its row but no rows below it, so a play of
+    the expansion breaks a rule in the round where the strategy's does.
+    """
+    moves, horizon = game.moves, game.horizon
+    table = {}
+    if isinstance(strategy, (PreOne, StateOne)):
+
+        def walk_one(r, hist, state):
+            try:
+                i = one_move_index(strategy, hist, r, state)
+            except IllegalMove:
+                return
+            table[hist] = i
+            if r + 1 < horizon and 0 <= i < len(moves[r]):
+                for x in brute_two_choices(game, moves[r][i]):
+                    walk_one(r + 1, hist + (x,), advance(game, state, x))
+
+        if horizon:
+            walk_one(0, (), game.target.start)
+        return FullOne(table=table)
+
+    if not isinstance(strategy, (MarkovTwo, StateTwo)):
+        raise TypeError(f"not a state-determined strategy: {strategy!r}")
+
+    def walk_two(r, idx_hist, state):
+        for i, ms in enumerate(moves[r]):
+            idx = idx_hist + (i,)
+            try:
+                x = two_selection(strategy, idx, r, state)
+            except IllegalMove:
+                continue
+            table[idx] = x
+            if r + 1 < horizon:
+                try:
+                    x = legal_selection(game, r, ms, x)
+                except IllegalMove:
+                    continue
+                walk_two(r + 1, idx, advance(game, state, x))
+
+    if horizon:
+        walk_two(0, (), game.target.start)
+    return FullTwo(table=table)
 
 
 def brute_least_pre_one(game: GameSpec):
@@ -264,6 +321,15 @@ def brute_min_covers(space, fam_members, opens):
     return sorted(tuple(sorted(g)) for g in minimal)
 
 
+def is_selection_basis(candidate, fam) -> bool:
+    """``candidate`` sits inside ``fam`` and undercuts every member of it."""
+    fam_set = set(map(frozenset, fam))
+    cand = [frozenset(c) for c in candidate]
+    if any(c not in fam_set for c in cand):
+        return False
+    return all(any(c <= a for c in cand) for a in fam_set)
+
+
 def brute_range_inside_exists(refl, target) -> bool:
     """Some transversal range inside ``target``, by listing every choice tuple."""
     return any(
@@ -357,6 +423,11 @@ def brute_truncate_product(pair, bound: int):
         sub_a=[pos[pair.carrier[i], k] for i in pair.sub_a for k in range(bound + 1)],
         sub_b=[pos[pair.carrier[i], k] for i in pair.sub_b for k in range(bound + 1)],
     )
+
+
+def finite_subsets_family(space) -> SetFamily:
+    """All nonempty subsets of the universe (one reading of the ambient family)."""
+    return SetFamily.build(space, range(1, space.full + 1))
 
 
 def brute_family_flags(space, members) -> dict:

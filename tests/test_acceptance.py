@@ -70,12 +70,10 @@ def _family_pair_sample(seed: int, count: int):
         proper = list(range(1, full))
         cap_a = 2 if size == 4 else 3
         fam_a = SetFamily.build(
-            space, rng.sample(proper, rng.randint(1, min(cap_a, len(proper)))), name="a"
+            space, rng.sample(proper, rng.randint(1, min(cap_a, len(proper))))
         )
         fam_b = SetFamily.build(
-            space,
-            rng.sample(range(1, full + 1), rng.randint(1, min(3, full))),
-            name="b",
+            space, rng.sample(range(1, full + 1), rng.randint(1, min(3, full)))
         )
         out.append((space, fam_a, fam_b))
     return out

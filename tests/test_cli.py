@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from selgames import scenarios
 from selgames.cli import _build_parser, main
 from selgames.fuzzing import fuzz
 from selgames.serialize import canonical_dumps
@@ -39,6 +40,22 @@ class TestSolve:
             "--horizon", "2", "--json",
         )
         assert json.loads(out)["winner"] == "one"
+
+    def test_builds_the_topology_once(self, capsys, monkeypatch):
+        # a scenario checks itself when it is made, and the game reuses its space
+        calls = []
+        build = scenarios.build_topology
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(scenarios, "build_topology", counted)
+        for name in ("point-open-discrete-2-h2.json", "tiny-abstract.json"):
+            calls.clear()
+            code, _, _ = run(capsys, "solve", str(SCENARIOS / name))
+            assert code == 0
+            assert len(calls) == 1, name
 
 
 class TestSynth:

@@ -34,7 +34,6 @@ from selgames import (
 )
 from selgames.errors import BudgetExceeded, IllegalMove, InputNotWinning, TranslationFailed
 from selgames.fuzzing import fuzz
-from selgames.game import expand
 from selgames.ground import min_covers
 from selgames.transforms import _transfer
 
@@ -61,8 +60,7 @@ def _searches() -> dict:
     singles = singleton_family(d2)
     two_won = build_point_open(d2, singles, singles, 1)
     one_won = build_point_open(d2, singles, singles, 2)
-    state_two, state_one = solve(two_won).witness, solve(one_won).witness
-    markov, script = find_markov_two(two_won), find_predetermined_one(one_won)
+    state_one = solve(one_won).witness
     losing = PreOne(indices=(0, 0))
 
     # identity packs on a game Two always wins and on one One wins
@@ -95,11 +93,6 @@ def _searches() -> dict:
         "verify winning": lambda: verify(one_won, state_one),
         "verify losing": lambda: verify(one_won, losing),
         "verify illegal": _raising(IllegalMove, verify, one_won, PreOne(indices=(0,))),
-        "expand StateOne": lambda: expand(one_won, state_one),
-        "expand PreOne": lambda: expand(one_won, script),
-        "expand short PreOne": lambda: expand(one_won, PreOne(indices=(0,))),
-        "expand StateTwo": lambda: expand(two_won, state_two),
-        "expand MarkovTwo": lambda: expand(two_won, markov),
         "axioms hold": lambda: check_translation_axioms(pack_two, always, always),
         "axioms fail": lambda: check_translation_axioms(bad_pack, src, dst),
         "transfer markov-two": lambda: apply_translation(

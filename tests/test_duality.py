@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from brute import brute_range_inside_exists
+from brute import brute_range_inside_exists, is_selection_basis
 from selgames import (
     ExplicitSet,
     Kind,
@@ -12,7 +12,6 @@ from selgames import (
     build_rothberger,
     check_duality,
     is_reflection,
-    is_selection_basis,
     make_game,
 )
 from selgames.duality import range_inside_exists, transversals

@@ -119,12 +119,8 @@ def test_one_memo_answers_every_gamma_truncation():
             members = fuzzing._ideal_base_family(rng, space).members
         else:
             members = rng.sample(range(1, space.full), rng.randint(1, 2))
-        fam_a = SetFamily.build(
-            space, [m for m in members if m != space.full] or [1], name="a"
-        )
-        fam_b = SetFamily.build(
-            space, rng.sample(range(1, space.full), rng.randint(1, 2)), name="b"
-        )
+        fam_a = SetFamily.build(space, [m for m in members if m != space.full] or [1])
+        fam_b = SetFamily.build(space, rng.sample(range(1, space.full), rng.randint(1, 2)))
         n = 1 + trial % 4
         game = build_point_open(space, fam_a, fam_b, n)
         searches = _Solver(game)

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from brute import brute_every_subsequence, brute_is_one_play, flatten_selections
+from brute import brute_every_subsequence, brute_is_one_play, expand, flatten_selections
 from selgames import (
     CoversFamily,
     EverySubsequence,
@@ -20,7 +20,6 @@ from selgames import (
     verify,
 )
 from selgames.errors import EmptyMove, IllegalMove
-from selgames.game import expand
 
 
 class TestTargets:

@@ -9,6 +9,7 @@ from brute import (
     brute_family_flags,
     brute_min_covers,
     brute_topology,
+    finite_subsets_family,
 )
 from selgames import (
     CoverVerdict,
@@ -25,7 +26,7 @@ from selgames import (
 )
 from selgames.errors import CapExceeded, NotOpen, TopologyTooLarge
 from selgames.fuzzing import _union_closure
-from selgames.ground import all_topologies
+from selgames.ground import all_topologies, nonempty_opens_family
 
 
 def masks(*sets):
@@ -130,6 +131,12 @@ class TestSetFamily:
                     assert got == brute_family_flags(space, members), (
                         space.opens, members)
 
+    def test_direct_construction_reports_the_flags_of_build(self, d2):
+        direct = SetFamily(space=d2, members=(1, 2, 3))
+        assert direct == SetFamily.build(d2, [1, 2, 3])
+        assert direct.ideal_base and direct.covers_universe
+        assert direct.all_open and direct.all_closed
+
     def test_member_outside_universe(self, d2):
         with pytest.raises(ValueError):
             SetFamily.build(d2, [0b100])
@@ -142,8 +149,6 @@ class TestSetFamily:
         assert closed_fam.all_closed and not closed_fam.all_open
 
     def test_ambient_family_constructors(self, d2):
-        from selgames.ground import finite_subsets_family, nonempty_opens_family
-
         subsets = finite_subsets_family(d2)
         opens = nonempty_opens_family(d2)
         assert len(subsets.members) == 3

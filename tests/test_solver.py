@@ -13,6 +13,7 @@ from brute import (
     brute_markov_two,
     brute_verify,
     brute_winner,
+    expand,
 )
 from selgames import (
     CoversFamily,
@@ -43,7 +44,7 @@ from selgames import (
 )
 from selgames.errors import BudgetExceeded, IllegalMove
 from selgames.fuzzing import _random_game
-from selgames.game import MarkovTwo, StateOne, StateTwo, advance, expand, two_choices
+from selgames.game import MarkovTwo, StateOne, StateTwo, advance, two_choices
 from selgames.ground import SetFamily
 from selgames.scenarios import build_game, corpus
 from selgames.serialize import canonical_dumps, strategy_from_json, strategy_to_json
@@ -164,7 +165,7 @@ class TestFindPredeterminedOne:
         assert find_predetermined_one(g) == PreOne(indices=(0, 1))
 
     def test_none_when_obligations_unreachable(self, d3, singles3):
-        pairs = SetFamily.build(d3, [0b011, 0b101, 0b110], name="pairs")
+        pairs = SetFamily.build(d3, [0b011, 0b101, 0b110])
         g = build_point_open(d3, singles3, pairs, 3)
         # a singleton script can cover pairs only via large opens, which Two
         # never grants: minimal replies block every script
@@ -180,9 +181,9 @@ class TestFindPredeterminedOne:
         # determination, with One-won ones whose state sets it cuts inside
         rng = random.Random(13)
         games = [_random_game(rng) for _ in range(1000)]
-        families = [singles3, SetFamily.build(d3, list(range(1, 7)), name="a")]
+        families = [singles3, SetFamily.build(d3, list(range(1, 7)))]
         families += [
-            SetFamily.build(d3, rng.sample(range(1, 7), rng.randint(3, 6)), name="a")
+            SetFamily.build(d3, rng.sample(range(1, 7), rng.randint(3, 6)))
             for _ in range(3)
         ]
         games += [
@@ -796,7 +797,7 @@ class TestFiniteCharacterizations:
     def test_full_win_iff_predetermined_on_open_families(self):
         # all-open first family: echo replies collapse full information
         space = build_topology(3, [0b001, 0b011])
-        fam_a = SetFamily.build(space, [0b001, 0b011], name="open")
+        fam_a = SetFamily.build(space, [0b001, 0b011])
         assert fam_a.all_open
         fam_b = SetFamily.build(space, [0b001, 0b010])
         for n in range(0, 4):

@@ -8,6 +8,7 @@ from brute import (
     brute_subsequences_are_plays,
     brute_translation_axioms,
     brute_verify,
+    expand,
     preservation_fails,
     pulled_plays,
 )
@@ -47,7 +48,6 @@ from selgames.errors import (
     WitnessMissing,
 )
 from selgames.fuzzing import _translation_instance
-from selgames.game import expand
 from selgames.ground import family_of
 from selgames.transforms import _transfer
 
