@@ -32,7 +32,7 @@ from .errors import (
 )
 from .game import CoversFamily, GameSpec, Kind, MultiCover, Not, WindowCover, make_game
 from .ground import GroundSpace, SetFamily, build_topology, min_covers
-from .serialize import _int, canonical_dumps, game_from_json, game_to_json
+from .serialize import _int, _mask, canonical_dumps, game_from_json, game_to_json
 
 FLAVORS = (
     "point-open-o",
@@ -200,9 +200,9 @@ def scenario_from_json(data: Mapping) -> Scenario:
         sc = Scenario(
             name=data["name"],
             space_size=_int(data["space"]["size"]),
-            subbasis=tuple(sorted(mask_of(s) for s in data["space"]["subbasis"])),
-            fam_a=tuple(mask_of(s) for s in data["families"]["a"]),
-            fam_b=tuple(mask_of(s) for s in data["families"]["b"]),
+            subbasis=tuple(sorted(_mask(s) for s in data["space"]["subbasis"])),
+            fam_a=tuple(_mask(s) for s in data["families"]["a"]),
+            fam_b=tuple(_mask(s) for s in data["families"]["b"]),
             horizon=_int(data["horizon"]),
             flavor=data["flavor"],
             params=dict(data["params"]),

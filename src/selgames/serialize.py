@@ -52,6 +52,11 @@ def _int(value) -> int:
     return value
 
 
+def _mask(items) -> int:
+    """The bitmask of a JSON list of ground items, each read by ``_int``."""
+    return mask_of(map(_int, items))
+
+
 # -- targets -------------------------------------------------------------
 
 
@@ -161,8 +166,8 @@ def _item_to_json(item) -> Any:
 
 def _item_from_json(value, kind: Kind):
     if kind is Kind.FINITE:
-        return frozenset(value)
-    return value
+        return frozenset(map(_int, value))
+    return _int(value)
 
 
 def state_to_json(state) -> Any:
@@ -264,7 +269,8 @@ def strategy_from_json(data: Mapping):
         if cls == "full-two":
             return FullTwo(
                 table={
-                    tuple(row["history"]): _item_from_json(row["item"], kind)
+                    tuple(map(_int, row["history"])):
+                        _item_from_json(row["item"], kind)
                     for row in data["table"]
                 }
             )
@@ -312,8 +318,9 @@ def pack_to_json(pack: TranslationPack) -> dict:
 
 def pack_from_json(data: Mapping) -> TranslationPack:
     try:
-        t_one = tuple({j: i for j, i in rows} for rows in data["t_one"])
-        t_two = tuple({(x, j): y for x, j, y in rows} for rows in data["t_two"])
+        t_one = tuple({_int(j): _int(i) for j, i in rows} for rows in data["t_one"])
+        t_two = tuple({(_int(x), _int(j)): _int(y) for x, j, y in rows}
+                      for rows in data["t_two"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioFormatError(f"bad pack record: {exc}") from exc
     return TranslationPack(t_one=t_one, t_two=t_two)
@@ -340,17 +347,17 @@ def rel_pair_from_json(data: Mapping) -> RelPair:
     try:
         if data["type"] == "inclusion":
             return inclusion_pair(
-                [mask_of(s) for s in data["a"]],
-                [mask_of(s) for s in data["b"]],
+                [_mask(s) for s in data["a"]],
+                [_mask(s) for s in data["b"]],
             )
         if data["type"] == "explicit":
-            carrier = list(range(data["size"]))
-            pairs = {(i, j) for i, j in data["leq_pairs"]}
+            carrier = list(range(_int(data["size"])))
+            pairs = {(_int(i), _int(j)) for i, j in data["leq_pairs"]}
             return make_rel_pair(
                 carrier,
                 lambda x, y: (x, y) in pairs,
-                sub_a=data["a"],
-                sub_b=data["b"],
+                sub_a=[_int(i) for i in data["a"]],
+                sub_b=[_int(i) for i in data["b"]],
             )
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioFormatError(f"bad order-pair record: {exc}") from exc

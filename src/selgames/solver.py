@@ -2,23 +2,26 @@
 
 Every target is a deterministic automaton whose state decides all future
 verdicts, so the searches run over target states, not histories.  solve()
-is backward induction memoized on (round, state); its witness is the
-least winning move per (round, state) -- a StateOne table
-(round, state) -> least winning index, or a StateTwo table
-(round, state, One's index) -> least winning reply -- so it has one row
-per reachable state, not per history.  find_predetermined_one() and
+is backward induction memoized on (round, state) that records, beside
+each verdict, the row its loop stopped on; the witness is read off those
+rows -- a StateOne table (round, state) -> least winning index, or a
+StateTwo table (round, state, One's index) -> least winning reply -- so
+it has one row per reachable state, not per history, and no state is
+decided twice.  Its memo_hits count the determination's memo lookups
+over every search made on the context.  find_predetermined_one() and
 find_markov_two() share one search over (round, set of states the other
 side can reach): a script sees no reply and a Markov table no history,
 so each fixes one row per round, and a set holding a state the other
-side wins from is answered None at once.  verify() checks every strategy class by one walk memoized on
-(round, state, what the strategy remembers) that counts plays by
-multiplication: StateOne, StateTwo, PreOne and MarkovTwo remember
-nothing, a FullOne remembers Two's selections and a FullTwo One's
-indices.  One _Solver per game holds the (state, selection) transition
-cache and Two's selections from each move set, which determination,
-extraction, both synthesizers and verification share, and the (round,
-state) memo that determination, extraction and the synthesizers' prune
-share; callers asking several questions of one game share one _Solver.
+side wins from is answered None at once.  verify() checks every
+strategy class by one walk memoized on (round, state, what the strategy
+remembers) that counts plays by multiplication: StateOne, StateTwo,
+PreOne and MarkovTwo remember nothing, a FullOne remembers Two's
+selections and a FullTwo One's indices.  One _Solver per game holds the
+(state, selection) transition cache and Two's selections from each move
+set, which determination, both synthesizers and verification share, and
+the (round, state) memo with its rows, which the witness and the
+synthesizers' prune read; callers asking several questions of one game
+share one _Solver.
 
 A recursive helper nested in a search refers to itself through its
 closure cell, a reference cycle that would keep it and every table it
@@ -73,6 +76,11 @@ class _Table(dict):
 
 @dataclass(frozen=True)
 class Determination:
+    """The winner and its witness, read off the rows the determination
+    recorded.  ``nodes_explored`` and ``memo_hits`` count the
+    determination's expansions and memo lookups over every search made on
+    the context so far; reading the witness adds to neither."""
+
     winner: Player
     witness: Union[StateOne, StateTwo]
     nodes_explored: int
@@ -93,12 +101,13 @@ class _Solver:
     It holds the (state, selection) -> next state cache, Two's selections
     from each move set as a tuple (listed on first use: a finite-kind
     move set of k items has 2^k - 1 of them) and the (round, state)
-    determination memo; the determination, both extraction walks, the
-    script search, Markov synthesis and verification read selections and
-    step the target only through those tables, and both synthesizers read
-    their prune off that memo.  A caller asking several questions of
-    one game builds one and asks them all of it; the nodes and memo hits
-    ``solve`` reports then count every search made on it so far.
+    determination memo with the winner's row at each entry; the
+    determination, the script search, Markov synthesis and verification
+    read selections and step the target only through those tables, the
+    witness is read off the rows, and both synthesizers read their prune
+    off the memo.  A caller asking several questions of one game builds
+    one and asks them all of it; the nodes and memo hits ``solve``
+    reports then count every search made on it so far.
     """
 
     def __init__(self, game: GameSpec):
@@ -111,13 +120,16 @@ class _Solver:
         self.transitions = _Table(lambda key: step(*key))
         self.selections = _Table(lambda ms: tuple(two_choices(game, ms)))
         self.memo: dict = {}  # (round, state) -> whether Two wins from there
+        # (round, state) -> the winner's row there: One's first index with
+        # no winning reply, or Two's first winning reply to each move set
+        self.rows: dict = {}
         self.nodes = 0
         self.hits = 0
 
     def two_wins(self, r: int, state) -> bool:
         """Whether Two wins from ``state`` before round ``r``: every move
         set has a selection that wins, tried in order; the last round is
-        settled by ``accept``."""
+        settled by ``accept``.  The row the loop stops on is recorded."""
         game = self.game
         if r == game.horizon:
             return game.target.accept(state)
@@ -129,93 +141,56 @@ class _Solver:
         self.nodes += 1
         transitions, selections = self.transitions, self.selections
         last, accept = r + 1 == game.horizon, game.target.accept
-        won = True
+        won, row = True, []
         for ms in game.moves[r]:
             for x in selections[ms]:
                 nxt = transitions[state, x]
                 if accept(nxt) if last else self.two_wins(r + 1, nxt):
+                    row.append(x)
                     break
             else:
-                won = False
+                # no reply wins: this move set's index is len(row)
+                won, row = False, len(row)
                 break
         self.memo[key] = won
+        self.rows[key] = tuple(row) if won else row
         return won
 
     def winner(self) -> Player:
-        """The winner alone: backward induction without witness extraction."""
+        """The winner alone: backward induction without reading a witness."""
         return Player.TWO if self.two_wins(0, self.game.target.start) else Player.ONE
 
     def solve(self) -> Determination:
-        if self.two_wins(0, self.game.target.start):
-            side, witness = Player.TWO, self.extract_two()
-        else:
-            side, witness = Player.ONE, self.extract_one()
-        return Determination(
-            winner=side, witness=witness, nodes_explored=self.nodes, memo_hits=self.hits
-        )
-
-    def extract_one(self) -> StateOne:
-        """One's least winning index at each (round, state) the strategy
-        lets Two reach."""
+        """Determine the game, then read the winner's witness off the rows
+        the determination recorded, by one walk over the (round, state)
+        pairs those rows let the other side reach."""
         game, transitions, selections = self.game, self.transitions, self.selections
+        start = game.target.start
+        two = self.two_wins(0, start)
         table: dict = {}
-
-        def walk(r: int, state) -> None:
-            if (r, state) in table:
-                return
-            for i, ms in enumerate(game.moves[r]):
-                nexts = []
-                for x in selections[ms]:
-                    nexts.append(transitions[state, x])
-                    if self.two_wins(r + 1, nexts[-1]):
-                        break
-                else:
-                    break  # no reply wins for Two
+        todo = [(0, start)] if game.horizon else []
+        seen = set(todo)
+        while todo:
+            r, state = todo.pop()
+            row = self.rows[r, state]
+            if two:
+                table.update(((r, state, i), x) for i, x in enumerate(row))
+                replies = row
             else:
-                raise AssertionError("extraction from a lost position")
-            table[r, state] = i
+                table[r, state] = row
+                replies = selections[game.moves[r][row]]
             if r + 1 < game.horizon:
-                for nxt in nexts:
-                    walk(r + 1, nxt)
-
-        try:
-            if game.horizon:
-                walk(0, game.target.start)
-        finally:
-            del walk
-        return StateOne(table=table)
-
-    def extract_two(self) -> StateTwo:
-        """Two's least winning reply to each index at each (round, state)
-        the strategy lets One reach."""
-        game, transitions, selections = self.game, self.transitions, self.selections
-        table: dict = {}
-        seen: set = set()
-
-        def least_winning_reply(r: int, state, ms):
-            for x in selections[ms]:
-                nxt = transitions[state, x]
-                if self.two_wins(r + 1, nxt):
-                    return x, nxt
-            raise AssertionError("extraction from a lost position")
-
-        def walk(r: int, state) -> None:
-            if (r, state) in seen:
-                return
-            seen.add((r, state))
-            replies = [least_winning_reply(r, state, ms) for ms in game.moves[r]]
-            for i, (x, _) in enumerate(replies):
-                table[r, state, i] = x
-            if r + 1 < game.horizon:
-                for _, nxt in replies:
-                    walk(r + 1, nxt)
-
-        try:
-            if game.horizon:
-                walk(0, game.target.start)
-        finally:
-            del walk
-        return StateTwo(table=table)
+                for x in replies:
+                    nxt = (r + 1, transitions[state, x])
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        todo.append(nxt)
+        return Determination(
+            winner=Player.TWO if two else Player.ONE,
+            witness=StateTwo(table=table) if two else StateOne(table=table),
+            nodes_explored=self.nodes,
+            memo_hits=self.hits,
+        )
 
     def _least_rows(self, one_side: bool, rows, node_budget: int) -> Optional[tuple]:
         """One's script or Two's Markov table as one row per round, or
@@ -403,7 +378,7 @@ def solve(game: GameSpec) -> Determination:
 
 
 def winner(game: GameSpec) -> Player:
-    """The winner alone: backward induction without witness extraction."""
+    """The winner alone: backward induction without reading a witness."""
     return _Solver(game).winner()
 
 

@@ -379,16 +379,53 @@ class TestUsageErrors:
             abstract(target=dict(covers(), type="window-cover", w=-1)),
             abstract(target=dict(covers(), type="multi-cover", m=-1)),
             dict(base, name=[1]),
+            # a boolean is no ground item, even where it would act as 0 or 1
+            dict(base, families=dict(base["families"], a=[[True], [0]])),
+            dict(base, space=dict(base["space"], subbasis=[[0], [True]])),
         )
         commands = []
         for k, data in enumerate(scenarios):
             path = tmp_path / f"scenario-{k}.json"
             path.write_text(json.dumps(data))
             commands.append(("solve", str(path)))
-        strategy = tmp_path / "strategy.json"
-        strategy.write_text(json.dumps({"class": "pre-one", "indices": "ab"}))
+
+        def companion(name, data):
+            path = tmp_path / name
+            path.write_text(json.dumps(data))
+            return str(path)
+
         commands.append(("verify", str(SCENARIOS / "point-open-discrete-2-h1.json"),
-                         str(strategy)))
+                         companion("strategy.json", {"class": "pre-one", "indices": "ab"})))
+        markov = [{"move": 0, "round": r, "item": True} for r in (0, 1)]
+        full_two = [{"history": [False] * n, "item": 0} for n in (1, 2)]
+        full_one = [{"history": h, "move": 0} for h in ([], [False], [True])]
+        strategies = (
+            {"class": "markov-two", "table": markov},
+            {"class": "full-two", "table": full_two},
+            {"class": "full-one", "table": full_one},
+        )
+        for k, data in enumerate(strategies):
+            commands.append(("verify", str(SCENARIOS / "tiny-abstract.json"),
+                             companion(f"strategy-{k}.json", data)))
+        pack = json.loads((SCENARIOS / "identity-pack-tiny.json").read_text())
+        packs = (
+            dict(pack, t_one=[[["0", 0]], [[0, 0]]]),
+            dict(pack, t_two=[[[0, 0, False], [1, 0, True]], pack["t_two"][1]]),
+        )
+        tiny_path = str(SCENARIOS / "tiny-abstract.json")
+        for k, data in enumerate(packs):
+            commands.append(("translate", companion(f"pack-{k}.json", data),
+                             tiny_path, tiny_path, "--direction", "full-two"))
+        explicit = {"type": "explicit", "size": 1, "leq_pairs": [[0, 0]],
+                    "a": [0], "b": [0]}
+        pairs = (
+            dict(explicit, size=True),
+            dict(explicit, leq_pairs=[[False, False]]),
+            dict(explicit, a=[False]),
+            {"type": "inclusion", "a": [[True]], "b": [[1]]},
+        )
+        for k, data in enumerate(pairs):
+            commands.append(("cofinality", companion(f"pair-{k}.json", data)))
         for command in commands:
             code, out, err = run(capsys, *command)
             assert code == 1, command

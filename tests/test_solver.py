@@ -114,9 +114,10 @@ class TestSolve:
         assert solve(g).nodes_explored <= len(pairs)
 
     def test_extraction_decides_once_per_state(self):
-        # extraction asks two_wins about each (round, state) it reaches
-        # once, not once per history: 2,801 table rows at this size, but
-        # memo hits stay within the memo's own fan-out (parent: 2,968)
+        # the witness is read off the rows the determination recorded, so
+        # no (round, state) is decided again per history: 2,801 history
+        # rows at this size, but memo hits stay within the memo's own
+        # fan-out
         space = discrete_space(4)
         singles = singleton_family(space)
         g = build_point_open(space, singles, singles, 5)
@@ -397,15 +398,16 @@ class TestStateWitness:
     def test_corpus_counters_are_pinned(self):
         # (winner, nodes explored, memo hits, witness rows) per corpus game:
         # a faster determination loop must keep its short-circuit order,
-        # so these may not move
+        # so these may not move; memo hits count the determination's own
+        # lookups, since the witness is read off its recorded rows
         pinned = {
             "point-open-discrete-2-h1": ("two", 1, 0, 2),
-            "point-open-discrete-2-h2": ("one", 2, 1, 2),
+            "point-open-discrete-2-h2": ("one", 2, 0, 2),
             "rothberger-discrete-2-h1": ("one", 1, 0, 1),
-            "rothberger-discrete-2-h2": ("two", 2, 1, 2),
-            "point-open-discrete-3-h3": ("one", 8, 19, 7),
-            "rothberger-multiplicity-2": ("one", 9, 16, 9),
-            "point-open-window-discrete-3": ("one", 29, 74, 28),
+            "rothberger-discrete-2-h2": ("two", 2, 0, 2),
+            "point-open-discrete-3-h3": ("one", 8, 6, 7),
+            "rothberger-multiplicity-2": ("one", 9, 4, 9),
+            "point-open-window-discrete-3": ("one", 29, 23, 28),
         }
         got = {}
         for sc in corpus():
@@ -497,7 +499,7 @@ def test_check_duality_determines_each_game_once(monkeypatch):
 
 
 def test_one_search_context_steps_each_transition_once(monkeypatch):
-    # determination, both extraction walks, the script search and Markov
+    # determination, the witness walk, the script search and Markov
     # synthesis on one _Solver step each (state, item) transition once
     from selgames import solver
 
@@ -526,8 +528,9 @@ def test_one_search_context_steps_each_transition_once(monkeypatch):
 
 
 def test_verifying_the_witness_steps_no_new_transition():
-    # extraction steps every move the witness makes, so verifying it on
-    # the same search context reads each transition off the shared table
+    # the determination steps every move the witness makes, so verifying
+    # it on the same search context reads each transition off the shared
+    # table
     from selgames import solver
 
     for g in _oracle_games():
@@ -536,6 +539,27 @@ def test_verifying_the_witness_steps_no_new_transition():
         stepped = len(searches.transitions)
         assert searches.verify(det.witness).valid
         assert len(searches.transitions) == stepped
+
+
+def test_solve_after_winner_reads_the_recorded_rows():
+    # winner() records every row the witness needs, so solve() on the same
+    # context explores no node, steps no transition and looks up the memo
+    # once, at the start state, for games either side wins
+    from selgames import solver
+
+    sides = set()
+    for g in _oracle_games():
+        if not g.horizon:
+            continue
+        searches = solver._Solver(g)
+        sides.add(searches.winner())
+        nodes, hits, stepped = searches.nodes, searches.hits, len(searches.transitions)
+        det = searches.solve()
+        assert det.nodes_explored == nodes
+        assert det.memo_hits == hits + 1
+        assert len(searches.transitions) == stepped
+        assert det.witness == solve(g).witness
+    assert sides == {Player.ONE, Player.TWO}
 
 
 def _oracle_games():
