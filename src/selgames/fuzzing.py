@@ -35,7 +35,6 @@ from .game import (
     PreOne,
     WindowCover,
     make_game,
-    play,
 )
 from .ground import SetFamily, classify_cover, discrete_space, min_covers
 from .orders import (
@@ -245,16 +244,6 @@ def suite_determinacy(rng: random.Random, count: int,
             res.check("determinacy/loser-side-markov-none", markov is None, payload)
         else:
             res.check("determinacy/loser-side-pre-none", pre is None, payload)
-        if game.horizon >= 1:
-            fixed_two = [
-                sorted(game.moves[r][0])[0]
-                if game.kind is Kind.SINGLE
-                else frozenset([sorted(game.moves[r][0])[0]])
-                for r in range(game.horizon)
-            ]
-            rec = play(game, [0] * game.horizon, fixed_two)
-            rec2 = play(game, rec.one_moves, rec.two_selections)
-            res.check("play/replay-deterministic", rec == rec2, payload)
         res.instances += 1
     return res
 

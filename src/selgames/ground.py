@@ -8,6 +8,11 @@ surrogates accompany the plain cover predicate: a multiplicity count
 (the least number of distinct listed sets over any member) and a window
 width (the least w such that every w consecutive listed sets already
 contain a superset of every member).
+
+Both enumerations build only what they list: ``min_covers`` grows
+ascending tuples of proper opens whose every open keeps a private member,
+in lexicographic order, stopping past ``COVERS_CAP`` (256) covers, and
+``all_topologies`` builds each topology from its specialization preorder.
 """
 
 from __future__ import annotations
@@ -18,12 +23,13 @@ from functools import reduce
 from operator import or_
 from typing import Iterable, Optional, Sequence
 
-from ._bits import is_subset, mask_of
+from ._bits import is_subset, items_of, mask_of
 from .errors import CapExceeded, NotOpen, TopologyTooLarge
 from .game import CoversFamily, MultiCover, WindowCover
 
 SIZE_CAP = 16
 OPENS_CAP = 4096
+COVERS_CAP = 256  # minimal covers listed before min_covers truncates
 
 
 @dataclass(frozen=True)
@@ -234,82 +240,74 @@ def refines(fam_a: SetFamily, fam_b: SetFamily) -> bool:
 
 @dataclass(frozen=True)
 class MinCoverResult:
-    """Inclusion-minimal listed covers, possibly truncated at a bound."""
+    """Inclusion-minimal listed covers, truncated past ``COVERS_CAP``."""
 
     covers: tuple[tuple[int, ...], ...]
     truncated: bool
 
 
-def min_covers(space: GroundSpace, fam: SetFamily, max_count: int = 256) -> MinCoverResult:
-    """All inclusion-minimal families of proper opens covering ``fam``.
+def min_covers(space: GroundSpace, fam: SetFamily) -> MinCoverResult:
+    """All inclusion-minimal families of proper opens covering ``fam``, as
+    sorted tuples in lexicographic order, truncated past ``COVERS_CAP``.
 
-    Each cover is a sorted tuple of distinct open masks; enumeration
-    order is lexicographic on those tuples.  An ideal base covering the
-    universe admits none (its top member is the whole space); the empty
-    family admits exactly the empty cover.
+    A cover is minimal iff each of its opens holds a member no other holds.
+    The walk grows ascending tuples of proper opens depth-first, adding an
+    open only if it holds an uncovered member and every chosen open keeps
+    such a private member.  Adding an open never gives one back, so each
+    minimal cover is reached once, along its sorted order, and each tuple
+    that covers is minimal.  Depth-first order is lexicographic, so the
+    walk stops at the first cover past the cap.  The top member of an
+    ideal base covering the universe admits none; the empty family
+    admits exactly the empty cover.
     """
-    if max_count < 1:
-        raise ValueError("max_count must be at least 1")
-    if not fam.members:
-        return MinCoverResult(covers=((),), truncated=False)
-    full = space.full
-    candidates = {
-        a: tuple(u for u in space.sorted_opens() if u != full and is_subset(a, u))
-        for a in fam.members
-    }
-    if any(not c for c in candidates.values()):
+    full, members = space.full, fam.members
+    proper = [u for u in space.sorted_opens() if u != full]
+    # inside[k]: the members held by proper[k], one bit per member
+    inside = [
+        sum(1 << m for m, a in enumerate(members) if is_subset(a, u)) for u in proper
+    ]
+    everyone = (1 << len(members)) - 1
+    if reduce(or_, inside, 0) != everyone:
         return MinCoverResult(covers=(), truncated=False)
-    # Branch on the member with the fewest remaining candidate opens.
-    found: set[frozenset[int]] = set()
-    visited: set[frozenset[int]] = set()
+    covers: list[tuple[int, ...]] = []
 
-    def search(chosen: frozenset[int]) -> None:
-        if chosen in visited:
-            return
-        visited.add(chosen)
-        uncovered = [
-            a for a in fam.members if not any(is_subset(a, u) for u in chosen)
-        ]
-        if not uncovered:
-            found.add(chosen)
-            return
-        pivot = min(uncovered, key=lambda a: len(candidates[a]))
-        for u in candidates[pivot]:
-            search(chosen | {u})
+    def extend(start: int, chosen: tuple[int, ...], private: list[int], covered: int) -> bool:
+        """Walk the extensions of ``chosen``; True once the cap is passed."""
+        if covered == everyone:
+            covers.append(chosen)
+            return len(covers) > COVERS_CAP
+        for k in range(start, len(proper)):
+            fresh, kept = inside[k] & ~covered, [p & ~inside[k] for p in private]
+            if fresh and all(kept) and extend(
+                k + 1, chosen + (proper[k],), kept + [fresh], covered | fresh
+            ):
+                return True
+        return False
 
     try:
-        search(frozenset())
+        truncated = extend(0, (), [], 0)
     finally:
-        del search
-    minimal = [
-        cov
-        for cov in found
-        if not any(other < cov for other in found)
-    ]
-    ordered = sorted(tuple(sorted(c)) for c in minimal)
-    if len(ordered) > max_count:
-        return MinCoverResult(covers=tuple(ordered[:max_count]), truncated=True)
-    return MinCoverResult(covers=tuple(ordered), truncated=False)
+        del extend
+    return MinCoverResult(covers=tuple(covers[:COVERS_CAP]), truncated=truncated)
 
 
 def all_topologies(size: int) -> list[GroundSpace]:
-    """Every topology on {0..size-1}.
+    """Every topology on {0..size-1} (size <= 4), ordered by (number of
+    opens, sorted opens).
 
-    Exhaustive over all families containing {empty, full} closed under
-    union/intersection; intended for sizes <= 4.
+    A finite topology is its specialization preorder: each point has a
+    least open neighbourhood, its row, and the opens are the unions of
+    rows.  This runs over one row per point, each holding its point, and
+    keeps the transitive choices: j in row i puts row j inside row i.
     """
     if size > 4:
         raise CapExceeded("exhaustive topology enumeration supports size <= 4")
-    full = (1 << size) - 1
-    middles = [m for m in range(1, full)]
+    choices = [[row for row in range(1 << size) if row >> i & 1] for i in range(size)]
     out = []
-    for r in range(len(middles) + 1):
-        for combo in itertools.combinations(middles, r):
-            fam = set(combo) | {0, full}
-            ok = all(
-                (a | b) in fam and (a & b) in fam
-                for a, b in itertools.combinations(fam, 2)
-            )
-            if ok:
-                out.append(GroundSpace(size=size, opens=frozenset(fam)))
-    return out
+    for rows in itertools.product(*choices):
+        if all(is_subset(rows[j], row) for row in rows for j in items_of(row)):
+            opens = {0}
+            for row in rows:
+                opens |= {u | row for u in opens}
+            out.append(GroundSpace(size=size, opens=frozenset(opens)))
+    return sorted(out, key=lambda s: (len(s.opens), s.sorted_opens()))

@@ -207,7 +207,7 @@ def scenario_from_json(data: Mapping) -> Scenario:
             flavor=data["flavor"],
             params=dict(data["params"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioFormatError(f"bad scenario record: {exc}") from exc
     return sc
 

@@ -53,8 +53,13 @@ def _int(value) -> int:
 
 
 def _mask(items) -> int:
-    """The bitmask of a JSON list of ground items, each read by ``_int``."""
-    return mask_of(map(_int, items))
+    """The bitmask of a JSON list of ground items, each read by ``_int``;
+    ValueError for a negative item, which the decoders report as a bad
+    record."""
+    items = [_int(i) for i in items]
+    if any(i < 0 for i in items):
+        raise ValueError(f"negative ground item in {items!r}")
+    return mask_of(items)
 
 
 # -- targets -------------------------------------------------------------
@@ -351,7 +356,10 @@ def rel_pair_from_json(data: Mapping) -> RelPair:
                 [_mask(s) for s in data["b"]],
             )
         if data["type"] == "explicit":
-            carrier = list(range(_int(data["size"])))
+            size = _int(data["size"])
+            if size < 0:
+                raise ValueError(f"negative carrier size {size}")
+            carrier = list(range(size))
             pairs = {(_int(i), _int(j)) for i, j in data["leq_pairs"]}
             return make_rel_pair(
                 carrier,

@@ -29,7 +29,7 @@ from selgames.game import (
     play,
     two_selection,
 )
-from selgames.ground import CoverVerdict, SetFamily
+from selgames.ground import CoverVerdict, GroundSpace, SetFamily
 from selgames.orders import make_rel_pair
 from selgames.solver import MAX_EXHIBITS, VerificationReport
 from selgames.transforms import AxiomCheck
@@ -306,6 +306,27 @@ def brute_topology(size: int, subbasis) -> frozenset:
         if grown == opens:
             return frozenset(opens)
         opens = grown
+
+
+def brute_topologies(size: int) -> list:
+    """Every topology on {0..size-1}.
+
+    Exhaustive over all families containing {empty, full} closed under
+    union/intersection; intended for sizes <= 4.
+    """
+    full = (1 << size) - 1
+    middles = [m for m in range(1, full)]
+    out = []
+    for r in range(len(middles) + 1):
+        for combo in itertools.combinations(middles, r):
+            fam = set(combo) | {0, full}
+            ok = all(
+                (a | b) in fam and (a & b) in fam
+                for a, b in itertools.combinations(fam, 2)
+            )
+            if ok:
+                out.append(GroundSpace(size=size, opens=frozenset(fam)))
+    return out
 
 
 def brute_min_covers(space, fam_members, opens):

@@ -382,6 +382,8 @@ class TestUsageErrors:
             # a boolean is no ground item, even where it would act as 0 or 1
             dict(base, families=dict(base["families"], a=[[True], [0]])),
             dict(base, space=dict(base["space"], subbasis=[[0], [True]])),
+            # nor is a negative integer
+            dict(base, families=dict(base["families"], a=[[-1], [0]])),
         )
         commands = []
         for k, data in enumerate(scenarios):
@@ -423,6 +425,7 @@ class TestUsageErrors:
             dict(explicit, leq_pairs=[[False, False]]),
             dict(explicit, a=[False]),
             {"type": "inclusion", "a": [[True]], "b": [[1]]},
+            dict(explicit, size=-3, leq_pairs=[], a=[], b=[]),
         )
         for k, data in enumerate(pairs):
             commands.append(("cofinality", companion(f"pair-{k}.json", data)))

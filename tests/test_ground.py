@@ -8,6 +8,7 @@ from brute import (
     brute_classify_cover,
     brute_family_flags,
     brute_min_covers,
+    brute_topologies,
     brute_topology,
     finite_subsets_family,
 )
@@ -26,7 +27,7 @@ from selgames import (
 )
 from selgames.errors import CapExceeded, NotOpen, TopologyTooLarge
 from selgames.fuzzing import _union_closure
-from selgames.ground import all_topologies, nonempty_opens_family
+from selgames.ground import COVERS_CAP, all_topologies, nonempty_opens_family
 
 
 def masks(*sets):
@@ -36,6 +37,15 @@ def masks(*sets):
 def small_topologies():
     """Every topology on 1 to 3 points."""
     return [space for size in (1, 2, 3) for space in all_topologies(size)]
+
+
+def test_all_topologies_match_the_subset_filter():
+    # the counts of topologies on 1..4 points (OEIS A000798), in the
+    # subset filter's order
+    for size, count in zip((1, 2, 3, 4), (1, 4, 29, 355)):
+        spaces = all_topologies(size)
+        assert len(spaces) == count
+        assert spaces == brute_topologies(size)
 
 
 class TestBuildTopology:
@@ -267,16 +277,32 @@ class TestMinCovers:
         fam = SetFamily.build(d2, [])
         assert min_covers(d2, fam).covers == ((),)
 
-    def test_truncation_flag(self, d3, singles3):
-        result = min_covers(d3, singles3, max_count=1)
+    def test_truncation_flag(self):
+        # discrete 5 with singletons has more minimal covers than the cap
+        d5 = discrete_space(5)
+        fam = singleton_family(d5)
+        members = fam.members
+        result = min_covers(d5, fam)
         assert result.truncated
-        assert len(result.covers) == 1
+        assert len(result.covers) == COVERS_CAP
+        assert all(a < b for a, b in zip(result.covers, result.covers[1:]))
+        for cover in result.covers:
+            assert d5.full not in cover
+            assert all(any(a & ~u == 0 for u in cover) for a in members)
+            for u in cover:
+                # u holds a member that no other open of the cover holds
+                assert any(
+                    a & ~u == 0 and all(a & ~v for v in cover if v != u)
+                    for a in members
+                ), cover
 
     def test_against_powerset_enumeration(self):
         # second route: filter the full powerset of proper opens, on every
-        # topology up to 3 points, for seeded families and their union closures
+        # topology up to 3 points and every 4-point one with at most 8
+        # proper opens, for seeded families and their union closures
         rng = random.Random(5)
-        for space in small_topologies():
+        fours = [s for s in all_topologies(4) if len(s.opens) - 1 <= 8]
+        for space in small_topologies() + fours:
             for _ in range(6):
                 seeds = rng.sample(
                     range(1, space.full + 1), rng.randint(1, min(3, space.full))

@@ -188,6 +188,18 @@ class TestScenarioFiles:
         with pytest.raises(ScenarioFormatError):
             scenario_from_json(data)
 
+    def test_negative_ground_item_is_a_format_error(self):
+        data = scenario_to_json(corpus()[0])
+        records = (
+            dict(data, families=dict(data["families"], a=[[-1], [0]])),
+            dict(data, space=dict(data["space"], subbasis=[[0], [-2]])),
+        )
+        for record in records:
+            with pytest.raises(ScenarioFormatError, match="bad scenario record"):
+                scenario_from_json(record)
+        with pytest.raises(ScenarioFormatError, match="bad order-pair record"):
+            rel_pair_from_json({"type": "inclusion", "a": [[-1]], "b": [[0]]})
+
     def test_abstract_game_round_trips_through_build(self, d2, singles2):
         g = build_point_open(d2, singles2, singles2, 2)
         sc = abstract_scenario("wrapped", g)
