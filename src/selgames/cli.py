@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from typing import Optional, Sequence
 
@@ -18,7 +17,6 @@ from .errors import (
     AxiomsFail,
     BudgetExceeded,
     InvalidCount,
-    ScenarioFormatError,
     SelGamesError,
 )
 from .fuzzing import ALL_SUITES, fuzz
@@ -34,6 +32,8 @@ from .scenarios import (
 from .serialize import (
     _item_to_json,
     canonical_dumps,
+    decoding,
+    load_json,
     pack_from_json,
     rel_pair_from_json,
     strategy_from_json,
@@ -73,14 +73,6 @@ def _non_negative_int(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
-
-
-def _load_json(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ScenarioFormatError(f"{path}: {exc}") from exc
 
 
 def _emit(payload: dict, as_json: bool, lines: Sequence[str]) -> None:
@@ -136,7 +128,7 @@ def _cmd_synth(args) -> int:
 def _cmd_verify(args) -> int:
     sc = load_scenario(args.scenario)
     game = build_game(sc, horizon=args.horizon)
-    strategy = strategy_from_json(_load_json(args.strategy))
+    strategy = strategy_from_json(load_json(args.strategy))
     report = verify(game, strategy, max_exhibits=args.max_exhibits)
     payload = {
         "scenario": sc.name,
@@ -162,12 +154,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_duality(args) -> int:
-    data = _load_json(args.pair)
-    try:
+    data = load_json(args.pair)
+    with decoding("pair"):
         left = scenario_from_json(data["left"])
         right = scenario_from_json(data["right"])
-    except KeyError as exc:
-        raise ScenarioFormatError(f"pair file needs 'left' and 'right': {exc}")
     g_left = build_game(left, horizon=args.horizon)
     g_right = build_game(right, horizon=args.horizon)
     report = check_duality(g_left, g_right)
@@ -194,13 +184,13 @@ def _cmd_duality(args) -> int:
 
 
 def _cmd_translate(args) -> int:
-    pack = pack_from_json(_load_json(args.pack))
+    pack = pack_from_json(load_json(args.pack))
     src = build_game(load_scenario(args.src))
     dst = build_game(load_scenario(args.dst))
     direction = Direction(args.direction)
     _require_axioms(pack, src, dst)
     if args.input:
-        strategy = strategy_from_json(_load_json(args.input))
+        strategy = strategy_from_json(load_json(args.input))
     else:
         if direction is Direction.MARKOV_TWO:
             strategy = find_markov_two(src, node_budget=args.budget)
@@ -225,7 +215,7 @@ def _cmd_translate(args) -> int:
 
 
 def _cmd_cofinality(args) -> int:
-    pair = rel_pair_from_json(_load_json(args.pair))
+    pair = rel_pair_from_json(load_json(args.pair))
     value = relative_cofinality(pair)
     lifted = lift_omega_cof(value, b_empty=not pair.sub_b)
     payload = {"cofinality": repr(value), "lifted_over_counter": repr(lifted)}

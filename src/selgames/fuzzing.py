@@ -14,6 +14,8 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 from typing import Callable, Optional
 
 from ._bits import is_subset, items_of
@@ -734,7 +736,7 @@ def suite_ground(rng: random.Random, count: int,
         space = discrete_space(size)
         fam = _ideal_base_family(rng, space)
         if rng.random() < 0.6 and not fam.covers_universe:
-            extra = space.full & ~_union(fam.members)
+            extra = space.full & ~reduce(or_, fam.members, 0)
             fam = SetFamily.build(space, fam.members + (extra | fam.members[0],))
             fam = SetFamily.build(space, _union_closure(fam.members))
 
@@ -769,13 +771,6 @@ def suite_ground(rng: random.Random, count: int,
     return res
 
 
-def _union(masks) -> int:
-    out = 0
-    for m in masks:
-        out |= m
-    return out
-
-
 def _union_closure(masks) -> list[int]:
     """The masks closed under pairwise union, ascending."""
     members = set(masks)
@@ -806,7 +801,7 @@ def suite_open_question_gamma_two(
         for w in range(1, min(horizon, 3) + 1)
         if (size * (2 ** (size - 1))) ** horizon <= 5 * 10**4
     ]
-    for size, horizon, w in combos[: count if count < len(combos) else len(combos)]:
+    for size, horizon, w in combos[:count]:
         res.attempts += 1
         space = discrete_space(size)
         singles = SetFamily.build(space, [1 << i for i in range(size)])

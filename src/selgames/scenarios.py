@@ -32,7 +32,15 @@ from .errors import (
 )
 from .game import CoversFamily, GameSpec, Kind, MultiCover, Not, WindowCover, make_game
 from .ground import GroundSpace, SetFamily, build_topology, min_covers
-from .serialize import _int, _mask, canonical_dumps, game_from_json, game_to_json
+from .serialize import (
+    _int,
+    _mask,
+    canonical_dumps,
+    decoding,
+    game_from_json,
+    game_to_json,
+    load_json,
+)
 
 FLAVORS = (
     "point-open-o",
@@ -195,21 +203,18 @@ def scenario_to_json(sc: Scenario) -> dict:
     }
 
 
+@decoding("scenario")
 def scenario_from_json(data: Mapping) -> Scenario:
-    try:
-        sc = Scenario(
-            name=data["name"],
-            space_size=_int(data["space"]["size"]),
-            subbasis=tuple(sorted(_mask(s) for s in data["space"]["subbasis"])),
-            fam_a=tuple(_mask(s) for s in data["families"]["a"]),
-            fam_b=tuple(_mask(s) for s in data["families"]["b"]),
-            horizon=_int(data["horizon"]),
-            flavor=data["flavor"],
-            params=dict(data["params"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioFormatError(f"bad scenario record: {exc}") from exc
-    return sc
+    return Scenario(
+        name=data["name"],
+        space_size=_int(data["space"]["size"]),
+        subbasis=tuple(sorted(_mask(s) for s in data["space"]["subbasis"])),
+        fam_a=tuple(_mask(s) for s in data["families"]["a"]),
+        fam_b=tuple(_mask(s) for s in data["families"]["b"]),
+        horizon=_int(data["horizon"]),
+        flavor=data["flavor"],
+        params=dict(data["params"]),
+    )
 
 
 def emit_scenario(sc: Scenario) -> str:
@@ -225,8 +230,7 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def load_scenario(path: str) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read())
+    return scenario_from_json(load_json(path))
 
 
 def abstract_scenario(name: str, game: GameSpec) -> Scenario:

@@ -14,6 +14,8 @@ state decodes without knowing its target.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
+from dataclasses import fields
 from typing import Any, Mapping
 
 from ._bits import mask_of
@@ -44,91 +46,93 @@ def canonical_dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def load_json(path: str) -> Any:
+    """The JSON value in the file at ``path``; a file that cannot be read
+    or parsed is a ScenarioFormatError naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ScenarioFormatError(f"{path}: {exc}") from exc
+
+
+@contextmanager
+def decoding(record: str):
+    """The boundary of every decoder, as a decorator or a ``with`` block:
+    a KeyError, TypeError or ValueError inside it, which is how a decoder
+    meets a missing field, a wrong type or a bad value, is reported as a
+    ScenarioFormatError on a bad ``record`` record."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ScenarioFormatError(f"bad {record} record: {exc}") from exc
+
+
 def _int(value) -> int:
-    """``value`` itself if it is an integer; TypeError otherwise, which
-    the decoders report as a bad record."""
+    """``value`` itself if it is an integer; TypeError otherwise."""
     if type(value) is not int:
         raise TypeError(f"expected an integer, got {value!r}")
     return value
 
 
+def _ints(values) -> tuple[int, ...]:
+    return tuple(map(_int, values))
+
+
 def _mask(items) -> int:
     """The bitmask of a JSON list of ground items, each read by ``_int``;
-    ValueError for a negative item, which the decoders report as a bad
-    record."""
-    items = [_int(i) for i in items]
+    ValueError for a negative item."""
+    items = _ints(items)
     if any(i < 0 for i in items):
         raise ValueError(f"negative ground item in {items!r}")
     return mask_of(items)
 
 
 # -- targets -------------------------------------------------------------
+#
+# A target's record is its type name and its init fields, each field
+# written and read by the codec of its name in ``_TARGET_FIELDS``.
+
+_TARGET_TYPES = {
+    "covers-family": CoversFamily,
+    "multi-cover": MultiCover,
+    "window-cover": WindowCover,
+    "explicit-set": ExplicitSet,
+    "every-subsequence": EverySubsequence,
+    "not": Not,
+}
+_TARGET_NAMES = {cls: name for name, cls in _TARGET_TYPES.items()}
 
 
 def target_to_json(target: Target) -> dict:
-    if isinstance(target, CoversFamily):
-        return {
-            "type": "covers-family",
-            "full": target.full,
-            "members": list(target.members),
-        }
-    if isinstance(target, MultiCover):
-        return {
-            "type": "multi-cover",
-            "full": target.full,
-            "members": list(target.members),
-            "m": target.m,
-        }
-    if isinstance(target, WindowCover):
-        return {
-            "type": "window-cover",
-            "full": target.full,
-            "members": list(target.members),
-            "w": target.w,
-        }
-    if isinstance(target, ExplicitSet):
-        return {
-            "type": "explicit-set",
-            "winning": sorted(sorted(w) for w in target.winning),
-        }
-    if isinstance(target, EverySubsequence):
-        return {
-            "type": "every-subsequence",
-            "inner": target_to_json(target.inner),
-            "m": target.m,
-        }
-    if isinstance(target, Not):
-        return {"type": "not", "inner": target_to_json(target.inner)}
-    raise ScenarioFormatError(f"unknown target {target!r}")
+    if type(target) not in _TARGET_NAMES:
+        raise ScenarioFormatError(f"unknown target {target!r}")
+    record = {"type": _TARGET_NAMES[type(target)]}
+    for f in fields(target):
+        if f.init:
+            record[f.name] = _TARGET_FIELDS[f.name][0](getattr(target, f.name))
+    return record
 
 
+@decoding("target")
 def target_from_json(data: Mapping) -> Target:
-    try:
-        kind = data["type"]
-        if kind in ("covers-family", "multi-cover", "window-cover"):
-            full = _int(data["full"])
-            members = tuple(_int(m) for m in data["members"])
-        if kind == "covers-family":
-            return CoversFamily(full=full, members=members)
-        if kind == "multi-cover":
-            return MultiCover(full=full, members=members, m=_int(data["m"]))
-        if kind == "window-cover":
-            return WindowCover(full=full, members=members, w=_int(data["w"]))
-        if kind == "explicit-set":
-            return ExplicitSet(
-                winning=tuple(
-                    frozenset(_int(x) for x in w) for w in data["winning"]
-                )
-            )
-        if kind == "every-subsequence":
-            return EverySubsequence(
-                inner=target_from_json(data["inner"]), m=_int(data["m"])
-            )
-        if kind == "not":
-            return Not(inner=target_from_json(data["inner"]))
-    except (KeyError, TypeError) as exc:
-        raise ScenarioFormatError(f"bad target record: {exc}") from exc
-    raise ScenarioFormatError(f"unknown target type {data.get('type')!r}")
+    if data["type"] not in _TARGET_TYPES:
+        raise ScenarioFormatError(f"unknown target type {data['type']!r}")
+    cls = _TARGET_TYPES[data["type"]]
+    return cls(**{f.name: _TARGET_FIELDS[f.name][1](data[f.name])
+                  for f in fields(cls) if f.init})
+
+
+# field name: (to JSON, from JSON)
+_TARGET_FIELDS = {
+    "full": (int, _int),
+    "members": (list, _ints),
+    "m": (int, _int),
+    "w": (int, _int),
+    "winning": (lambda winning: sorted(map(sorted, winning)),
+                lambda rows: tuple(frozenset(_ints(w)) for w in rows)),
+    "inner": (target_to_json, target_from_json),
+}
 
 
 # -- games ---------------------------------------------------------------
@@ -145,19 +149,14 @@ def game_to_json(game: GameSpec) -> dict:
     }
 
 
+@decoding("game")
 def game_from_json(data: Mapping) -> GameSpec:
-    try:
-        return make_game(
-            moves=[
-                [frozenset(_int(x) for x in ms) for ms in family]
-                for family in data["moves"]
-            ],
-            horizon=_int(data["horizon"]),
-            kind=Kind(data["kind"]),
-            target=target_from_json(data["target"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioFormatError(f"bad game record: {exc}") from exc
+    return make_game(
+        moves=[[frozenset(_ints(ms)) for ms in family] for family in data["moves"]],
+        horizon=_int(data["horizon"]),
+        kind=Kind(data["kind"]),
+        target=target_from_json(data["target"]),
+    )
 
 
 # -- strategies ----------------------------------------------------------
@@ -257,56 +256,53 @@ def strategy_to_json(strategy, kind: Kind = Kind.SINGLE) -> dict:
     raise ScenarioFormatError(f"unknown strategy {strategy!r}")
 
 
+@decoding("strategy")
 def strategy_from_json(data: Mapping):
-    try:
-        cls = data["class"]
-        kind = Kind(data.get("kind", "single"))
-        if cls == "pre-one":
-            return PreOne(indices=tuple(_int(i) for i in data["indices"]))
-        if cls == "full-one":
-            return FullOne(
-                table={
-                    tuple(_item_from_json(x, kind) for x in row["history"]):
-                        _int(row["move"])
-                    for row in data["table"]
-                }
-            )
-        if cls == "full-two":
-            return FullTwo(
-                table={
-                    tuple(map(_int, row["history"])):
-                        _item_from_json(row["item"], kind)
-                    for row in data["table"]
-                }
-            )
-        if cls == "markov-two":
-            return MarkovTwo(
-                table={
-                    (_int(row["move"]), _int(row["round"])):
-                        _item_from_json(row["item"], kind)
-                    for row in data["table"]
-                }
-            )
-        if cls == "state-one":
-            return StateOne(
-                table={
-                    (_int(row["round"]), state_from_json(row["state"])):
-                        _int(row["move"])
-                    for row in data["table"]
-                }
-            )
-        if cls == "state-two":
-            return StateTwo(
-                table={
-                    (_int(row["round"]), state_from_json(row["state"]),
-                     _int(row["move"])):
-                        _item_from_json(row["item"], kind)
-                    for row in data["table"]
-                }
-            )
-    except (KeyError, TypeError) as exc:
-        raise ScenarioFormatError(f"bad strategy record: {exc}") from exc
-    raise ScenarioFormatError(f"unknown strategy class {data.get('class')!r}")
+    cls = data["class"]
+    kind = Kind(data.get("kind", "single"))
+    if cls == "pre-one":
+        return PreOne(indices=_ints(data["indices"]))
+    if cls == "full-one":
+        return FullOne(
+            table={
+                tuple(_item_from_json(x, kind) for x in row["history"]):
+                    _int(row["move"])
+                for row in data["table"]
+            }
+        )
+    if cls == "full-two":
+        return FullTwo(
+            table={
+                _ints(row["history"]): _item_from_json(row["item"], kind)
+                for row in data["table"]
+            }
+        )
+    if cls == "markov-two":
+        return MarkovTwo(
+            table={
+                (_int(row["move"]), _int(row["round"])):
+                    _item_from_json(row["item"], kind)
+                for row in data["table"]
+            }
+        )
+    if cls == "state-one":
+        return StateOne(
+            table={
+                (_int(row["round"]), state_from_json(row["state"])):
+                    _int(row["move"])
+                for row in data["table"]
+            }
+        )
+    if cls == "state-two":
+        return StateTwo(
+            table={
+                (_int(row["round"]), state_from_json(row["state"]),
+                 _int(row["move"])):
+                    _item_from_json(row["item"], kind)
+                for row in data["table"]
+            }
+        )
+    raise ScenarioFormatError(f"unknown strategy class {cls!r}")
 
 
 # -- translation packs ----------------------------------------------------
@@ -321,14 +317,13 @@ def pack_to_json(pack: TranslationPack) -> dict:
     }
 
 
+@decoding("pack")
 def pack_from_json(data: Mapping) -> TranslationPack:
-    try:
-        t_one = tuple({_int(j): _int(i) for j, i in rows} for rows in data["t_one"])
-        t_two = tuple({(_int(x), _int(j)): _int(y) for x, j, y in rows}
-                      for rows in data["t_two"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioFormatError(f"bad pack record: {exc}") from exc
-    return TranslationPack(t_one=t_one, t_two=t_two)
+    return TranslationPack(
+        t_one=tuple({_int(j): _int(i) for j, i in rows} for rows in data["t_one"]),
+        t_two=tuple({(_int(x), _int(j)): _int(y) for x, j, y in rows}
+                    for rows in data["t_two"]),
+    )
 
 
 # -- order pairs ----------------------------------------------------------
@@ -348,25 +343,22 @@ def rel_pair_to_json(pair: RelPair) -> dict:
     }
 
 
+@decoding("order-pair")
 def rel_pair_from_json(data: Mapping) -> RelPair:
-    try:
-        if data["type"] == "inclusion":
-            return inclusion_pair(
-                [_mask(s) for s in data["a"]],
-                [_mask(s) for s in data["b"]],
-            )
-        if data["type"] == "explicit":
-            size = _int(data["size"])
-            if size < 0:
-                raise ValueError(f"negative carrier size {size}")
-            carrier = list(range(size))
-            pairs = {(_int(i), _int(j)) for i, j in data["leq_pairs"]}
-            return make_rel_pair(
-                carrier,
-                lambda x, y: (x, y) in pairs,
-                sub_a=[_int(i) for i in data["a"]],
-                sub_b=[_int(i) for i in data["b"]],
-            )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioFormatError(f"bad order-pair record: {exc}") from exc
-    raise ScenarioFormatError(f"unknown pair type {data.get('type')!r}")
+    if data["type"] == "inclusion":
+        return inclusion_pair(
+            [_mask(s) for s in data["a"]],
+            [_mask(s) for s in data["b"]],
+        )
+    if data["type"] == "explicit":
+        size = _int(data["size"])
+        if size < 0:
+            raise ValueError(f"negative carrier size {size}")
+        pairs = {(_int(i), _int(j)) for i, j in data["leq_pairs"]}
+        return make_rel_pair(
+            list(range(size)),
+            lambda x, y: (x, y) in pairs,
+            sub_a=_ints(data["a"]),
+            sub_b=_ints(data["b"]),
+        )
+    raise ScenarioFormatError(f"unknown pair type {data['type']!r}")

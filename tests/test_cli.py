@@ -9,6 +9,7 @@ from selgames import scenarios
 from selgames.cli import _build_parser, main
 from selgames.fuzzing import fuzz
 from selgames.serialize import canonical_dumps
+from test_fuzz import _force_tukey
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -216,6 +217,15 @@ class TestDuality:
         assert code == 0
         assert json.loads(out)["all_hold"] is True
 
+    def test_malformed_pair_file_is_an_error(self, capsys, tmp_path):
+        for k, data in enumerate(([], "x", {"left": {}}, {})):
+            path = tmp_path / f"pair-{k}.json"
+            path.write_text(json.dumps(data))
+            code, out, err = run(capsys, "duality", str(path))
+            assert code == 1, data
+            assert out == ""
+            assert err.startswith("error: bad ") and len(err.splitlines()) == 1, data
+
 
 class TestTranslate:
     def test_identity_pack_full_two(self, capsys):
@@ -266,17 +276,21 @@ class TestTranslate:
 
     def test_axioms_fail_in_every_direction(self, capsys, tmp_path):
         # a pack that breaks legality is refused before any input is looked
-        # for, so a direction with no winning input also exits 2
-        pack = tmp_path / "pack.json"
-        pack.write_text(json.dumps({"t_one": [[[0, 7]], [[0, 7]]], "t_two": [[], []]}))
+        # for, so a direction with no winning input also exits 2; round 0
+        # pulls target move 0 back to source move 7, which the one-move
+        # source round does not have, or to no source move at all
         tiny = str(SCENARIOS / "tiny-abstract.json")
-        for direction in ("markov-two", "full-two", "full-one-pullback",
-                          "pre-one-pullback"):
-            code, out, err = run(capsys, "translate", str(pack), tiny, tiny,
-                                 "--direction", direction)
-            assert code == 2, direction
-            assert out == ""
-            assert err.startswith("translation axioms fail: "), direction
+        for t_one_0 in ([[0, 7]], []):
+            pack = tmp_path / "pack.json"
+            pack.write_text(json.dumps({"t_one": [t_one_0, [[0, 7]]], "t_two": [[], []]}))
+            for direction in ("markov-two", "full-two", "full-one-pullback",
+                              "pre-one-pullback"):
+                code, out, err = run(capsys, "translate", str(pack), tiny, tiny,
+                                     "--direction", direction)
+                assert code == 2, direction
+                assert out == ""
+                assert err == ("translation axioms fail:"
+                               " pack violates legality at (0, 0, None)\n"), direction
 
 
 class TestCofinality:
@@ -320,6 +334,21 @@ class TestFuzzCommand:
         code, _, err = run(capsys, "fuzz", "--seed", "1", "--count", "0")
         assert code == 1
 
+    def test_exhausted_budget_exits_3(self, capsys):
+        code, out, _ = run(capsys, "fuzz", "--seed", "0", "--count", "2",
+                           "--budget", "0", "--json")
+        assert code == 3
+        data = json.loads(out)
+        assert data["total_violations"] == 0 and data["total_budget_exceeded"] > 0
+
+    def test_violations_exit_2(self, capsys, monkeypatch):
+        expected: list = []
+        _force_tukey(monkeypatch, expected)
+        code, out, _ = run(capsys, "fuzz", "--seed", "0", "--count", "2",
+                           "--suite", "tukey", "--json")
+        assert code == 2
+        assert json.loads(out)["total_violations"] == len(expected) > 0
+
 
 class TestCorpusCommand:
     def test_list(self, capsys):
@@ -336,6 +365,15 @@ class TestCorpusCommand:
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
         assert run(capsys, "frobnicate")[0] == 1
+
+    def test_non_integer_budget_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "synth", "pre-one", str(SCENARIOS / "point-open-discrete-2-h1.json"),
+            "--budget", "x",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error: ") and "--budget" in err
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "solve", "does-not-exist.json")
@@ -426,6 +464,8 @@ class TestUsageErrors:
             dict(explicit, a=[False]),
             {"type": "inclusion", "a": [[True]], "b": [[1]]},
             dict(explicit, size=-3, leq_pairs=[], a=[], b=[]),
+            # a subfamily index outside the carrier
+            dict(explicit, size=2, leq_pairs=[[0, 0], [1, 1]], a=[5]),
         )
         for k, data in enumerate(pairs):
             commands.append(("cofinality", companion(f"pair-{k}.json", data)))
@@ -434,6 +474,8 @@ class TestUsageErrors:
             assert code == 1, command
             assert out == ""
             assert err.startswith("error: ") and len(err.splitlines()) == 1, command
+        # the last command is the pair with an index outside the carrier
+        assert "bad order-pair record: subfamily index outside the carrier" in err
 
 
 def test_cached_parser_answers_like_a_fresh_process(capsys):

@@ -23,6 +23,7 @@ from selgames import (
     verify,
 )
 from selgames.errors import (
+    CoverEnumerationTruncated,
     NoCovers,
     NoNeighborhood,
     ScenarioFormatError,
@@ -73,6 +74,14 @@ class TestBuilders:
         fam = family_of(d2, [{0}, {1}, {0, 1}])
         with pytest.raises(NoCovers):
             build_rothberger(d2, fam, fam, 2)
+
+    def test_rothberger_refuses_a_truncated_cover_list(self):
+        # the singletons of 5 discrete points have more minimal covers
+        # than the enumeration lists
+        d5 = discrete_space(5)
+        singles = singleton_family(d5)
+        with pytest.raises(CoverEnumerationTruncated):
+            build_rothberger(d5, singles, singles, 1)
 
     def test_rothberger_values(self, d2, singles2):
         assert solve(build_rothberger(d2, singles2, singles2, 2)).winner is Player.TWO
@@ -273,6 +282,23 @@ class TestSerializeCodecs:
             for i in range(n)
             for j in range(n)
         )
+
+    def test_every_decoder_reports_a_bad_record(self):
+        decoders = {
+            "target": target_from_json,
+            "game": game_from_json,
+            "strategy": strategy_from_json,
+            "pack": pack_from_json,
+            "order-pair": rel_pair_from_json,
+            "scenario": scenario_from_json,
+        }
+        for record, decode in decoders.items():
+            for data in ([], "x", {}):
+                with pytest.raises(ScenarioFormatError, match=f"bad {record} record"):
+                    decode(data)
+        # a bad value is a bad record too, not a bare ValueError
+        with pytest.raises(ScenarioFormatError, match="bad strategy record"):
+            strategy_from_json({"class": "pre-one", "kind": "bogus", "indices": [0]})
 
     def test_inclusion_pair_file_form(self):
         from selgames.serialize import rel_pair_from_json
