@@ -568,7 +568,7 @@ def suite_tukey(rng: random.Random, count: int,
         ):
             res.check(
                 "cofinality/invariant-under-two-way-maps",
-                relative_cofinality(src) == relative_cofinality(copy),
+                cof == relative_cofinality(copy),
                 payload,
             )
 
@@ -581,12 +581,12 @@ def suite_tukey(rng: random.Random, count: int,
             sub_a=q, sub_b=range(len(base_carrier)),
         )
         base_cof = relative_cofinality(base)
-        stabilized = []
-        for bound in (2, 3, 4):
-            prod = truncate_product(base, bound)
-            proj = projection_map(prod, base)
-            ok = check_tukey_map(proj, prod, base)
-            stabilized.append((ok, relative_cofinality(prod)))
+        prods = [truncate_product(base, bound) for bound in (2, 3, 4)]
+        stabilized = [
+            (check_tukey_map(projection_map(prod, base), prod, base),
+             relative_cofinality(prod))
+            for prod in prods
+        ]
         res.check(
             "tukey/projection-validates-at-every-truncation",
             all(ok for ok, _ in stabilized),
@@ -614,8 +614,7 @@ def suite_tukey(rng: random.Random, count: int,
             # every trunc-2 candidate embeds into trunc-3, where obligations
             # at counter 3 escape them all.  This is why the symbolic lift
             # answers OMEGA rather than any finite value.
-            prod2 = truncate_product(base, 2)
-            prod3 = truncate_product(base, 3)
+            prod2, prod3 = prods[:2]
             pos3 = {prod3.carrier[i]: i for i in prod3.sub_a}
             embedded = [pos3[prod2.carrier[i]] for i in prod2.sub_a]
             res.check(

@@ -295,6 +295,11 @@ def make_game(
     packed = []
     universe: set[int] = set()
     for r, family in enumerate(moves):
+        if r and family is moves[r - 1]:
+            # the builders pass one family object for every round: it is
+            # checked and packed once
+            packed.append(packed[-1])
+            continue
         if not family:
             raise EmptyMove(f"round {r} has no move sets")
         fam = []

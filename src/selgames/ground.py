@@ -255,10 +255,12 @@ def min_covers(space: GroundSpace, fam: SetFamily) -> MinCoverResult:
     open only if it holds an uncovered member and every chosen open keeps
     such a private member.  Adding an open never gives one back, so each
     minimal cover is reached once, along its sorted order, and each tuple
-    that covers is minimal.  Depth-first order is lexicographic, so the
-    walk stops at the first cover past the cap.  The top member of an
-    ideal base covering the universe admits none; the empty family
-    admits exactly the empty cover.
+    that covers is minimal.  A branch ends at the first open past which
+    some uncovered member has no holder left (suffix unions of the opens'
+    member masks tell), since no later open can complete it.  Depth-first
+    order is lexicographic, so the walk stops at the first cover past the
+    cap.  The top member of an ideal base covering the universe admits
+    none; the empty family admits exactly the empty cover.
     """
     full, members = space.full, fam.members
     proper = [u for u in space.sorted_opens() if u != full]
@@ -266,8 +268,10 @@ def min_covers(space: GroundSpace, fam: SetFamily) -> MinCoverResult:
     inside = [
         sum(1 << m for m, a in enumerate(members) if is_subset(a, u)) for u in proper
     ]
+    # after[k]: the members held by some proper[k'] with k' >= k
+    after = list(itertools.accumulate(reversed(inside), or_, initial=0))[::-1]
     everyone = (1 << len(members)) - 1
-    if reduce(or_, inside, 0) != everyone:
+    if after[0] != everyone:
         return MinCoverResult(covers=(), truncated=False)
     covers: list[tuple[int, ...]] = []
 
@@ -277,6 +281,9 @@ def min_covers(space: GroundSpace, fam: SetFamily) -> MinCoverResult:
             covers.append(chosen)
             return len(covers) > COVERS_CAP
         for k in range(start, len(proper)):
+            if everyone & ~(covered | after[k]):
+                # an uncovered member has no holder from here on
+                break
             fresh, kept = inside[k] & ~covered, [p & ~inside[k] for p in private]
             if fresh and all(kept) and extend(
                 k + 1, chosen + (proper[k],), kept + [fresh], covered | fresh

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
-from ._bits import is_subset, items_of
+from ._bits import is_subset, items_of, mask_of
 from .errors import CarrierTooLarge
 
 BRUTE_SUB_A_CAP = 12
@@ -103,11 +103,15 @@ def _checked_rel_pair(
             raise ValueError(f"relation not reflexive at {carrier[i]!r}")
     # transitivity: i <= j forces everything above j to sit above i too
     for row in up:
-        for j in items_of(row):
+        rest = row
+        while rest:
+            low = rest & -rest
+            j = low.bit_length() - 1
             if up[j] & ~row:
                 raise ValueError(
                     f"relation not transitive through {carrier[j]!r}"
                 )
+            rest ^= low
     a = tuple(sorted(set(sub_a)))
     b = tuple(sorted(set(sub_b)))
     for idx in a + b:
@@ -171,18 +175,6 @@ def projection_map(product_pair: RelPair, base_pair: RelPair) -> dict[int, int]:
     return table
 
 
-def _dominator_masks(pair: RelPair) -> dict[int, int]:
-    """For each sub_b index, the bitmask (over sub_a positions) of dominators."""
-    bit_of = {a: 1 << pos for pos, a in enumerate(pair.sub_a)}
-    masks = {}
-    for b in pair.sub_b:
-        dom = 0
-        for a in items_of(pair.up[b]):
-            dom |= bit_of.get(a, 0)
-        masks[b] = dom
-    return masks
-
-
 def is_cofinal(pair: RelPair, subset: Iterable[int]) -> bool:
     """Whether the given sub_a indices dominate every obligation."""
     chosen = 0
@@ -194,26 +186,29 @@ def is_cofinal(pair: RelPair, subset: Iterable[int]) -> bool:
 def relative_cofinality(pair: RelPair) -> ExtendedNat:
     """Least dominating subfamily size; UNDEFINED when domination fails.
 
-    Exact branch and bound over sub_a, seeded by a greedy cover bound;
-    the incumbent prefers least size, then lexicographic index order.
+    Exact branch and bound over sub_a, seeded by a greedy cover bound.
+    Each obligation's dominators are one carrier-index mask, its row
+    ``up[b]`` restricted to the candidates; the cover table maps each
+    candidate's bit to the obligations (by position in sub_b) it dominates.
     """
     if not pair.sub_b:
         return ExtendedNat.finite(0)
-    dom = _dominator_masks(pair)
-    if any(m == 0 for m in dom.values()):
+    candidates = mask_of(pair.sub_a)
+    dom = [pair.up[b] & candidates for b in pair.sub_b]
+    if not all(dom):
         return UNDEFINED
-    positions = range(len(pair.sub_a))
-    cover_of = [0] * len(pair.sub_a)
-    for bi, b in enumerate(pair.sub_b):
-        for pos in items_of(dom[b]):
-            cover_of[pos] |= 1 << bi
-    full = (1 << len(pair.sub_b)) - 1
+    cover_of: dict[int, int] = {}
+    for bi, rest in enumerate(dom):
+        while rest:
+            low = rest & -rest
+            cover_of[low] = cover_of.get(low, 0) | 1 << bi
+            rest ^= low
+    full = (1 << len(dom)) - 1
 
     # Greedy upper bound.
     covered, greedy = 0, 0
     while covered != full:
-        best = max(positions, key=lambda p: (cover_of[p] & ~covered).bit_count())
-        covered |= cover_of[best]
+        covered |= max(cover_of.values(), key=lambda c: (c & ~covered).bit_count())
         greedy += 1
 
     best_size = [greedy]
@@ -227,9 +222,11 @@ def relative_cofinality(pair: RelPair) -> ExtendedNat:
         bi = first_uncovered
         while covered >> bi & 1:
             bi += 1
-        b = pair.sub_b[bi]
-        for pos in items_of(dom[b]):
-            search(bi + 1, covered | cover_of[pos], chosen + 1)
+        rest = dom[bi]
+        while rest:
+            low = rest & -rest
+            search(bi + 1, covered | cover_of[low], chosen + 1)
+            rest ^= low
 
     try:
         search(0, 0, 0)

@@ -256,6 +256,17 @@ def strategy_to_json(strategy, kind: Kind = Kind.SINGLE) -> dict:
     raise ScenarioFormatError(f"unknown strategy {strategy!r}")
 
 
+def _table(rows) -> dict:
+    """The table of decoded (key, value) rows; a key on two rows is a
+    ValueError, since the record then contradicts itself."""
+    table: dict = {}
+    for key, value in rows:
+        if key in table:
+            raise ValueError(f"two rows for {key!r}")
+        table[key] = value
+    return table
+
+
 @decoding("strategy")
 def strategy_from_json(data: Mapping):
     cls = data["class"]
@@ -263,45 +274,35 @@ def strategy_from_json(data: Mapping):
     if cls == "pre-one":
         return PreOne(indices=_ints(data["indices"]))
     if cls == "full-one":
-        return FullOne(
-            table={
-                tuple(_item_from_json(x, kind) for x in row["history"]):
-                    _int(row["move"])
-                for row in data["table"]
-            }
-        )
+        return FullOne(table=_table(
+            (tuple(_item_from_json(x, kind) for x in row["history"]),
+             _int(row["move"]))
+            for row in data["table"]
+        ))
     if cls == "full-two":
-        return FullTwo(
-            table={
-                _ints(row["history"]): _item_from_json(row["item"], kind)
-                for row in data["table"]
-            }
-        )
+        return FullTwo(table=_table(
+            (_ints(row["history"]), _item_from_json(row["item"], kind))
+            for row in data["table"]
+        ))
     if cls == "markov-two":
-        return MarkovTwo(
-            table={
-                (_int(row["move"]), _int(row["round"])):
-                    _item_from_json(row["item"], kind)
-                for row in data["table"]
-            }
-        )
+        return MarkovTwo(table=_table(
+            ((_int(row["move"]), _int(row["round"])),
+             _item_from_json(row["item"], kind))
+            for row in data["table"]
+        ))
     if cls == "state-one":
-        return StateOne(
-            table={
-                (_int(row["round"]), state_from_json(row["state"])):
-                    _int(row["move"])
-                for row in data["table"]
-            }
-        )
+        return StateOne(table=_table(
+            ((_int(row["round"]), state_from_json(row["state"])),
+             _int(row["move"]))
+            for row in data["table"]
+        ))
     if cls == "state-two":
-        return StateTwo(
-            table={
-                (_int(row["round"]), state_from_json(row["state"]),
-                 _int(row["move"])):
-                    _item_from_json(row["item"], kind)
-                for row in data["table"]
-            }
-        )
+        return StateTwo(table=_table(
+            ((_int(row["round"]), state_from_json(row["state"]),
+              _int(row["move"])),
+             _item_from_json(row["item"], kind))
+            for row in data["table"]
+        ))
     raise ScenarioFormatError(f"unknown strategy class {cls!r}")
 
 
@@ -320,8 +321,9 @@ def pack_to_json(pack: TranslationPack) -> dict:
 @decoding("pack")
 def pack_from_json(data: Mapping) -> TranslationPack:
     return TranslationPack(
-        t_one=tuple({_int(j): _int(i) for j, i in rows} for rows in data["t_one"]),
-        t_two=tuple({(_int(x), _int(j)): _int(y) for x, j, y in rows}
+        t_one=tuple(_table((_int(j), _int(i)) for j, i in rows)
+                    for rows in data["t_one"]),
+        t_two=tuple(_table(((_int(x), _int(j)), _int(y)) for x, j, y in rows)
                     for rows in data["t_two"]),
     )
 
@@ -355,6 +357,9 @@ def rel_pair_from_json(data: Mapping) -> RelPair:
         if size < 0:
             raise ValueError(f"negative carrier size {size}")
         pairs = {(_int(i), _int(j)) for i, j in data["leq_pairs"]}
+        for i, j in pairs:
+            if not (0 <= i < size and 0 <= j < size):
+                raise ValueError(f"pair {[i, j]} outside a carrier of size {size}")
         return make_rel_pair(
             list(range(size)),
             lambda x, y: (x, y) in pairs,

@@ -74,6 +74,15 @@ class _Table(dict):
         return value
 
 
+class _Steps(_Table):
+    """A _Table keyed by (state, selection) that fills a missing key with
+    ``fill(state, selection)``: the target is stepped with no frame between."""
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(*key)
+        return value
+
+
 @dataclass(frozen=True)
 class Determination:
     """The winner and its witness, read off the rows the determination
@@ -114,11 +123,14 @@ class _Solver:
         self.game = game
         # each transition is stepped once, however often the searches meet
         # it: a single-kind selection is one item, stepped by the target
-        # itself; a finite-kind one goes through ``advance``
-        step = (game.target.step if game.kind is Kind.SINGLE
-                else functools.partial(advance, game))
-        self.transitions = _Table(lambda key: step(*key))
-        self.selections = _Table(lambda ms: tuple(two_choices(game, ms)))
+        # itself, and a move set's selections are its items in order; a
+        # finite-kind one goes through ``advance`` and ``two_choices``
+        if game.kind is Kind.SINGLE:
+            self.transitions = _Steps(game.target.step)
+            self.selections = _Table(lambda ms: tuple(sorted(ms)))
+        else:
+            self.transitions = _Steps(functools.partial(advance, game))
+            self.selections = _Table(lambda ms: tuple(two_choices(game, ms)))
         self.memo: dict = {}  # (round, state) -> whether Two wins from there
         # (round, state) -> the winner's row there: One's first index with
         # no winning reply, or Two's first winning reply to each move set
@@ -330,19 +342,32 @@ class _Solver:
                     yield i, x, idx if keep else ()
 
         def count(r: int, state, memory: tuple) -> tuple:
+            """(plays, lost plays) below a node, its moves taken in the
+            order ``choices`` lists them, with no generator per node."""
             if r == horizon:
                 # the target is Two's: One loses the plays it accepts
-                got = (1, int(accept(state) == one_side))
-            else:
-                plays = lost = 0
-                for _, x, mem in choices(r, state, memory):
+                got = tally[r, state, memory] = (1, int(accept(state) == one_side))
+                return got
+            plays = lost = 0
+            keep = remembers and r + 1 < horizon
+            if one_side:
+                i = one_move_index(strategy, memory, r, state)
+                if not 0 <= i < len(moves[r]):
+                    raise IllegalMove(r, f"move index {i} out of range")
+                for x in selections[moves[r][i]]:
                     nxt = transitions[state, x]
-                    got = tally.get((r + 1, nxt, mem))
-                    if got is None:
-                        got = count(r + 1, nxt, mem)
+                    mem = memory + (x,) if keep else ()
+                    got = tally.get((r + 1, nxt, mem)) or count(r + 1, nxt, mem)
                     plays, lost = plays + got[0], lost + got[1]
-                got = (plays, lost)
-            tally[r, state, memory] = got
+            else:
+                for i, ms in enumerate(moves[r]):
+                    idx = memory + (i,)
+                    x = legal_selection(game, r, ms, two_selection(strategy, idx, r, state))
+                    nxt = transitions[state, x]
+                    mem = idx if keep else ()
+                    got = tally.get((r + 1, nxt, mem)) or count(r + 1, nxt, mem)
+                    plays, lost = plays + got[0], lost + got[1]
+            got = tally[r, state, memory] = (plays, lost)
             return got
 
         counters: list = []

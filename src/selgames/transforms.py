@@ -284,7 +284,10 @@ def lift_item_map(
         one_map: dict[int, int] = {}
         two_map: dict[tuple[int, int], int] = {}
         for j, move in enumerate(dst.moves[r]):
-            image = frozenset(phi(y, r) for y in move)
+            least: dict[int, int] = {}  # source item -> its least preimage
+            for y in sorted(move):
+                least.setdefault(phi(y, r), y)
+            image = frozenset(least)
             found = None
             for i, candidate in enumerate(src.moves[r]):
                 if candidate == image:
@@ -296,7 +299,7 @@ def lift_item_map(
                 )
             one_map[j] = found
             for x in sorted(image):
-                two_map[(x, j)] = min(y for y in move if phi(y, r) == x)
+                two_map[(x, j)] = least[x]
         t_one.append(one_map)
         t_two.append(two_map)
     return TranslationPack(t_one=tuple(t_one), t_two=tuple(t_two))

@@ -30,7 +30,7 @@ from selgames.game import (
     two_selection,
 )
 from selgames.ground import CoverVerdict, GroundSpace, SetFamily
-from selgames.orders import make_rel_pair
+from selgames.orders import UNDEFINED, ExtendedNat, make_rel_pair
 from selgames.solver import MAX_EXHIBITS, VerificationReport
 from selgames.transforms import AxiomCheck
 
@@ -444,6 +444,18 @@ def brute_truncate_product(pair, bound: int):
         sub_a=[pos[pair.carrier[i], k] for i in pair.sub_a for k in range(bound + 1)],
         sub_b=[pos[pair.carrier[i], k] for i in pair.sub_b for k in range(bound + 1)],
     )
+
+
+def brute_relative_cofinality(pair) -> ExtendedNat:
+    """The least number of distinct candidates that dominate every
+    obligation, by trying every subset of them in order of size;
+    UNDEFINED when even all of them fail."""
+    candidates = sorted(set(pair.sub_a))
+    for r in range(len(candidates) + 1):
+        for combo in itertools.combinations(candidates, r):
+            if all(any(pair.leq(b, a) for a in combo) for b in pair.sub_b):
+                return ExtendedNat.finite(r)
+    return UNDEFINED
 
 
 def finite_subsets_family(space) -> SetFamily:

@@ -10,6 +10,7 @@ from selgames.cli import _build_parser, main
 from selgames.fuzzing import fuzz
 from selgames.serialize import canonical_dumps
 from test_fuzz import _force_tukey
+from test_scenarios import REPEATED_ROWS
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -443,6 +444,9 @@ class TestUsageErrors:
             {"class": "markov-two", "table": markov},
             {"class": "full-two", "table": full_two},
             {"class": "full-one", "table": full_one},
+        ) + tuple(
+            # a key on two rows: the record contradicts itself
+            {"class": cls, "table": rows} for cls, rows in REPEATED_ROWS.items()
         )
         for k, data in enumerate(strategies):
             commands.append(("verify", str(SCENARIOS / "tiny-abstract.json"),
@@ -451,6 +455,8 @@ class TestUsageErrors:
         packs = (
             dict(pack, t_one=[[["0", 0]], [[0, 0]]]),
             dict(pack, t_two=[[[0, 0, False], [1, 0, True]], pack["t_two"][1]]),
+            dict(pack, t_one=[[[0, 0], [0, 1]], [[0, 0]]]),
+            dict(pack, t_two=[[[0, 0, 0], [0, 0, 1]], pack["t_two"][1]]),
         )
         tiny_path = str(SCENARIOS / "tiny-abstract.json")
         for k, data in enumerate(packs):
@@ -464,6 +470,8 @@ class TestUsageErrors:
             dict(explicit, a=[False]),
             {"type": "inclusion", "a": [[True]], "b": [[1]]},
             dict(explicit, size=-3, leq_pairs=[], a=[], b=[]),
+            # order pairs on points outside the carrier
+            dict(explicit, leq_pairs=[[0, 0], [7, 9], [-1, 3]]),
             # a subfamily index outside the carrier
             dict(explicit, size=2, leq_pairs=[[0, 0], [1, 1]], a=[5]),
         )

@@ -298,10 +298,10 @@ class TestMinCovers:
 
     def test_against_powerset_enumeration(self):
         # second route: filter the full powerset of proper opens, on every
-        # topology up to 3 points and every 4-point one with at most 8
+        # topology up to 3 points and every 4-point one with at most 10
         # proper opens, for seeded families and their union closures
         rng = random.Random(5)
-        fours = [s for s in all_topologies(4) if len(s.opens) - 1 <= 8]
+        fours = [s for s in all_topologies(4) if len(s.opens) - 1 <= 10]
         for space in small_topologies() + fours:
             for _ in range(6):
                 seeds = rng.sample(

@@ -1,10 +1,10 @@
-import itertools
 import random
 
 import pytest
 
 from brute import (
     brute_first_intransitive,
+    brute_relative_cofinality,
     brute_transitive_closure,
     brute_truncate_product,
 )
@@ -71,19 +71,52 @@ class TestRelativeCofinality:
             a = rng.sample(range(universe), rng.randint(1, min(5, universe)))
             b = rng.sample(range(universe), rng.randint(1, min(4, universe)))
             pair = subset_pair(a, b)
-            got = relative_cofinality(pair)
-            best = None
-            for r in range(len(pair.sub_a) + 1):
-                for combo in itertools.combinations(pair.sub_a, r):
-                    if is_cofinal(pair, combo):
-                        best = r
-                        break
-                if best is not None:
-                    break
-            if best is None:
-                assert got.is_undefined
-            else:
-                assert got == ExtendedNat.finite(best)
+            assert relative_cofinality(pair) == brute_relative_cofinality(pair), (a, b)
+
+    def test_beats_the_greedy_bound(self):
+        # greedy takes the four-point set first and then needs two more;
+        # the two three-point halves cover on their own
+        pair = subset_pair([0b000111, 0b111000, 0b011011], [1 << i for i in range(6)])
+        assert relative_cofinality(pair) == ExtendedNat.finite(2)
+
+    def test_closed_preorders_against_subset_search(self):
+        # any reflexive relation, cycles included, closed by Warshall
+        rng = random.Random(29)
+        for _ in range(150):
+            n = rng.randint(1, 8)
+            rows = [1 << i | sum(1 << j for j in range(n) if rng.random() < 0.25)
+                    for i in range(n)]
+            up = brute_transitive_closure(rows)
+            pair = make_rel_pair(
+                range(n), lambda x, y: bool(up[x] >> y & 1),
+                sub_a=rng.sample(range(n), rng.randint(0, min(6, n))),
+                sub_b=rng.sample(range(n), rng.randint(0, n)),
+            )
+            assert relative_cofinality(pair) == brute_relative_cofinality(pair), pair
+
+    def test_truncations_against_subset_search(self):
+        rng = random.Random(31)
+        for _ in range(30):
+            base = _random_order_pair(rng)
+            base = RelPair(carrier=base.carrier, up=base.up,
+                           sub_a=base.sub_a[:2], sub_b=base.sub_b[:3])
+            for bound in range(4):
+                prod = truncate_product(base, bound)
+                assert relative_cofinality(prod) == brute_relative_cofinality(prod), (
+                    base, bound)
+
+    def test_unsorted_and_repeated_subfamilies(self):
+        # a RelPair built directly keeps its index lists as given
+        rng = random.Random(37)
+        for _ in range(150):
+            pair = _random_order_pair(rng)
+            n = len(pair.carrier)
+            direct = RelPair(
+                carrier=pair.carrier, up=pair.up,
+                sub_a=tuple(rng.choice(range(n)) for _ in range(rng.randint(0, 7))),
+                sub_b=tuple(rng.choice(range(n)) for _ in range(rng.randint(0, 6))),
+            )
+            assert relative_cofinality(direct) == brute_relative_cofinality(direct), direct
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -51,6 +51,18 @@ from selgames.serialize import (
     target_to_json,
 )
 
+# one table per strategy class whose two rows share a key
+REPEATED_ROWS = {
+    "full-one": [{"history": [], "move": 0}, {"history": [], "move": 1}],
+    "full-two": [{"history": [0], "item": 0}, {"history": [0], "item": 1}],
+    "markov-two": [{"move": 0, "round": 0, "item": 0},
+                   {"move": 0, "round": 0, "item": 1}],
+    "state-one": [{"round": 0, "state": None, "move": 0},
+                  {"round": 0, "state": None, "move": 1}],
+    "state-two": [{"round": 0, "state": None, "move": 0, "item": 0},
+                  {"round": 0, "state": None, "move": 0, "item": 1}],
+}
+
 
 class TestBuilders:
     def test_point_open_move_sets_exclude_universe(self, d2, singles2):
@@ -299,6 +311,19 @@ class TestSerializeCodecs:
         # a bad value is a bad record too, not a bare ValueError
         with pytest.raises(ScenarioFormatError, match="bad strategy record"):
             strategy_from_json({"class": "pre-one", "kind": "bogus", "indices": [0]})
+        # so is a table that gives one key two rows
+        for cls, rows in REPEATED_ROWS.items():
+            with pytest.raises(ScenarioFormatError, match="bad strategy record: two rows"):
+                strategy_from_json({"class": cls, "table": rows})
+        for t_one, t_two in (([[[0, 0], [0, 1]]], [[]]),
+                             ([[]], [[[0, 0, 0], [0, 0, 1]]])):
+            with pytest.raises(ScenarioFormatError, match="bad pack record: two rows"):
+                pack_from_json({"t_one": t_one, "t_two": t_two})
+        # and an order pair on points outside the carrier
+        with pytest.raises(ScenarioFormatError, match="bad order-pair record"):
+            rel_pair_from_json({"type": "explicit", "size": 1,
+                                "leq_pairs": [[0, 0], [7, 9], [-1, 3]],
+                                "a": [0], "b": [0]})
 
     def test_inclusion_pair_file_form(self):
         from selgames.serialize import rel_pair_from_json
