@@ -72,6 +72,7 @@ from .scenarios import (
 )
 from .solver import (
     Determination,
+    Search,
     VerificationReport,
     find_markov_two,
     find_predetermined_one,

@@ -20,7 +20,6 @@ from .errors import (
     SelGamesError,
 )
 from .fuzzing import ALL_SUITES, fuzz
-from .game import Player
 from .orders import lift_omega_cof, relative_cofinality
 from .scenarios import (
     CORPUS_EXPECTATIONS,
@@ -42,13 +41,13 @@ from .serialize import (
 from .solver import (
     DEFAULT_NODE_BUDGET,
     MAX_EXHIBITS,
-    _Solver,
+    Search,
     find_markov_two,
     find_predetermined_one,
     solve,
     verify,
 )
-from .transforms import Direction, _require_axioms, _transfer
+from .transforms import Direction, _input_search, _require_axioms, _transfer
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -185,23 +184,19 @@ def _cmd_duality(args) -> int:
 
 def _cmd_translate(args) -> int:
     pack = pack_from_json(load_json(args.pack))
-    src = build_game(load_scenario(args.src))
-    dst = build_game(load_scenario(args.dst))
+    src = Search(build_game(load_scenario(args.src)))
+    dst = Search(build_game(load_scenario(args.dst)))
     direction = Direction(args.direction)
-    _require_axioms(pack, src, dst)
+    _require_axioms(pack, src.game, dst.game)
     if args.input:
         strategy = strategy_from_json(load_json(args.input))
     else:
-        if direction is Direction.MARKOV_TWO:
-            strategy = find_markov_two(src, node_budget=args.budget)
-        elif direction is Direction.FULL_TWO:
-            det = solve(src)
-            strategy = det.witness if det.winner is Player.TWO else None
-        elif direction is Direction.FULL_ONE_PULLBACK:
-            det = solve(dst)
-            strategy = det.witness if det.winner is Player.ONE else None
+        searches, side, synthesize = _input_search(direction, src, dst)
+        if synthesize is not None:
+            strategy = synthesize(searches, args.budget)
         else:
-            strategy = find_predetermined_one(dst, node_budget=args.budget)
+            det = searches.solve()
+            strategy = det.witness if det.winner is side else None
         if strategy is None:
             _emit({"transferred": None, "reason": "no winning input strategy"},
                   args.json, ["nothing to transfer: no winning input strategy"])
@@ -263,7 +258,7 @@ def _cmd_corpus(args) -> int:
     lines = []
     for sc in scenarios:
         game = build_game(sc)
-        searches = _Solver(game)
+        searches = Search(game)
         det = searches.solve()
         pre = searches.find_predetermined_one()
         markov = searches.find_markov_two()

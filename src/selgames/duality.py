@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from .errors import ChoiceSpaceTooLarge
 from .game import GameSpec, Not, Player
-from .solver import DEFAULT_NODE_BUDGET, _Solver
+from .solver import DEFAULT_NODE_BUDGET, Search
 
 Family = Sequence[frozenset]
 
@@ -120,7 +120,7 @@ def check_duality(game_over_fam: GameSpec, game_over_refl: GameSpec,
         raise ValueError("mirror game must carry the negated target")
     # one search context per game: each is determined once, and the
     # script search and Markov synthesis read that determination
-    fam, refl = _Solver(game_over_fam), _Solver(game_over_refl)
+    fam, refl = Search(game_over_fam), Search(game_over_refl)
     one_fam = fam.winner() is Player.ONE
     one_refl = refl.winner() is Player.ONE
     pre_fam = fam.find_predetermined_one(node_budget) is not None

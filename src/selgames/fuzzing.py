@@ -61,9 +61,10 @@ from .scenarios import (
     scenario_to_json,
 )
 from .serialize import rel_pair_to_json
-from .solver import DEFAULT_NODE_BUDGET, _Solver, verify, winner
+from .solver import DEFAULT_NODE_BUDGET, Search, verify, winner
 from .transforms import (
     Direction,
+    _input_search,
     _transfer,
     check_translation_axioms,
     intersect_predetermined,
@@ -208,6 +209,15 @@ def _random_game(rng: random.Random) -> GameSpec:
     return make_game(families, horizon, kind, target)
 
 
+def _discrete_payload(name: str, fam_a: SetFamily, fam_b: SetFamily, horizon: int) -> dict:
+    """A point-open scenario on the families' discrete space, as JSON."""
+    size = fam_a.space.size
+    return scenario_to_json(Scenario(
+        name=name, space_size=size, subbasis=tuple(1 << i for i in range(size)),
+        fam_a=fam_a.members, fam_b=fam_b.members, horizon=horizon, flavor="point-open-o",
+    ))
+
+
 # -- suites ----------------------------------------------------------------
 
 
@@ -226,7 +236,7 @@ def suite_determinacy(rng: random.Random, count: int,
             len(game.universe) <= 6 and game.horizon <= 4,
             payload,
         )
-        searches = _Solver(game)
+        searches = Search(game)
         det = searches.solve()
         res.check("determinacy/witness-verifies", searches.verify(det.witness).valid, payload)
         try:
@@ -305,17 +315,16 @@ def suite_translation(rng: random.Random, count: int,
             continue
         # each game is searched only for the directions still short of
         # count, so every input found is transferred and budget_exceeded
-        # counts only the syntheses that ran
+        # counts only the syntheses that ran; the transfers reuse the contexts
+        contexts = Search(src), Search(dst)
         inputs = {}
-        for game, side, full, limited, synthesize in (
-            (src, Player.TWO, Direction.FULL_TWO, Direction.MARKOV_TWO,
-             _Solver.find_markov_two),
-            (dst, Player.ONE, Direction.FULL_ONE_PULLBACK, Direction.PRE_ONE_PULLBACK,
-             _Solver.find_predetermined_one),
+        for full, limited in (
+            (Direction.FULL_TWO, Direction.MARKOV_TWO),
+            (Direction.FULL_ONE_PULLBACK, Direction.PRE_ONE_PULLBACK),
         ):
             if done[full] >= count and done[limited] >= count:
                 continue
-            searches = _Solver(game)
+            searches, side, synthesize = _input_search(limited, *contexts)
             if searches.winner() is not side:
                 continue
             if done[full] < count:
@@ -333,7 +342,7 @@ def suite_translation(rng: random.Random, count: int,
             # the pack passed its axiom check above; _transfer refuses an
             # output that loses, so a violation is anything it raises
             try:
-                _transfer(pack, src, dst, direction, strategy)
+                _transfer(pack, *contexts, direction, strategy)
             except Exception as exc:  # noqa: BLE001 - any failure is a finding
                 res.violate(
                     f"translation/{direction.value}-raised:{type(exc).__name__}",
@@ -426,21 +435,12 @@ def suite_cofinality(rng: random.Random, count: int,
         fam_b = SetFamily.build(space, fam_b_masks)
         cof = relative_cofinality(inclusion_pair(fam_a.members, fam_b.members))
 
-        def payload(k=res.instances) -> dict:
-            sc = Scenario(
-                name=f"cofinality-{k}",
-                space_size=size,
-                subbasis=tuple(1 << i for i in range(size)),
-                fam_a=fam_a.members,
-                fam_b=fam_b.members,
-                horizon=0,
-                flavor="point-open-o",
-            )
-            return dict(scenario_to_json(sc), horizon=horizon)  # the one checked
+        def payload(k=res.instances) -> dict:  # at the horizon checked
+            return _discrete_payload(f"cofinality-{k}", fam_a, fam_b, horizon)
 
         for horizon in sorted(rng.sample(range(0, 5), 2)):
             game = build_point_open(space, fam_a, fam_b, horizon)
-            searches = _Solver(game)
+            searches = Search(game)
             try:
                 pre = searches.find_predetermined_one(node_budget)
             except BudgetExceeded:
@@ -651,17 +651,7 @@ def suite_gamma(rng: random.Random, count: int,
         low = None
 
         def payload(k=res.instances) -> dict:
-            out = scenario_to_json(
-                Scenario(
-                    name=f"gamma-{k}",
-                    space_size=size,
-                    subbasis=tuple(1 << i for i in range(size)),
-                    fam_a=fam_a.members,
-                    fam_b=fam_b.members,
-                    horizon=n,
-                    flavor="point-open-o",
-                )
-            )
+            out = _discrete_payload(f"gamma-{k}", fam_a, fam_b, n)
             if low is not None:  # read when called: the least winning horizon
                 out["low"] = low
             return out
@@ -674,7 +664,7 @@ def suite_gamma(rng: random.Random, count: int,
         # One's move sets form a finite filter base, so its least member lies
         # inside every other: One offering it every round wins the n-round
         # game iff One wins the one-round game, and one round decides it.
-        searches = _Solver(game.truncated(1))
+        searches = Search(game.truncated(1))
         if searches.winner() is Player.TWO:
             continue  # constructions need a winning horizon; try again
         low = 1

@@ -16,7 +16,7 @@ import itertools
 from functools import reduce
 from operator import or_
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence, Union, get_args
+from typing import Callable, Iterator, Mapping, Optional, Sequence, Union, get_args
 
 from ._bits import is_subset
 from .errors import EmptyMove, IllegalMove
@@ -375,42 +375,41 @@ StrategyOne = Union[PreOne, FullOne, StateOne]
 StrategyTwo = Union[FullTwo, MarkovTwo, StateTwo]
 
 
-def one_move_index(
-    one: Union[StrategyOne, Sequence[int]], history: tuple, r: int, state=None
-) -> int:
-    """One's index at round ``r`` after Two's selections ``history``;
-    ``state`` is the target state they reached (read by StateOne only)."""
-    if isinstance(one, PreOne):
-        if r >= len(one.indices):
-            raise IllegalMove(r, "predetermined script too short")
-        return one.indices[r]
-    if isinstance(one, (FullOne, StateOne)):
-        key = history if isinstance(one, FullOne) else (r, state)
-        if key not in one.table:
-            raise IllegalMove(r, _MISSING_ROW)
-        return one.table[key]
-    return one[r]
+# each class's side, the text of its IllegalMove for a missing row, and
+# the row key at (history, round, state)
+_LOOKUPS = {
+    PreOne: (Player.ONE, "predetermined script too short", lambda h, r, s: r),
+    FullOne: (Player.ONE, _MISSING_ROW, lambda h, r, s: h),
+    StateOne: (Player.ONE, _MISSING_ROW, lambda h, r, s: (r, s)),
+    FullTwo: (Player.TWO, _MISSING_ROW, lambda h, r, s: h),
+    StateTwo: (Player.TWO, _MISSING_ROW, lambda h, r, s: (r, s, h[-1])),
+    MarkovTwo: (Player.TWO, "Markov table missing a cell", lambda h, r, s: (h[-1], r)),
+}
 
 
-def two_selection(
-    two: Union[StrategyTwo, Sequence],
-    idx_history: tuple[int, ...],
-    r: int,
-    state=None,
-):
-    """Two's reply at round ``r`` to One's indices ``idx_history``;
-    ``state`` is the target state before the reply (read by StateTwo only)."""
-    if isinstance(two, (FullTwo, StateTwo)):
-        key = idx_history if isinstance(two, FullTwo) else (r, state, idx_history[-1])
-        if key not in two.table:
-            raise IllegalMove(r, _MISSING_ROW)
-        return two.table[key]
-    if isinstance(two, MarkovTwo):
-        key = (idx_history[-1], r)
-        if key not in two.table:
-            raise IllegalMove(r, "Markov table missing a cell")
-        return two.table[key]
-    return two[r]
+def strategy_lookup(strategy, side: Optional[Player] = None) -> tuple[Player, Callable]:
+    """The side ``strategy`` plays and its answer at (history, round,
+    state), looked up once for a walk to call at each node: One's move
+    index after Two's selections, or Two's selection after One's indices
+    (the current one last).  A missing row raises IllegalMove; the answer
+    is not checked against the move sets.  A plain sequence, as ``play``
+    takes, plays ``side`` and answers its r-th entry."""
+    found = _LOOKUPS.get(type(strategy))
+    if found is None and side is not None:
+        found, rows = (side, None, _LOOKUPS[PreOne][2]), strategy
+    elif found is None or side not in (None, found[0]):
+        raise TypeError(f"not a {side.value + ' ' if side else ''}strategy: {strategy!r}")
+    else:
+        rows = dict(enumerate(strategy.indices)) if type(strategy) is PreOne else strategy.table
+    side, missing, key = found
+
+    def answer(history: tuple, r: int, state):
+        try:
+            return rows[key(history, r, state)]
+        except KeyError:
+            raise IllegalMove(r, missing) from None
+
+    return side, answer
 
 
 def two_choices(game: GameSpec, move_set: MoveSet) -> Iterator:
@@ -453,16 +452,17 @@ def play(
     two: Union[StrategyTwo, Sequence],
 ) -> PlayRecord:
     """Run both strategies to completion; deterministic transcript."""
+    _, one_answer = strategy_lookup(one, Player.ONE)
+    _, two_answer = strategy_lookup(two, Player.TWO)
     idx_hist: tuple[int, ...] = ()
     sel_hist: tuple = ()
     state = game.target.start
     for r in range(game.horizon):
-        i = one_move_index(one, sel_hist, r, state)
+        i = one_answer(sel_hist, r, state)
         if not 0 <= i < len(game.moves[r]):
             raise IllegalMove(r, f"move index {i} out of range")
         idx_hist = idx_hist + (i,)
-        x = two_selection(two, idx_hist, r, state)
-        x = legal_selection(game, r, game.moves[r][i], x)
+        x = legal_selection(game, r, game.moves[r][i], two_answer(idx_hist, r, state))
         sel_hist = sel_hist + (x,)
         state = advance(game, state, x)
     winner = Player.TWO if game.target.accept(state) else Player.ONE

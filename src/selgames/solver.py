@@ -16,12 +16,10 @@ side wins from is answered None at once.  verify() checks every
 strategy class by one walk memoized on (round, state, what the strategy
 remembers) that counts plays by multiplication: StateOne, StateTwo,
 PreOne and MarkovTwo remember nothing, a FullOne remembers Two's
-selections and a FullTwo One's indices.  One _Solver per game holds the
-(state, selection) transition cache and Two's selections from each move
-set, which determination, both synthesizers and verification share, and
-the (round, state) memo with its rows, which the witness and the
-synthesizers' prune read; callers asking several questions of one game
-share one _Solver.
+selections and a FullTwo One's indices; the walk looks up the strategy's
+answer (``game.strategy_lookup``) once, not at each node.  A Search, the
+search context of one game, answers every question asked of it; the
+module-level functions build one for a single question.
 
 A recursive helper nested in a search refers to itself through its
 closure cell, a reference cycle that would keep it and every table it
@@ -53,9 +51,8 @@ from .game import (
     StrategyTwo,
     advance,
     legal_selection,
-    one_move_index,
+    strategy_lookup,
     two_choices,
-    two_selection,
 )
 
 DEFAULT_NODE_BUDGET = 10**7
@@ -104,7 +101,7 @@ class VerificationReport:
     plays_checked: int
 
 
-class _Solver:
+class Search:
     """The search context of one game, for every question asked of it.
 
     It holds the (state, selection) -> next state cache, Two's selections
@@ -115,8 +112,9 @@ class _Solver:
     read selections and step the target only through those tables, the
     witness is read off the rows, and both synthesizers read their prune
     off the memo.  A caller asking several questions of one game builds
-    one and asks them all of it; the nodes and memo hits ``solve``
-    reports then count every search made on it so far.
+    one and passes it on: no answer depends on what was asked before,
+    only the work does, and ``solve``'s nodes and memo hits count every
+    search made on it so far.
     """
 
     def __init__(self, game: GameSpec):
@@ -312,13 +310,9 @@ class _Solver:
         first IllegalMove is the same.  Counter-plays are then read off in
         lexicographic order by descending only into nodes that hold a loss.
         """
-        if isinstance(strategy, (PreOne, StateOne, FullOne)):
-            side, other = Player.ONE, Player.TWO
-        elif isinstance(strategy, (MarkovTwo, StateTwo, FullTwo)):
-            side, other = Player.TWO, Player.ONE
-        else:
-            raise TypeError(f"not a strategy: {strategy!r}")
+        side, answer = strategy_lookup(strategy)
         one_side = side is Player.ONE
+        other = Player.TWO if one_side else Player.ONE
         remembers = isinstance(strategy, (FullOne, FullTwo))
         game, transitions, selections = self.game, self.transitions, self.selections
         moves, horizon, accept = game.moves, game.horizon, game.target.accept
@@ -330,7 +324,7 @@ class _Solver:
             looked up as its turn comes."""
             keep = remembers and r + 1 < horizon
             if one_side:
-                i = one_move_index(strategy, memory, r, state)
+                i = answer(memory, r, state)
                 if not 0 <= i < len(moves[r]):
                     raise IllegalMove(r, f"move index {i} out of range")
                 for x in selections[moves[r][i]]:
@@ -338,7 +332,7 @@ class _Solver:
             else:
                 for i, ms in enumerate(moves[r]):
                     idx = memory + (i,)
-                    x = legal_selection(game, r, ms, two_selection(strategy, idx, r, state))
+                    x = legal_selection(game, r, ms, answer(idx, r, state))
                     yield i, x, idx if keep else ()
 
         def count(r: int, state, memory: tuple) -> tuple:
@@ -351,7 +345,7 @@ class _Solver:
             plays = lost = 0
             keep = remembers and r + 1 < horizon
             if one_side:
-                i = one_move_index(strategy, memory, r, state)
+                i = answer(memory, r, state)
                 if not 0 <= i < len(moves[r]):
                     raise IllegalMove(r, f"move index {i} out of range")
                 for x in selections[moves[r][i]]:
@@ -362,7 +356,7 @@ class _Solver:
             else:
                 for i, ms in enumerate(moves[r]):
                     idx = memory + (i,)
-                    x = legal_selection(game, r, ms, two_selection(strategy, idx, r, state))
+                    x = legal_selection(game, r, ms, answer(idx, r, state))
                     nxt = transitions[state, x]
                     mem = idx if keep else ()
                     got = tally.get((r + 1, nxt, mem)) or count(r + 1, nxt, mem)
@@ -399,12 +393,12 @@ class _Solver:
 
 def solve(game: GameSpec) -> Determination:
     """Winner by backward induction plus a verified-by-construction witness."""
-    return _Solver(game).solve()
+    return Search(game).solve()
 
 
 def winner(game: GameSpec) -> Player:
     """The winner alone: backward induction without reading a witness."""
-    return _Solver(game).winner()
+    return Search(game).winner()
 
 
 def find_predetermined_one(
@@ -424,7 +418,7 @@ def find_predetermined_one(
     expanded counts against ``node_budget``, and exhaustion raises
     BudgetExceeded.
     """
-    return _Solver(game).find_predetermined_one(node_budget)
+    return Search(game).find_predetermined_one(node_budget)
 
 
 def find_markov_two(
@@ -446,7 +440,7 @@ def find_markov_two(
     against ``node_budget``; exhaustion raises BudgetExceeded, a third
     outcome distinct from "no such strategy exists".
     """
-    return _Solver(game).find_markov_two(node_budget)
+    return Search(game).find_markov_two(node_budget)
 
 
 def verify(
@@ -457,4 +451,4 @@ def verify(
     """Exhaustive adversary enumeration; lists the first ``max_exhibits``
     losing counter-plays in lexicographic order.  ``valid`` counts every
     losing play, exhibited or not."""
-    return _Solver(game).verify(strategy, max_exhibits)
+    return Search(game).verify(strategy, max_exhibits)

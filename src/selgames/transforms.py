@@ -11,8 +11,9 @@ predetermined One pull back.  The full-information transfers take a
 history table or the state-keyed witness ``solve`` returns (a StateTwo
 pushed forward, a StateOne pulled back) and build the history table of
 the other game in one walk that carries the input game's target state.
-Each transfer is built exactly as in its existence proof; ``verify``
-checks that its input wins once, and its output before it is returned.
+Each transfer is built exactly as in its existence proof, given the
+games' search contexts: its input is verified once on its game's, and
+its output on the other's before it is returned.
 
 The module also hosts the two strengthening constructions for One over
 filter-base move families: the full-information one (a script or a
@@ -49,14 +50,14 @@ from .game import (
     GameSpec,
     Kind,
     MarkovTwo,
+    Player,
     PreOne,
     StateOne,
     StateTwo,
-    one_move_index,
-    two_selection,
+    strategy_lookup,
 )
 from .ground import SetFamily
-from .solver import verify
+from .solver import Search, verify
 
 
 @dataclass(frozen=True)
@@ -111,10 +112,8 @@ def check_translation_axioms(
     for r in range(h):
         edges.append([])
         for j in range(len(dst.moves[r])):
-            if j not in pack.t_one[r]:
-                return AxiomCheck(False, ("legality", (r, j, None)))
-            i = pack.t_one[r][j]
-            if not 0 <= i < len(src.moves[r]):
+            i = pack.t_one[r].get(j)
+            if i is None or not 0 <= i < len(src.moves[r]):
                 return AxiomCheck(False, ("legality", (r, j, None)))
             pairs = []
             for x in sorted(src.moves[r][i]):
@@ -180,7 +179,7 @@ def apply_translation(
     that loses and TranslationFailed for an output that loses.
     """
     _require_axioms(pack, src, dst)
-    return _transfer(pack, src, dst, direction, strategy)
+    return _transfer(pack, Search(src), Search(dst), direction, strategy)
 
 
 def _require_axioms(pack: TranslationPack, src: GameSpec, dst: GameSpec) -> None:
@@ -190,9 +189,22 @@ def _require_axioms(pack: TranslationPack, src: GameSpec, dst: GameSpec) -> None
         raise AxiomsFail(f"pack violates {check.failure[0]} at {check.failure[1]}")
 
 
-def _transfer(pack: TranslationPack, src: GameSpec, dst: GameSpec,
+def _input_search(direction: Direction, src: Search, dst: Search) -> tuple:
+    """The search context of the game ``direction`` takes its input for,
+    the side that input plays, and the synthesizer that finds a limited
+    input there (None for the full directions, which take the witness)."""
+    if direction in (Direction.MARKOV_TWO, Direction.FULL_TWO):
+        limited = direction is Direction.MARKOV_TWO
+        return src, Player.TWO, Search.find_markov_two if limited else None
+    limited = direction is Direction.PRE_ONE_PULLBACK
+    return dst, Player.ONE, Search.find_predetermined_one if limited else None
+
+
+def _transfer(pack: TranslationPack, src_search: Search, dst_search: Search,
               direction: Direction, strategy):
-    """``apply_translation`` for a pack whose axioms already hold."""
+    """``apply_translation`` for a pack whose axioms already hold, given
+    the two games' search contexts: the input is verified on its game's
+    context and the output on the other game's."""
     takes = {
         Direction.MARKOV_TWO: (MarkovTwo,),
         Direction.FULL_TWO: (FullTwo, StateTwo),
@@ -200,13 +212,15 @@ def _transfer(pack: TranslationPack, src: GameSpec, dst: GameSpec,
         Direction.PRE_ONE_PULLBACK: (PreOne,),
     }[direction]
     pushes = direction in (Direction.MARKOV_TWO, Direction.FULL_TWO)
-    in_game, out_game = (src, dst) if pushes else (dst, src)
+    in_search, out_search = (src_search, dst_search) if pushes else (dst_search, src_search)
     side = "source" if pushes else "target"
     if not isinstance(strategy, takes):
         names = " or ".join(cls.__name__ for cls in takes)
         raise ValueError(f"{direction.value} takes a {names} for the {side} game")
-    if not verify(in_game, strategy).valid:
+    if not in_search.verify(strategy).valid:
         raise InputNotWinning(f"input strategy loses the {side} game")
+    src, dst = src_search.game, dst_search.game
+    _, answer = strategy_lookup(strategy)
     h = src.horizon
     t_one, t_two = pack.t_one, pack.t_two
     table: dict = {}
@@ -227,7 +241,7 @@ def _transfer(pack: TranslationPack, src: GameSpec, dst: GameSpec,
                 return
             for j in range(len(dst.moves[r])):
                 idx = src_idx + (t_one[r][j],)
-                x = two_selection(strategy, idx, r, state)
+                x = answer(idx, r, state)
                 table[js + (j,)] = t_two[r][(x, j)]
                 push(r + 1, js + (j,), idx, step(state, x))
 
@@ -244,7 +258,7 @@ def _transfer(pack: TranslationPack, src: GameSpec, dst: GameSpec,
             # state: the target game's, after the pushed selections
             if r == h:
                 return
-            b = one_move_index(strategy, dst_hist, r, state)
+            b = answer(dst_hist, r, state)
             a = t_one[r][b]
             table[src_hist] = a
             for x in sorted(src.moves[r][a]):
@@ -260,7 +274,7 @@ def _transfer(pack: TranslationPack, src: GameSpec, dst: GameSpec,
     else:
         out = PreOne(indices=tuple(t_one[r][strategy.indices[r]] for r in range(h)))
 
-    if not verify(out_game, out).valid:
+    if not out_search.verify(out).valid:
         raise TranslationFailed(f"transferred strategy loses ({direction.value})")
     return out
 
@@ -288,16 +302,11 @@ def lift_item_map(
             for y in sorted(move):
                 least.setdefault(phi(y, r), y)
             image = frozenset(least)
-            found = None
-            for i, candidate in enumerate(src.moves[r]):
-                if candidate == image:
-                    found = i
-                    break
-            if found is None:
+            if image not in src.moves[r]:
                 raise ImageNotMove(
                     f"round {r}: image of target move {j} is not a source move set"
                 )
-            one_map[j] = found
+            one_map[j] = src.moves[r].index(image)
             for x in sorted(image):
                 two_map[(x, j)] = least[x]
         t_one.append(one_map)
@@ -354,15 +363,16 @@ def strengthen_one_for_subsequences(
         if not verify(game.truncated(h), s).valid:
             raise NotUniformlyWinning(h)
 
+    _, answer = strategy_lookup(s)
     table: dict = {}
 
     def sigma_index(hist: tuple) -> int:
         if not hist:
-            return one_move_index(s, (), 0)
+            return answer((), 0, None)
         needed = None
         for k in range(len(hist) + 1):
             for sub in itertools.combinations(hist, k):
-                ms = family[one_move_index(s, sub, len(sub))]
+                ms = family[answer(sub, len(sub), None)]
                 needed = ms if needed is None else needed & ms
         for idx, member in enumerate(family):
             if member <= needed:

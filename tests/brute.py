@@ -25,9 +25,8 @@ from selgames.game import (
     StateTwo,
     advance,
     legal_selection,
-    one_move_index,
     play,
-    two_selection,
+    strategy_lookup,
 )
 from selgames.ground import CoverVerdict, GroundSpace, SetFamily
 from selgames.orders import UNDEFINED, ExtendedNat, make_rel_pair
@@ -132,13 +131,16 @@ def expand(game: GameSpec, strategy):
     with an illegal move gets its row but no rows below it, so a play of
     the expansion breaks a rule in the round where the strategy's does.
     """
+    if not isinstance(strategy, (PreOne, StateOne, MarkovTwo, StateTwo)):
+        raise TypeError(f"not a state-determined strategy: {strategy!r}")
+    side, answer = strategy_lookup(strategy)
     moves, horizon = game.moves, game.horizon
     table = {}
-    if isinstance(strategy, (PreOne, StateOne)):
+    if side is Player.ONE:
 
         def walk_one(r, hist, state):
             try:
-                i = one_move_index(strategy, hist, r, state)
+                i = answer(hist, r, state)
             except IllegalMove:
                 return
             table[hist] = i
@@ -150,14 +152,11 @@ def expand(game: GameSpec, strategy):
             walk_one(0, (), game.target.start)
         return FullOne(table=table)
 
-    if not isinstance(strategy, (MarkovTwo, StateTwo)):
-        raise TypeError(f"not a state-determined strategy: {strategy!r}")
-
     def walk_two(r, idx_hist, state):
         for i, ms in enumerate(moves[r]):
             idx = idx_hist + (i,)
             try:
-                x = two_selection(strategy, idx, r, state)
+                x = answer(idx, r, state)
             except IllegalMove:
                 continue
             table[idx] = x
@@ -226,6 +225,7 @@ def two_side_plays(game: GameSpec, two):
 def brute_one_side_plays(game: GameSpec, one):
     """Every completed play with Two ranging over all legal replies, each
     judged by evaluating the whole selection sequence."""
+    _, answer = strategy_lookup(one, Player.ONE)
 
     def walk(r, idx_hist, sel_hist):
         if r == game.horizon:
@@ -233,7 +233,7 @@ def brute_one_side_plays(game: GameSpec, one):
             won = Player.TWO if game.target.evaluate(flat) else Player.ONE
             yield PlayRecord(idx_hist, sel_hist, won)
             return
-        i = one_move_index(one, sel_hist, r)
+        i = answer(sel_hist, r, None)
         if not 0 <= i < len(game.moves[r]):
             raise IllegalMove(r, f"move index {i} out of range")
         for x in brute_two_choices(game, game.moves[r][i]):
@@ -245,9 +245,10 @@ def brute_one_side_plays(game: GameSpec, one):
 def brute_is_one_play(game: GameSpec, one, selections) -> bool:
     """Whether Two can answer ``one`` with ``selections``: each is a legal
     reply to the move ``one`` names after the ones before it."""
+    _, answer = strategy_lookup(one, Player.ONE)
     for r, x in enumerate(selections):
         try:
-            i = one_move_index(one, tuple(selections[:r]), r)
+            i = answer(tuple(selections[:r]), r, None)
         except IllegalMove:
             return False
         if not 0 <= i < len(game.moves[r]):
@@ -327,6 +328,34 @@ def brute_topologies(size: int) -> list:
             if ok:
                 out.append(GroundSpace(size=size, opens=frozenset(fam)))
     return out
+
+
+def least_open(space, a: int) -> int:
+    """N(a): the intersection of every open set containing ``a``."""
+    return functools.reduce(operator.and_, (u for u in space.opens if a & ~u == 0))
+
+
+def cover_number(space, fam_a, fam_b, m: int = 1):
+    """The closed form of the builder games: the least number of distinct
+    sets N(a), for a in ``fam_a``, that put each member of ``fam_b`` inside
+    at least ``m`` of them, or None when no choice does.  At m = 1 it is
+    k(A, B), the least number of the N(a) that cover B.
+
+    The cover side (Two in Rothberger, One in point-open) wins at horizon
+    h iff k <= h, and in point-open with window w <= h iff k <= w: every
+    open set containing a contains N(a), so the cover side aims at k of
+    them, and the other side holds it to the N(a) (One offering the
+    maximal N(a), a minimal cover of A; Two answering a with N(a)).  With
+    multiplicity m, Two wins Rothberger iff the number is at most h; that
+    rule rests on exhaustive checks alone.  Both builders refuse the
+    families exactly when some N(a) is the whole space.
+    """
+    hoods = sorted({least_open(space, a) for a in fam_a})
+    for k in range(len(hoods) + 1):
+        for chosen in itertools.combinations(hoods, k):
+            if all(sum(b & ~u == 0 for u in chosen) >= m for b in fam_b):
+                return k
+    return None
 
 
 def brute_min_covers(space, fam_members, opens):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 from selgames.cli import main
 from selgames.scenarios import build_game, scenario_from_json
-from selgames.solver import _Solver
+from selgames.solver import Search
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -63,7 +63,7 @@ def test_witness_heavy_answers_match_the_recorded_ones():
             "flavor": "point-open-o",
             "params": {},
         })
-        searches = _Solver(build_game(sc))
+        searches = Search(build_game(sc))
         got = {
             "winner": searches.winner().value,
             "pre": searches.find_predetermined_one() is not None,
@@ -78,7 +78,7 @@ def test_search_heavy_answers_match_the_recorded_ones():
     pool = _recorded()["search-heavy"]["pool"]
     assert len(pool) == 25
     for entry in pool:
-        searches = _Solver(build_game(scenario_from_json(entry["scenario"])))
+        searches = Search(build_game(scenario_from_json(entry["scenario"])))
         det = searches.solve()
         got = {
             "winner": det.winner.value,

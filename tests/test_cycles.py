@@ -16,6 +16,8 @@ from selgames import (
     Kind,
     Not,
     PreOne,
+    Search,
+    StateTwo,
     apply_translation,
     build_point_open,
     check_translation_axioms,
@@ -78,6 +80,13 @@ def _searches() -> dict:
     chain_game = _game([chain] * 2, 2, every, negate=True)
     uniform = FullOne(table={(): 0, (0,): 1, (1,): 1, (2,): 1})
 
+    def solve_verify_transfer():
+        # one context answers every question asked of its game
+        searches = Search(always)
+        det = searches.solve()
+        assert searches.verify(det.witness).valid
+        _transfer(pack_two, searches, searches, Direction.FULL_TWO, det.witness)
+
     return {
         "solve two-won": lambda: solve(two_won),
         "solve one-won": lambda: solve(one_won),
@@ -93,6 +102,8 @@ def _searches() -> dict:
         "verify winning": lambda: verify(one_won, state_one),
         "verify losing": lambda: verify(one_won, losing),
         "verify illegal": _raising(IllegalMove, verify, one_won, PreOne(indices=(0,))),
+        "verify missing a row": _raising(
+            IllegalMove, Search(two_won).verify, StateTwo(table={})),
         "axioms hold": lambda: check_translation_axioms(pack_two, always, always),
         "axioms fail": lambda: check_translation_axioms(bad_pack, src, dst),
         "transfer markov-two": lambda: apply_translation(
@@ -109,8 +120,9 @@ def _searches() -> dict:
             InputNotWinning, apply_translation, pack_two, always, always,
             Direction.PRE_ONE_PULLBACK, losing),
         "transfer with a losing output": _raising(
-            TranslationFailed, _transfer, bad_pack, src, dst, Direction.FULL_TWO,
-            solve(src).witness),
+            TranslationFailed, _transfer, bad_pack, Search(src), Search(dst),
+            Direction.FULL_TWO, solve(src).witness),
+        "solve, verify and transfer on one context": solve_verify_transfer,
         "strengthen": lambda: strengthen_one_for_subsequences(uniform, chain_game, 1),
         "relative_cofinality": lambda: relative_cofinality(
             inclusion_pair(singles.members, singles.members)),

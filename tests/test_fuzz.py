@@ -23,7 +23,7 @@ from selgames.scenarios import (
     scenario_to_json,
 )
 from selgames.serialize import canonical_dumps, rel_pair_from_json, rel_pair_to_json
-from selgames.solver import _Solver
+from selgames.solver import Search
 
 
 class TestFuzzContract:
@@ -91,13 +91,13 @@ class TestFuzzContract:
         # every script search of every gated suite runs under the budget
         # given to fuzz, and running out is counted, never raised
         budgets = []
-        original = _Solver.find_predetermined_one
+        original = Search.find_predetermined_one
 
         def wrapper(self, node_budget=None):
             budgets.append(node_budget)
             return original(self, node_budget)
 
-        monkeypatch.setattr(_Solver, "find_predetermined_one", wrapper)
+        monkeypatch.setattr(Search, "find_predetermined_one", wrapper)
         report = fuzz(seed=3, count=3, node_budget=0)
         assert budgets and set(budgets) == {0}
         for suite in ("determinacy", "translation", "duality", "cofinality", "gamma"):
@@ -123,7 +123,7 @@ def test_one_memo_answers_every_gamma_truncation():
         fam_b = SetFamily.build(space, rng.sample(range(1, space.full), rng.randint(1, 2)))
         n = 1 + trial % 4
         game = build_point_open(space, fam_a, fam_b, n)
-        searches = _Solver(game)
+        searches = Search(game)
         verdicts = []
         for h in range(n + 1):
             two = searches.two_wins(n - h, game.target.start)
@@ -253,7 +253,7 @@ def _force_determinacy(patch, expected):
         k = [g for _, g in drawn].index(game)
         expected.append(scenario_to_json(abstract_scenario(f"determinacy-{k}", game)))
 
-    patch.setattr(_Solver, "verify", _invalid(record))
+    patch.setattr(Search, "verify", _invalid(record))
 
 
 def _force_translation(patch, expected):

@@ -6,12 +6,16 @@ from selgames import (
     CoversFamily,
     EverySubsequence,
     ExplicitSet,
+    FullOne,
     FullTwo,
     Kind,
+    MarkovTwo,
     MultiCover,
     Not,
     Player,
     PreOne,
+    StateOne,
+    StateTwo,
     WindowCover,
     build_point_open,
     make_game,
@@ -124,15 +128,24 @@ class TestPlay:
         assert rec.winner is Player.ONE  # the selections cover
 
     def test_illegal_selection(self):
+        # a plain sequence and every class of Two's strategies
         g = make_game([[frozenset({0})]], 1, Kind.SINGLE, ExplicitSet(winning=()))
-        with pytest.raises(IllegalMove) as exc:
-            play(g, (0,), [5])
-        assert exc.value.round_index == 0
+        start = g.target.start
+        for two in ([5], FullTwo(table={(0,): 5}), MarkovTwo(table={(0, 0): 5}),
+                    StateTwo(table={(0, start, 0): 5})):
+            with pytest.raises(IllegalMove) as exc:
+                play(g, (0,), two)
+            assert exc.value.round_index == 0
+            assert str(exc.value) == "selection 5 outside the offered move set"
 
     def test_illegal_index(self):
+        # a plain sequence and every class of One's strategies
         g = make_game([[frozenset({0})]], 1, Kind.SINGLE, ExplicitSet(winning=()))
-        with pytest.raises(IllegalMove):
-            play(g, (3,), [0])
+        for one in ((3,), PreOne(indices=(3,)), FullOne(table={(): 3}),
+                    StateOne(table={(0, g.target.start): 3})):
+            with pytest.raises(IllegalMove) as exc:
+                play(g, one, [0])
+            assert (exc.value.round_index, str(exc.value)) == (0, "move index 3 out of range")
 
     def test_replay_reproduces_record(self, d3, singles3):
         g = build_point_open(d3, singles3, singles3, 2)

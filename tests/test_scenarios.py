@@ -1,9 +1,12 @@
+import itertools
 import json
 import random
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from brute import cover_number, least_open
 
 from selgames import (
     Kind,
@@ -21,6 +24,7 @@ from selgames import (
     singleton_family,
     solve,
     verify,
+    winner,
 )
 from selgames.errors import (
     CoverEnumerationTruncated,
@@ -29,7 +33,7 @@ from selgames.errors import (
     ScenarioFormatError,
 )
 from selgames.game import CoversFamily, ExplicitSet, FullOne, FullTwo, Not
-from selgames.ground import SetFamily, family_of
+from selgames.ground import SetFamily, all_topologies, closure_family, family_of
 from selgames.scenarios import (
     CORPUS_EXPECTATIONS,
     Scenario,
@@ -115,6 +119,52 @@ class TestBuilders:
 
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def test_builder_games_follow_the_cover_number():
+    # the closed form in tests/brute.py against the solver, on every
+    # topology on at most 4 points with singletons, closures of singletons
+    # and 2-point sets: cover games at h1-h6; on at most 3 points, window
+    # games w = 1..3 at w <= h <= 5 and multiplicities 2 and 3 at h1-h5
+    refused = decided = 0
+    for n in range(1, 5):
+        for space in all_topologies(n):
+            singles = singleton_family(space)
+            pairs = [m for m in range(space.full) if bin(m).count("1") == 2]
+            families = [singles, closure_family(space, singles)]
+            families += [SetFamily.build(space, pairs)] if pairs else []
+            for fam_a, fam_b in itertools.product(families, repeat=2):
+                if any(least_open(space, a) == space.full for a in fam_a.members):
+                    with pytest.raises(NoCovers):
+                        build_rothberger(space, fam_a, fam_b, 1)
+                    with pytest.raises(NoNeighborhood):
+                        build_point_open(space, fam_a, fam_b, 1)
+                    refused += 1
+                    continue
+                k = cover_number(space, fam_a.members, fam_b.members)
+                rothberger = build_rothberger(space, fam_a, fam_b, 6)
+                point_open = build_point_open(space, fam_a, fam_b, 6)
+                for h in range(1, 7):
+                    covers = k is not None and k <= h
+                    assert (winner(rothberger.truncated(h)) is Player.TWO) == covers
+                    assert (winner(point_open.truncated(h)) is Player.ONE) == covers
+                decided += 12
+                if n > 3:
+                    continue
+                for w in (1, 2, 3):
+                    window = build_point_open(space, fam_a, fam_b, 5, window=w)
+                    for h in range(w, 6):
+                        one = winner(window.truncated(h)) is Player.ONE
+                        assert one == (k is not None and k <= w), (w, h)
+                        decided += 1
+                for m in (2, 3):
+                    km = cover_number(space, fam_a.members, fam_b.members, m)
+                    multi = build_rothberger(space, fam_a, fam_b, 5, multiplicity=m)
+                    for h in range(1, 6):
+                        two = winner(multi.truncated(h)) is Player.TWO
+                        assert two == (km is not None and km <= h), (m, h)
+                        decided += 1
+    assert refused and decided > 10_000
 
 
 class TestScenarioFiles:

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,7 @@ from brute import (
 )
 from selgames import (
     CoversFamily,
+    Direction,
     EverySubsequence,
     ExplicitSet,
     FullOne,
@@ -27,6 +29,7 @@ from selgames import (
     Player,
     PreOne,
     WindowCover,
+    apply_translation,
     build_point_open,
     build_rothberger,
     build_topology,
@@ -35,7 +38,9 @@ from selgames import (
     find_markov_two,
     find_predetermined_one,
     inclusion_pair,
+    lift_item_map,
     make_game,
+    play,
     relative_cofinality,
     singleton_family,
     solve,
@@ -49,6 +54,9 @@ from selgames.ground import SetFamily
 from selgames.scenarios import build_game, corpus
 from selgames.serialize import canonical_dumps, strategy_from_json, strategy_to_json
 from selgames.solver import MAX_EXHIBITS
+from selgames.transforms import _transfer
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 class TestSolve:
@@ -327,9 +335,37 @@ class TestVerify:
         assert len(report.counter_plays) <= 2
 
     def test_illegal_strategy_raises(self, d2, singles2):
+        # every strategy class, through play, verify and the input check of
+        # apply_translation: the round and text of the first broken rule.
+        # One's index i offers {i}, whose one proper open superset is 1 << i
         g = build_point_open(d2, singles2, singles2, 2)
-        with pytest.raises(IllegalMove):
-            verify(g, PreOne(indices=(0, 7)))
+        missing = "strategy table missing a reachable history"
+        cases = [
+            (PreOne(indices=(0, 7)), 1, "move index 7 out of range"),
+            (PreOne(indices=(0,)), 1, "predetermined script too short"),
+            (FullOne(table={(): 0}), 1, missing),
+            (StateOne(table={}), 0, missing),
+            (FullTwo(table={(0,): 1}), 1, missing),
+            (MarkovTwo(table={}), 0, "Markov table missing a cell"),
+            (StateTwo(table={(0, g.target.start, 0): 2}), 0,
+             "selection 2 outside the offered move set"),
+        ]
+        one = PreOne(indices=(0, 0))
+        two = MarkovTwo(table={(i, r): 1 << i for i in (0, 1) for r in (0, 1)})
+        pack = lift_item_map(lambda y, r: y, g, g)
+        direction = {PreOne: Direction.PRE_ONE_PULLBACK, FullOne: Direction.FULL_ONE_PULLBACK,
+                     StateOne: Direction.FULL_ONE_PULLBACK, FullTwo: Direction.FULL_TWO,
+                     StateTwo: Direction.FULL_TWO, MarkovTwo: Direction.MARKOV_TWO}
+        for strategy, r, text in cases:
+            one_side = isinstance(strategy, (PreOne, FullOne, StateOne))
+            for run in (
+                lambda: play(g, strategy, two) if one_side else play(g, one, strategy),
+                lambda: verify(g, strategy),
+                lambda: apply_translation(pack, g, g, direction[type(strategy)], strategy),
+            ):
+                with pytest.raises(IllegalMove) as exc:
+                    run()
+                assert (exc.value.round_index, str(exc.value)) == (r, text), strategy
 
     def test_no_exhibits_still_refutes(self, d3, singles3):
         g = build_point_open(d3, singles3, singles3, 3)
@@ -461,20 +497,21 @@ class TestStateWitness:
 
 
 def test_check_duality_determines_each_game_once(monkeypatch):
-    # one search context per game: the script search and Markov synthesis
-    # read the determination check_duality, a fuzz suite or `corpus run`
-    # has already made instead of determining the game again
+    # one search context per game: the script search, Markov synthesis
+    # and verification read the determination check_duality, a fuzz
+    # suite, `corpus run` or `translate` has already made instead of
+    # determining the game again
     from selgames import cli, solver
-    from selgames.fuzzing import suite_cofinality, suite_determinacy
+    from selgames.fuzzing import suite_cofinality, suite_determinacy, suite_translation
 
     built = []
-    init = solver._Solver.__init__
+    init = solver.Search.__init__
 
     def counted_init(self, game):
         built.append(game)
         init(self, game)
 
-    monkeypatch.setattr(solver._Solver, "__init__", counted_init)
+    monkeypatch.setattr(solver.Search, "__init__", counted_init)
     space = discrete_space(3)
     singles = singleton_family(space)
     for h in (1, 2, 3):
@@ -497,10 +534,38 @@ def test_check_duality_determines_each_game_once(monkeypatch):
         assert cli.main(["corpus", "run", "--json"]) == 0
     assert len(built) == len(corpus())
 
+    # translation: the syntheses and the transfers of an attempt share one
+    # context per game, and _transfer builds none of its own
+    built.clear()
+    res = suite_translation(random.Random(5), 20)
+    assert res.instances and 0 < len(built) <= 2 * res.attempts
+    assert len({id(g) for g in built}) == len(built)
+    always = make_game([(frozenset({0, 1}),)] * 2, 2, Kind.SINGLE,
+                       ExplicitSet(winning=({0}, {1}, {0, 1})))
+    pack = lift_item_map(lambda y, r: y, always, always)
+    markov = find_markov_two(always)
+    searches = solver.Search(always)
+    built.clear()
+    _transfer(pack, searches, searches, Direction.MARKOV_TWO, markov)
+    assert built == []
+    apply_translation(pack, always, always, Direction.MARKOV_TWO, markov)
+    assert len(built) == 2
+
+    # `translate` synthesizes on the contexts it transfers on, so each
+    # game is determined at most once
+    pack_file, tiny = (str(SCENARIOS / f) for f in ("identity-pack-tiny.json",
+                                                    "tiny-abstract.json"))
+    for direction in Direction:
+        built.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["translate", pack_file, tiny, tiny,
+                             "--direction", direction.value]) == 0
+        assert len(built) == 2, direction
+
 
 def test_one_search_context_steps_each_transition_once(monkeypatch):
     # determination, the witness walk, the script search and Markov
-    # synthesis on one _Solver step each (state, item) transition once
+    # synthesis on one Search step each (state, item) transition once
     from selgames import solver
 
     d3 = discrete_space(3)
@@ -518,7 +583,7 @@ def test_one_search_context_steps_each_transition_once(monkeypatch):
             return step(self, state, item)
 
         monkeypatch.setattr(cls, "step", recorded_step)
-        searches = solver._Solver(g)
+        searches = solver.Search(g)
         det = searches.solve()
         searches.find_predetermined_one()
         searches.find_markov_two()
@@ -534,7 +599,7 @@ def test_verifying_the_witness_steps_no_new_transition():
     from selgames import solver
 
     for g in _oracle_games():
-        searches = solver._Solver(g)
+        searches = solver.Search(g)
         det = searches.solve()
         stepped = len(searches.transitions)
         assert searches.verify(det.witness).valid
@@ -551,7 +616,7 @@ def test_solve_after_winner_reads_the_recorded_rows():
     for g in _oracle_games():
         if not g.horizon:
             continue
-        searches = solver._Solver(g)
+        searches = solver.Search(g)
         sides.add(searches.winner())
         nodes, hits, stepped = searches.nodes, searches.hits, len(searches.transitions)
         det = searches.solve()

@@ -49,6 +49,7 @@ from selgames.errors import (
 )
 from selgames.fuzzing import _translation_instance
 from selgames.ground import family_of
+from selgames.solver import Search
 from selgames.transforms import _transfer
 
 
@@ -303,7 +304,8 @@ class TestApplyTranslation:
         markov = find_markov_two(src)
         assert markov.table == {(0, 0): 1}
         with pytest.raises(TranslationFailed):
-            _transfer(identity_pack(src), src, dst, Direction.MARKOV_TWO, markov)
+            _transfer(identity_pack(src), Search(src), Search(dst), Direction.MARKOV_TWO,
+                      markov)
 
     def test_axioms_fail(self):
         src = explicit_game([[frozenset({0, 1})]], 1, [{0}, {1}])
