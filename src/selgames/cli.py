@@ -19,7 +19,7 @@ from .errors import (
     InvalidCount,
     SelGamesError,
 )
-from .fuzzing import ALL_SUITES, fuzz
+from .fuzzing import GATED_SUITES, fuzz
 from .orders import lift_omega_cof, relative_cofinality
 from .scenarios import (
     CORPUS_EXPECTATIONS,
@@ -47,7 +47,7 @@ from .solver import (
     solve,
     verify,
 )
-from .transforms import Direction, _input_search, _require_axioms, _transfer
+from .transforms import Direction, _require_axioms, _transfer, _winning_input
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -191,12 +191,7 @@ def _cmd_translate(args) -> int:
     if args.input:
         strategy = strategy_from_json(load_json(args.input))
     else:
-        searches, side, synthesize = _input_search(direction, src, dst)
-        if synthesize is not None:
-            strategy = synthesize(searches, args.budget)
-        else:
-            det = searches.solve()
-            strategy = det.witness if det.winner is side else None
+        strategy = _winning_input(direction, src, dst, args.budget)
         if strategy is None:
             _emit({"transferred": None, "reason": "no winning input strategy"},
                   args.json, ["nothing to transfer: no winning input strategy"])
@@ -333,7 +328,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("fuzz", help="run seeded property suites")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--suite", action="append", choices=list(ALL_SUITES))
+    p.add_argument("--suite", action="append", choices=list(GATED_SUITES))
     p.add_argument("--budget", type=_non_negative_int, default=DEFAULT_NODE_BUDGET)
     common(p)
     p.set_defaults(func=_cmd_fuzz)

@@ -61,11 +61,11 @@ from .scenarios import (
     scenario_to_json,
 )
 from .serialize import rel_pair_to_json
-from .solver import DEFAULT_NODE_BUDGET, Search, verify, winner
+from .solver import DEFAULT_NODE_BUDGET, Search, verify
 from .transforms import (
     Direction,
-    _input_search,
     _transfer,
+    _winning_input,
     check_translation_axioms,
     intersect_predetermined,
     is_filter_base,
@@ -73,17 +73,6 @@ from .transforms import (
     strengthen_one_for_subsequences,
 )
 
-GATED_SUITES = (
-    "determinacy",
-    "translation",
-    "duality",
-    "cofinality",
-    "tukey",
-    "gamma",
-    "ground",
-)
-EXPLORATORY_SUITES = ("open-question-gamma-two",)
-ALL_SUITES = GATED_SUITES + EXPLORATORY_SUITES
 
 SPACE_SIZES = (2, 3, 4)  # discrete spaces the cofinality suite draws
 HORIZONS = (1, 2, 3, 4)  # horizons of _random_game's games
@@ -318,25 +307,17 @@ def suite_translation(rng: random.Random, count: int,
         # counts only the syntheses that ran; the transfers reuse the contexts
         contexts = Search(src), Search(dst)
         inputs = {}
-        for full, limited in (
-            (Direction.FULL_TWO, Direction.MARKOV_TWO),
-            (Direction.FULL_ONE_PULLBACK, Direction.PRE_ONE_PULLBACK),
-        ):
-            if done[full] >= count and done[limited] >= count:
+        for direction in (Direction.FULL_TWO, Direction.MARKOV_TWO,
+                          Direction.FULL_ONE_PULLBACK, Direction.PRE_ONE_PULLBACK):
+            if done[direction] >= count:
                 continue
-            searches, side, synthesize = _input_search(limited, *contexts)
-            if searches.winner() is not side:
+            try:
+                strategy = _winning_input(direction, *contexts, node_budget)
+            except BudgetExceeded:
+                res.budget_exceeded += 1
                 continue
-            if done[full] < count:
-                inputs[full] = searches.solve().witness
-            if done[limited] < count:
-                try:
-                    strategy = synthesize(searches, node_budget)
-                except BudgetExceeded:
-                    res.budget_exceeded += 1
-                    strategy = None
-                if strategy is not None:
-                    inputs[limited] = strategy
+            if strategy is not None:
+                inputs[direction] = strategy
         progressed = False
         for direction, strategy in inputs.items():
             # the pack passed its axiom check above; _transfer refuses an
@@ -773,45 +754,6 @@ def _union_closure(masks) -> list[int]:
     return sorted(members)
 
 
-def suite_open_question_gamma_two(
-    rng: random.Random, count: int, node_budget: int = DEFAULT_NODE_BUDGET
-) -> SuiteResult:
-    """Exploratory search: plain-cover versus window-cover status for Two.
-
-    Bounded discrete spaces with singleton families across horizons; any
-    disagreement between the two game values is archived as a finding,
-    never a violation (the suite is excluded from gating).
-    """
-    res = SuiteResult()
-    combos = [
-        (size, horizon, w)
-        for size in (2, 3)
-        for horizon in range(1, 7)
-        for w in range(1, min(horizon, 3) + 1)
-        if (size * (2 ** (size - 1))) ** horizon <= 5 * 10**4
-    ]
-    for size, horizon, w in combos[:count]:
-        res.attempts += 1
-        space = discrete_space(size)
-        singles = SetFamily.build(space, [1 << i for i in range(size)])
-        plain = build_point_open(space, singles, singles, horizon)
-        window = build_point_open(space, singles, singles, horizon, window=w)
-        two_plain = winner(plain) is Player.TWO
-        two_window = winner(window) is Player.TWO
-        res.instances += 1
-        if two_plain != two_window:
-            res.findings.append(
-                {
-                    "size": size,
-                    "horizon": horizon,
-                    "window": w,
-                    "two-wins-plain-cover-game": two_plain,
-                    "two-wins-window-game": two_window,
-                }
-            )
-    return res
-
-
 SUITES = {
     "determinacy": suite_determinacy,
     "translation": suite_translation,
@@ -820,8 +762,8 @@ SUITES = {
     "tukey": suite_tukey,
     "gamma": suite_gamma,
     "ground": suite_ground,
-    "open-question-gamma-two": suite_open_question_gamma_two,
 }
+GATED_SUITES = tuple(SUITES)  # every suite gates: a violation fails the run
 
 
 def fuzz(

@@ -117,8 +117,6 @@ class MultiCover(_SelectedSet):
     def accept(self, state: frozenset) -> bool:
         if self.full in state:
             return False
-        if not self.members:
-            return self.m <= 0
         need = max(self.m, 1)
         return all(
             sum(1 for u in state if is_subset(a, u)) >= need for a in self.members

@@ -89,6 +89,8 @@ class Scenario:
                 raise ScenarioFormatError(f"params.{needs} must be an integer")
             if self.params[needs] < 1:
                 raise ScenarioFormatError(f"params.{needs} must be at least 1")
+        if needs == "game" and game_from_json(self.params["game"]).horizon != self.horizon:
+            raise ScenarioFormatError("horizon differs from params.game.horizon")
         object.__setattr__(self, "space", space)
 
 

@@ -160,6 +160,17 @@ class Direction(enum.Enum):
     PRE_ONE_PULLBACK = "pre-one-pullback"
 
 
+# per direction: the strategy classes it takes, whether it pushes Two's
+# strategy forward (else it pulls One's back), and the synthesizer of
+# its limited input (None for the full directions, which take the witness)
+_DIRECTIONS = {
+    Direction.MARKOV_TWO: ((MarkovTwo,), True, Search.find_markov_two),
+    Direction.FULL_TWO: ((FullTwo, StateTwo), True, None),
+    Direction.FULL_ONE_PULLBACK: ((FullOne, StateOne), False, None),
+    Direction.PRE_ONE_PULLBACK: ((PreOne,), False, Search.find_predetermined_one),
+}
+
+
 def apply_translation(
     pack: TranslationPack,
     src: GameSpec,
@@ -189,15 +200,17 @@ def _require_axioms(pack: TranslationPack, src: GameSpec, dst: GameSpec) -> None
         raise AxiomsFail(f"pack violates {check.failure[0]} at {check.failure[1]}")
 
 
-def _input_search(direction: Direction, src: Search, dst: Search) -> tuple:
-    """The search context of the game ``direction`` takes its input for,
-    the side that input plays, and the synthesizer that finds a limited
-    input there (None for the full directions, which take the witness)."""
-    if direction in (Direction.MARKOV_TWO, Direction.FULL_TWO):
-        limited = direction is Direction.MARKOV_TWO
-        return src, Player.TWO, Search.find_markov_two if limited else None
-    limited = direction is Direction.PRE_ONE_PULLBACK
-    return dst, Player.ONE, Search.find_predetermined_one if limited else None
+def _winning_input(direction: Direction, src: Search, dst: Search, node_budget: int):
+    """A winning input strategy for ``direction``, found on the context of
+    the game it takes one for, or None when that game's side loses or no
+    limited one exists: the synthesized script or Markov table for the
+    limited directions (BudgetExceeded past ``node_budget``), the
+    witness for the full ones."""
+    _, pushes, synthesize = _DIRECTIONS[direction]
+    search, side = (src, Player.TWO) if pushes else (dst, Player.ONE)
+    if search.winner() is not side:
+        return None
+    return search.solve().witness if synthesize is None else synthesize(search, node_budget)
 
 
 def _transfer(pack: TranslationPack, src_search: Search, dst_search: Search,
@@ -205,13 +218,7 @@ def _transfer(pack: TranslationPack, src_search: Search, dst_search: Search,
     """``apply_translation`` for a pack whose axioms already hold, given
     the two games' search contexts: the input is verified on its game's
     context and the output on the other game's."""
-    takes = {
-        Direction.MARKOV_TWO: (MarkovTwo,),
-        Direction.FULL_TWO: (FullTwo, StateTwo),
-        Direction.FULL_ONE_PULLBACK: (FullOne, StateOne),
-        Direction.PRE_ONE_PULLBACK: (PreOne,),
-    }[direction]
-    pushes = direction in (Direction.MARKOV_TWO, Direction.FULL_TWO)
+    takes, pushes, _ = _DIRECTIONS[direction]
     in_search, out_search = (src_search, dst_search) if pushes else (dst_search, src_search)
     side = "source" if pushes else "target"
     if not isinstance(strategy, takes):

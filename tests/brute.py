@@ -25,8 +25,6 @@ from selgames.game import (
     StateTwo,
     advance,
     legal_selection,
-    play,
-    strategy_lookup,
 )
 from selgames.ground import CoverVerdict, GroundSpace, SetFamily
 from selgames.orders import UNDEFINED, ExtendedNat, make_rel_pair
@@ -120,6 +118,34 @@ def brute_history_witness(game: GameSpec):
     return FullOne(table=table)
 
 
+def brute_answer(strategy, history: tuple, r: int, state):
+    """The strategy's answer at round ``r``: One's move index after Two's
+    selections ``history``, or Two's selection after One's indices
+    ``history`` (the current one last).  Only the state tables read
+    ``state``, so walks that carry none take the other classes.  Each
+    class is read by its own branch; a missing row raises the IllegalMove
+    a play of the strategy meets."""
+    if isinstance(strategy, PreOne):
+        if r < len(strategy.indices):
+            return strategy.indices[r]
+        raise IllegalMove(r, "predetermined script too short")
+    if isinstance(strategy, MarkovTwo):
+        if (history[-1], r) in strategy.table:
+            return strategy.table[history[-1], r]
+        raise IllegalMove(r, "Markov table missing a cell")
+    if isinstance(strategy, (FullOne, FullTwo)):
+        key = history
+    elif isinstance(strategy, StateOne):
+        key = (r, state)
+    elif isinstance(strategy, StateTwo):
+        key = (r, state, history[-1])
+    else:
+        raise TypeError(f"not a strategy: {strategy!r}")
+    if key in strategy.table:
+        return strategy.table[key]
+    raise IllegalMove(r, "strategy table missing a reachable history")
+
+
 def expand(game: GameSpec, strategy):
     """The full-information table of a strategy whose move is a function
     of the round, the target state and One's current index: a StateOne,
@@ -133,14 +159,13 @@ def expand(game: GameSpec, strategy):
     """
     if not isinstance(strategy, (PreOne, StateOne, MarkovTwo, StateTwo)):
         raise TypeError(f"not a state-determined strategy: {strategy!r}")
-    side, answer = strategy_lookup(strategy)
     moves, horizon = game.moves, game.horizon
     table = {}
-    if side is Player.ONE:
+    if isinstance(strategy, (PreOne, StateOne)):
 
         def walk_one(r, hist, state):
             try:
-                i = answer(hist, r, state)
+                i = brute_answer(strategy, hist, r, state)
             except IllegalMove:
                 return
             table[hist] = i
@@ -156,7 +181,7 @@ def expand(game: GameSpec, strategy):
         for i, ms in enumerate(moves[r]):
             idx = idx_hist + (i,)
             try:
-                x = answer(idx, r, state)
+                x = brute_answer(strategy, idx, r, state)
             except IllegalMove:
                 continue
             table[idx] = x
@@ -216,24 +241,25 @@ def two_side_plays(game: GameSpec, two):
     """Every completed play with One ranging over all index tuples, each
     judged by evaluating the whole selection sequence."""
     for idx in itertools.product(*(range(len(f)) for f in game.moves)):
-        rec = play(game, idx, two)
-        flat = flatten_selections(game.kind, rec.two_selections)
+        sel = ()
+        for r, i in enumerate(idx):
+            x = brute_answer(two, idx[: r + 1], r, None)
+            sel += (legal_selection(game, r, game.moves[r][i], x),)
+        flat = flatten_selections(game.kind, sel)
         won = Player.TWO if game.target.evaluate(flat) else Player.ONE
-        yield PlayRecord(rec.one_moves, rec.two_selections, won)
+        yield PlayRecord(idx, sel, won)
 
 
 def brute_one_side_plays(game: GameSpec, one):
     """Every completed play with Two ranging over all legal replies, each
     judged by evaluating the whole selection sequence."""
-    _, answer = strategy_lookup(one, Player.ONE)
-
     def walk(r, idx_hist, sel_hist):
         if r == game.horizon:
             flat = flatten_selections(game.kind, sel_hist)
             won = Player.TWO if game.target.evaluate(flat) else Player.ONE
             yield PlayRecord(idx_hist, sel_hist, won)
             return
-        i = answer(sel_hist, r, None)
+        i = brute_answer(one, sel_hist, r, None)
         if not 0 <= i < len(game.moves[r]):
             raise IllegalMove(r, f"move index {i} out of range")
         for x in brute_two_choices(game, game.moves[r][i]):
@@ -245,10 +271,9 @@ def brute_one_side_plays(game: GameSpec, one):
 def brute_is_one_play(game: GameSpec, one, selections) -> bool:
     """Whether Two can answer ``one`` with ``selections``: each is a legal
     reply to the move ``one`` names after the ones before it."""
-    _, answer = strategy_lookup(one, Player.ONE)
     for r, x in enumerate(selections):
         try:
-            i = answer(tuple(selections[:r]), r, None)
+            i = brute_answer(one, tuple(selections[:r]), r, None)
         except IllegalMove:
             return False
         if not 0 <= i < len(game.moves[r]):
@@ -401,7 +426,8 @@ def brute_classify_cover(space, fam_members, listed) -> CoverVerdict:
     if not covers:
         return CoverVerdict(covers_all=False, multiplicity=0, window=None)
     if not fam_members:
-        return CoverVerdict(covers_all=True, multiplicity=0, window=0)
+        # the least count over no members is unbounded: cap it at the length
+        return CoverVerdict(covers_all=True, multiplicity=len(listed), window=0)
     mult = min(sum(1 for u in set(listed) if inside(a, u)) for a in fam_members)
     n = len(listed)
     window = next(

@@ -335,6 +335,12 @@ class TestFuzzCommand:
         code, _, err = run(capsys, "fuzz", "--seed", "1", "--count", "0")
         assert code == 1
 
+    def test_retired_suite_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "fuzz", "--seed", "1", "--count", "1",
+                             "--suite", "open-question-gamma-two")
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: ") and "open-question-gamma-two" in err
+
     def test_exhausted_budget_exits_3(self, capsys):
         code, out, _ = run(capsys, "fuzz", "--seed", "0", "--count", "2",
                            "--budget", "0", "--json")
@@ -409,6 +415,8 @@ class TestUsageErrors:
             abstract(target={"type": "explicit-set", "winning": [["0"], [0, 1]]}),
             abstract(moves=[[["0", 1]], [[0, 1]]]),
             abstract(horizon="2"),
+            # a scenario horizon other than its game's
+            dict(tiny, horizon=7),
             # a width or multiplicity below 1 names no game
             dict(base, flavor="point-open-window", params={"w": 0}),
             dict(base, flavor="point-open-window", params={"w": -2}),

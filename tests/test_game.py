@@ -229,7 +229,7 @@ def test_cover_targets_agree_with_the_classifier():
         ) == verdict.covers_all
         for m in (0, 1, 2, 3):
             want = verdict.covers_all and (
-                verdict.multiplicity >= m or (not fam.members and m <= 0)
+                verdict.multiplicity >= m or not fam.members
             )
             got = MultiCover(full=space.full, members=fam.members, m=m).evaluate(listed)
             assert got == want, (members, listed, m)

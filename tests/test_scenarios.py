@@ -124,8 +124,12 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 def test_builder_games_follow_the_cover_number():
     # the closed form in tests/brute.py against the solver, on every
     # topology on at most 4 points with singletons, closures of singletons
-    # and 2-point sets: cover games at h1-h6; on at most 3 points, window
-    # games w = 1..3 at w <= h <= 5 and multiplicities 2 and 3 at h1-h5
+    # and 2-point sets: cover games at h1-h6; on at most 3 points, also
+    # with the empty family second, window games w = 1..3 at w <= h <= 5
+    # (h <= 6 on 2 points) and multiplicities 2 and 3 (and 1 for the
+    # empty family) at h1-h5.  Among them are discrete 2 and 3 with
+    # singletons, where k = n: the plain and window values differ exactly
+    # when w < n <= h
     refused = decided = 0
     for n in range(1, 5):
         for space in all_topologies(n):
@@ -133,7 +137,8 @@ def test_builder_games_follow_the_cover_number():
             pairs = [m for m in range(space.full) if bin(m).count("1") == 2]
             families = [singles, closure_family(space, singles)]
             families += [SetFamily.build(space, pairs)] if pairs else []
-            for fam_a, fam_b in itertools.product(families, repeat=2):
+            seconds = families + [SetFamily.build(space, [])] if n <= 3 else families
+            for fam_a, fam_b in itertools.product(families, seconds):
                 if any(least_open(space, a) == space.full for a in fam_a.members):
                     with pytest.raises(NoCovers):
                         build_rothberger(space, fam_a, fam_b, 1)
@@ -151,13 +156,14 @@ def test_builder_games_follow_the_cover_number():
                 decided += 12
                 if n > 3:
                     continue
+                last = 6 if n == 2 else 5
                 for w in (1, 2, 3):
-                    window = build_point_open(space, fam_a, fam_b, 5, window=w)
-                    for h in range(w, 6):
+                    window = build_point_open(space, fam_a, fam_b, last, window=w)
+                    for h in range(w, last + 1):
                         one = winner(window.truncated(h)) is Player.ONE
                         assert one == (k is not None and k <= w), (w, h)
                         decided += 1
-                for m in (2, 3):
+                for m in (1, 2, 3) if not fam_b.members else (2, 3):
                     km = cover_number(space, fam_a.members, fam_b.members, m)
                     multi = build_rothberger(space, fam_a, fam_b, 5, multiplicity=m)
                     for h in range(1, 6):
@@ -216,9 +222,10 @@ class TestScenarioFiles:
                 subbasis=tuple(sorted(rng.sample(range(full + 1), rng.randint(0, 3)))),
                 fam_a=tuple(rng.sample(range(1, full + 1), rng.randint(1, 3))),
                 fam_b=tuple(rng.sample(range(1, full + 1), rng.randint(1, 3))),
-                horizon=rng.randint(0, 4),
+                horizon=(h := rng.randint(0, 4)),
                 flavor="abstract-game",
-                params={"game": {"horizon": 0, "kind": "single", "moves": [],
+                # the wrapped game plays the scenario's horizon
+                params={"game": {"horizon": h, "kind": "single", "moves": [[[0]]] * h,
                                   "target": {"type": "explicit-set", "winning": []}}},
             )
             assert parse_scenario(emit_scenario(sc)) == sc
@@ -374,6 +381,10 @@ class TestSerializeCodecs:
             rel_pair_from_json({"type": "explicit", "size": 1,
                                 "leq_pairs": [[0, 0], [7, 9], [-1, 3]],
                                 "a": [0], "b": [0]})
+        # and an abstract game played to another horizon than its scenario's
+        tiny = json.loads((SCENARIO_DIR / "tiny-abstract.json").read_text())
+        with pytest.raises(ScenarioFormatError, match="horizon differs"):
+            scenario_from_json(dict(tiny, horizon=7))
 
     def test_inclusion_pair_file_form(self):
         from selgames.serialize import rel_pair_from_json
