@@ -117,9 +117,8 @@ class MultiCover(_SelectedSet):
     def accept(self, state: frozenset) -> bool:
         if self.full in state:
             return False
-        need = max(self.m, 1)
         return all(
-            sum(1 for u in state if is_subset(a, u)) >= need for a in self.members
+            sum(1 for u in state if is_subset(a, u)) >= self.m for a in self.members
         )
 
 

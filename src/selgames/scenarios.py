@@ -42,14 +42,15 @@ from .serialize import (
     load_json,
 )
 
-FLAVORS = (
-    "point-open-o",
-    "point-open-window",
-    "rothberger",
-    "rothberger-lambda",
-    "abstract-game",
-)
-POINT_OPEN_FLAVORS = ("point-open-o", "point-open-window")
+# flavor -> (the param its game needs, or None; whether it is a
+# point-open game, which needs every singleton closed)
+FLAVORS = {
+    "point-open-o": (None, True),
+    "point-open-window": ("w", True),
+    "rothberger": (None, False),
+    "rothberger-lambda": ("m", False),
+    "abstract-game": ("game", False),
+}
 
 
 @dataclass(frozen=True)
@@ -70,18 +71,17 @@ class Scenario:
     def __post_init__(self) -> None:
         if type(self.name) is not str:
             raise ScenarioFormatError("name must be a string")
-        if self.flavor not in FLAVORS:
+        if type(self.flavor) is not str or self.flavor not in FLAVORS:
             raise ScenarioFormatError(f"unknown flavor {self.flavor!r}")
+        needs, point_open = FLAVORS[self.flavor]
         space = build_topology(self.space_size, self.subbasis)
         for m in self.fam_a + self.fam_b:
             if not is_subset(m, space.full):
                 raise ScenarioFormatError("family member outside the universe")
-        if self.flavor in POINT_OPEN_FLAVORS and not space.points_closed():
+        if point_open and not space.points_closed():
             raise ScenarioFormatError(
                 "point-open flavors need every singleton closed"
             )
-        needs = {"point-open-window": "w", "rothberger-lambda": "m",
-                 "abstract-game": "game"}.get(self.flavor)
         if needs is not None and needs not in self.params:
             raise ScenarioFormatError(f"{self.flavor} needs params.{needs}")
         if needs in ("w", "m"):
@@ -171,21 +171,17 @@ def build_rothberger(
 def build_game(sc: Scenario, horizon: Optional[int] = None) -> GameSpec:
     """Materialize the scenario's game, optionally overriding the horizon."""
     h = sc.horizon if horizon is None else horizon
-    if sc.flavor == "abstract-game":
-        game = game_from_json(sc.params["game"])
+    needs, point_open = FLAVORS[sc.flavor]
+    param = None if needs is None else sc.params[needs]
+    if needs == "game":
+        game = game_from_json(param)
         return game if horizon is None else game.truncated(horizon)
     space = sc.space
     fam_a = SetFamily.build(space, sc.fam_a)
     fam_b = SetFamily.build(space, sc.fam_b)
-    if sc.flavor == "point-open-o":
-        return build_point_open(space, fam_a, fam_b, h)
-    if sc.flavor == "point-open-window":
-        return build_point_open(space, fam_a, fam_b, h, window=sc.params["w"])
-    if sc.flavor == "rothberger":
-        return build_rothberger(space, fam_a, fam_b, h)
-    if sc.flavor == "rothberger-lambda":
-        return build_rothberger(space, fam_a, fam_b, h, multiplicity=sc.params["m"])
-    raise ScenarioFormatError(f"unknown flavor {sc.flavor!r}")
+    if point_open:
+        return build_point_open(space, fam_a, fam_b, h, window=param)
+    return build_rothberger(space, fam_a, fam_b, h, multiplicity=param)
 
 
 def scenario_to_json(sc: Scenario) -> dict:

@@ -2,10 +2,10 @@
 
 Every target is a deterministic automaton whose state decides all future
 verdicts, so the searches run over target states, not histories.  solve()
-is backward induction memoized on (round, state) that records, beside
-each verdict, the row its loop stopped on; the witness is read off those
-rows -- a StateOne table (round, state) -> least winning index, or a
-StateTwo table (round, state, One's index) -> least winning reply -- so
+is backward induction memoized on (round, state) by the row its loop
+stopped on, which also says who wins there; the witness is read off
+those rows -- a StateOne table (round, state) -> least winning index, or
+a StateTwo table (round, state, One's index) -> least winning reply -- so
 it has one row per reachable state, not per history, and no state is
 decided twice.  Its memo_hits count the determination's memo lookups
 over every search made on the context.  find_predetermined_one() and
@@ -17,9 +17,11 @@ strategy class by one walk memoized on (round, state, what the strategy
 remembers) that counts plays by multiplication: StateOne, StateTwo,
 PreOne and MarkovTwo remember nothing, a FullOne remembers Two's
 selections and a FullTwo One's indices; the walk looks up the strategy's
-answer (``game.strategy_lookup``) once, not at each node.  A Search, the
-search context of one game, answers every question asked of it; the
-module-level functions build one for a single question.
+answer (``game.strategy_lookup``) once, asks it once per node, and
+records the moves into the children that hold a loss, so counter-plays
+are read off those losses as the witness is read off the rows.  A
+Search, the search context of one game, answers every question asked of
+it; the module-level functions build one for a single question.
 
 A recursive helper nested in a search refers to itself through its
 closure cell, a reference cycle that would keep it and every table it
@@ -105,33 +107,30 @@ class Search:
     """The search context of one game, for every question asked of it.
 
     It holds the (state, selection) -> next state cache, Two's selections
-    from each move set as a tuple (listed on first use: a finite-kind
-    move set of k items has 2^k - 1 of them) and the (round, state)
-    determination memo with the winner's row at each entry; the
-    determination, the script search, Markov synthesis and verification
-    read selections and step the target only through those tables, the
-    witness is read off the rows, and both synthesizers read their prune
-    off the memo.  A caller asking several questions of one game builds
-    one and passes it on: no answer depends on what was asked before,
-    only the work does, and ``solve``'s nodes and memo hits count every
-    search made on it so far.
+    from each move set as a tuple in canonical order (listed on first
+    use: a finite-kind move set of k items has 2^k - 1 of them) and the
+    (round, state) determination memo, whose entry is the winner's row
+    there; the determination, the script search, Markov synthesis and
+    verification read selections and step the target only through those
+    tables, the witness is read off the rows, and both synthesizers read
+    their prune off the memo.  A caller asking several questions of one
+    game builds one and passes it on: no answer depends on what was asked
+    before, only the work does, and ``solve``'s nodes and memo hits count
+    every search made on it so far.
     """
 
     def __init__(self, game: GameSpec):
         self.game = game
         # each transition is stepped once, however often the searches meet
         # it: a single-kind selection is one item, stepped by the target
-        # itself, and a move set's selections are its items in order; a
-        # finite-kind one goes through ``advance`` and ``two_choices``
-        if game.kind is Kind.SINGLE:
-            self.transitions = _Steps(game.target.step)
-            self.selections = _Table(lambda ms: tuple(sorted(ms)))
-        else:
-            self.transitions = _Steps(functools.partial(advance, game))
-            self.selections = _Table(lambda ms: tuple(two_choices(game, ms)))
-        self.memo: dict = {}  # (round, state) -> whether Two wins from there
-        # (round, state) -> the winner's row there: One's first index with
-        # no winning reply, or Two's first winning reply to each move set
+        # itself, and a finite-kind one goes through ``advance``
+        self.transitions = _Steps(
+            game.target.step if game.kind is Kind.SINGLE else functools.partial(advance, game)
+        )
+        self.selections = _Table(lambda ms: tuple(two_choices(game, ms)))
+        # (round, state) -> the winner's row there: a tuple of Two's first
+        # winning reply to each move set, or One's first index (an int)
+        # with no winning reply
         self.rows: dict = {}
         self.nodes = 0
         self.hits = 0
@@ -144,14 +143,14 @@ class Search:
         if r == game.horizon:
             return game.target.accept(state)
         key = (r, state)
-        won = self.memo.get(key)
-        if won is not None:
+        row = self.rows.get(key)
+        if row is not None:
             self.hits += 1
-            return won
+            return type(row) is tuple
         self.nodes += 1
         transitions, selections = self.transitions, self.selections
         last, accept = r + 1 == game.horizon, game.target.accept
-        won, row = True, []
+        row = []
         for ms in game.moves[r]:
             for x in selections[ms]:
                 nxt = transitions[state, x]
@@ -160,11 +159,10 @@ class Search:
                     break
             else:
                 # no reply wins: this move set's index is len(row)
-                won, row = False, len(row)
-                break
-        self.memo[key] = won
-        self.rows[key] = tuple(row) if won else row
-        return won
+                self.rows[key] = len(row)
+                return False
+        self.rows[key] = tuple(row)
+        return True
 
     def winner(self) -> Player:
         """The winner alone: backward induction without reading a witness."""
@@ -304,11 +302,12 @@ class Search:
         A FullOne remembers Two's selections and a FullTwo One's indices.
         At the horizon no move is made, so a final state's verdict is shared
         by every history reaching it.  The walk tallies the plays below each
-        node and the lost ones among them, so plays are counted by
-        multiplication.  Its first visit of a node looks up and checks the
-        strategy's moves in the order a play-by-play walk would, so the
-        first IllegalMove is the same.  Counter-plays are then read off in
-        lexicographic order by descending only into nodes that hold a loss.
+        node, the lost ones among them and the moves into the children that
+        hold a loss, so plays are counted by multiplication.  Its first
+        visit of a node looks up and checks the strategy's moves in the
+        order a play-by-play walk would, so the first IllegalMove is the
+        same, and no node asks the strategy twice.  Counter-plays are then
+        read off those recorded losses in lexicographic order.
         """
         side, answer = strategy_lookup(strategy)
         one_side = side is Player.ONE
@@ -316,33 +315,20 @@ class Search:
         remembers = isinstance(strategy, (FullOne, FullTwo))
         game, transitions, selections = self.game, self.transitions, self.selections
         moves, horizon, accept = game.moves, game.horizon, game.target.accept
-        tally: dict = {}  # (round, state, memory) -> (plays, lost plays)
-
-        def choices(r: int, state, memory: tuple) -> Iterator[tuple]:
-            """(One's index, Two's selection, what the strategy remembers
-            after them) in lexicographic order; on Two's side each reply is
-            looked up as its turn comes."""
-            keep = remembers and r + 1 < horizon
-            if one_side:
-                i = answer(memory, r, state)
-                if not 0 <= i < len(moves[r]):
-                    raise IllegalMove(r, f"move index {i} out of range")
-                for x in selections[moves[r][i]]:
-                    yield i, x, memory + (x,) if keep else ()
-            else:
-                for i, ms in enumerate(moves[r]):
-                    idx = memory + (i,)
-                    x = legal_selection(game, r, ms, answer(idx, r, state))
-                    yield i, x, idx if keep else ()
+        # (round, state, memory) -> (plays, lost plays, the moves (i, x,
+        # child key) into the children that hold a loss, in move order)
+        tally: dict = {}
 
         def count(r: int, state, memory: tuple) -> tuple:
-            """(plays, lost plays) below a node, its moves taken in the
-            order ``choices`` lists them, with no generator per node."""
+            """The node's tally, its moves taken in lexicographic order:
+            One's index and each of Two's selections, or each of One's
+            indices and Two's reply to it."""
             if r == horizon:
                 # the target is Two's: One loses the plays it accepts
-                got = tally[r, state, memory] = (1, int(accept(state) == one_side))
+                got = tally[r, state, memory] = (1, int(accept(state) == one_side), ())
                 return got
             plays = lost = 0
+            losses = ()
             keep = remembers and r + 1 < horizon
             if one_side:
                 i = answer(memory, r, state)
@@ -352,7 +338,10 @@ class Search:
                     nxt = transitions[state, x]
                     mem = memory + (x,) if keep else ()
                     got = tally.get((r + 1, nxt, mem)) or count(r + 1, nxt, mem)
-                    plays, lost = plays + got[0], lost + got[1]
+                    plays += got[0]
+                    if got[1]:
+                        lost += got[1]
+                        losses += ((i, x, (r + 1, nxt, mem)),)
             else:
                 for i, ms in enumerate(moves[r]):
                     idx = memory + (i,)
@@ -360,27 +349,28 @@ class Search:
                     nxt = transitions[state, x]
                     mem = idx if keep else ()
                     got = tally.get((r + 1, nxt, mem)) or count(r + 1, nxt, mem)
-                    plays, lost = plays + got[0], lost + got[1]
-            got = tally[r, state, memory] = (plays, lost)
+                    plays += got[0]
+                    if got[1]:
+                        lost += got[1]
+                        losses += ((i, x, (r + 1, nxt, mem)),)
+            got = tally[r, state, memory] = (plays, lost, losses)
             return got
 
         counters: list = []
 
-        def exhibit(r: int, state, memory: tuple, idx_hist: tuple, sel_hist: tuple) -> None:
-            if r == horizon:
-                counters.append(PlayRecord(idx_hist, sel_hist, other))
+        def exhibit(key: tuple, one_moves: tuple, two_selections: tuple) -> None:
+            if key[0] == horizon:
+                counters.append(PlayRecord(one_moves, two_selections, other))
                 return
-            for i, x, mem in choices(r, state, memory):
-                nxt = transitions[state, x]
-                if tally[r + 1, nxt, mem][1]:
-                    exhibit(r + 1, nxt, mem, idx_hist + (i,), sel_hist + (x,))
-                    if len(counters) == max_exhibits:
-                        return
+            for i, x, child in tally[key][2]:
+                exhibit(child, one_moves + (i,), two_selections + (x,))
+                if len(counters) == max_exhibits:
+                    return
 
         try:
-            plays, lost = count(0, game.target.start, ())
+            plays, lost, _ = count(0, game.target.start, ())
             if lost and max_exhibits > 0:
-                exhibit(0, game.target.start, (), (), ())
+                exhibit((0, game.target.start, ()), (), ())
         finally:
             del count, exhibit
         return VerificationReport(

@@ -1,5 +1,6 @@
-"""Every name a library module imports is used in that module, and every
-import sits at module level.
+"""Every name a library module imports is used in that module, every
+import sits at module level, and every private module-level name is used
+somewhere in the package.
 
 The package's ``__init__`` is exempt from the first rule: its imports are
 the public names it re-exports.
@@ -38,6 +39,41 @@ def nested_imports(source: str) -> list[int]:
     })
 
 
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """The module-level names starting with a single underscore that no
+    module refers to outside their own definition, as ``module: name``."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    defined = {}  # (module, name) -> the lines of its definition
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[module, name] = range(node.lineno, node.end_lineno + 1)
+    used = set()
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            used.update(
+                key for key, lines in defined.items()
+                if key[1] == name and not (key[0] == module and node.lineno in lines)
+            )
+    return sorted(f"{module}: {name}" for module, name in defined.keys() - used)
+
+
 def test_library_modules_use_every_import():
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
     assert len(modules) > 10
@@ -72,3 +108,21 @@ def test_a_nested_import_is_found():
         "    return dumps\n"
     )
     assert nested_imports(source) == [3, 5]
+
+
+def test_every_private_name_is_used():
+    # a helper whose last caller is deleted goes with it; a planted helper
+    # that only calls itself, and one only named in its own body, are found
+    modules = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert len(modules) > 10
+    assert unreferenced_private_names(modules) == []
+    planted = dict(modules, **{"planted.py": (
+        "def _loop(n):\n"
+        "    return _loop(n - 1) if n else 0\n"
+        "_TABLE = {'self': '_TABLE'}\n"
+        "def used():\n"
+        "    return _kept()\n"
+        "def _kept():\n"
+        "    return 1\n"
+    )})
+    assert unreferenced_private_names(planted) == ["planted.py: _TABLE", "planted.py: _loop"]

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -231,10 +232,13 @@ class TestScenarioFiles:
             assert parse_scenario(emit_scenario(sc)) == sc
 
     def test_unknown_flavor_rejected(self):
+        # an unhashable flavor is a format error too, decoded or built
         data = scenario_to_json(corpus()[0])
-        data["flavor"] = "mystery"
+        for flavor in ("mystery", ["point-open-o"]):
+            with pytest.raises(ScenarioFormatError):
+                scenario_from_json(dict(data, flavor=flavor))
         with pytest.raises(ScenarioFormatError):
-            scenario_from_json(data)
+            dataclasses.replace(corpus()[0], flavor=["point-open-o"])
 
     def test_point_open_needs_closed_points(self):
         space_json = {

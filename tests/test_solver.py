@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import random
@@ -400,6 +401,35 @@ class TestVerify:
         assert report.valid and report.plays_checked == 16807
         assert calls["step"] <= 200
         assert calls["accept"] <= 200
+
+
+    def test_exhibits_ask_the_strategy_no_more(self, d2, singles2):
+        # counter-plays are read off the losses the counting walk records,
+        # so listing 16 of them looks up no strategy row the count did not
+        class Counted(dict):
+            lookups = 0
+
+            def __getitem__(self, key):
+                Counted.lookups += 1
+                return super().__getitem__(key)
+
+        g = build_point_open(d2, singles2, singles2, 3)
+        items = sorted({x for family in g.moves for ms in family for x in ms})
+        histories = [h for n in range(3) for h in itertools.product(items, repeat=n)]
+        strategies = [
+            FullOne(table=Counted({h: 0 for h in histories})),
+            MarkovTwo(table=Counted({
+                (j, r): min(ms) for r, family in enumerate(g.moves)
+                for j, ms in enumerate(family)
+            })),
+        ]
+        for strategy, lookups in zip(strategies, (3, 12)):
+            reports = []
+            for cap in (0, MAX_EXHIBITS):
+                Counted.lookups = 0
+                reports.append(verify(g, strategy, max_exhibits=cap))
+                assert Counted.lookups == lookups, (strategy, cap)
+            assert not reports[0].valid and reports[1].counter_plays
 
 
 def _counting_steps(monkeypatch, cls):
