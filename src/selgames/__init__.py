@@ -67,8 +67,6 @@ from .scenarios import (
     build_rothberger,
     corpus,
     load_scenario,
-    parse_scenario,
-    emit_scenario,
 )
 from .solver import (
     Determination,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import reduce
 from operator import or_
 from typing import Callable, Optional
@@ -112,23 +112,11 @@ class FuzzReport:
         return sum(r.budget_exceeded for r in self.results.values())
 
     def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "count": self.count,
-            "suites": list(self.suites),
-            "results": {
-                name: {
-                    "instances": r.instances,
-                    "attempts": r.attempts,
-                    "budget_exceeded": r.budget_exceeded,
-                    "violations": r.violations,
-                    "findings": r.findings,
-                }
-                for name, r in self.results.items()
-            },
-            "total_violations": self.total_violations,
-            "total_budget_exceeded": self.total_budget_exceeded,
-        }
+        return dict(
+            asdict(self),
+            total_violations=self.total_violations,
+            total_budget_exceeded=self.total_budget_exceeded,
+        )
 
 
 def _suite_rng(seed: int, suite: str) -> random.Random:

@@ -25,7 +25,7 @@ from typing import Iterable, Optional, Sequence
 
 from ._bits import is_subset, items_of, mask_of
 from .errors import CapExceeded, NotOpen, TopologyTooLarge
-from .game import CoversFamily, MultiCover, WindowCover
+from .game import CoversFamily, MultiCover, WindowCover, _members_inside
 
 SIZE_CAP = 16
 OPENS_CAP = 4096
@@ -127,8 +127,7 @@ class SetFamily:
 
     Its flags are read off the members: ``ideal_base`` -- every two
     members' union lies inside some member; ``covers_universe`` -- the
-    members' union is the whole universe; ``all_open`` / ``all_closed``
-    -- every member is open / closed in the space.
+    members' union is the whole universe.
     """
 
     space: GroundSpace
@@ -157,14 +156,6 @@ class SetFamily:
     @property
     def covers_universe(self) -> bool:
         return reduce(or_, self.members, 0) == self.space.full
-
-    @property
-    def all_open(self) -> bool:
-        return all(self.space.is_open(m) for m in self.members)
-
-    @property
-    def all_closed(self) -> bool:
-        return all(self.space.is_closed(m) for m in self.members)
 
 
 def family_of(space: GroundSpace, sets: Iterable[Iterable[int]]) -> SetFamily:
@@ -265,9 +256,7 @@ def min_covers(space: GroundSpace, fam: SetFamily) -> MinCoverResult:
     full, members = space.full, fam.members
     proper = [u for u in space.sorted_opens() if u != full]
     # inside[k]: the members held by proper[k], one bit per member
-    inside = [
-        sum(1 << m for m, a in enumerate(members) if is_subset(a, u)) for u in proper
-    ]
+    inside = [_members_inside(members, u) for u in proper]
     # after[k]: the members held by some proper[k'] with k' >= k
     after = list(itertools.accumulate(reversed(inside), or_, initial=0))[::-1]
     everyone = (1 << len(members)) - 1

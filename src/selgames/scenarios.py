@@ -13,13 +13,13 @@ format is JSON with a stable field schema::
      "params": {...}}
 
 Items are 0-based ground items; family order is significant (One's
-moves are indexed by it).  parse(emit(s)) is the identity on canonical
-form: subbasis sorted, items sorted inside every subset.
+moves are indexed by it).  ``scenario_from_json(scenario_to_json(s))``
+is the identity on canonical form: subbasis sorted, items sorted inside
+every subset.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
@@ -35,7 +35,6 @@ from .ground import GroundSpace, SetFamily, build_topology, min_covers
 from .serialize import (
     _int,
     _mask,
-    canonical_dumps,
     decoding,
     game_from_json,
     game_to_json,
@@ -203,6 +202,8 @@ def scenario_to_json(sc: Scenario) -> dict:
 
 @decoding("scenario")
 def scenario_from_json(data: Mapping) -> Scenario:
+    if type(data["params"]) is not dict:
+        raise TypeError(f"params must be an object, got {data['params']!r}")
     return Scenario(
         name=data["name"],
         space_size=_int(data["space"]["size"]),
@@ -213,18 +214,6 @@ def scenario_from_json(data: Mapping) -> Scenario:
         flavor=data["flavor"],
         params=dict(data["params"]),
     )
-
-
-def emit_scenario(sc: Scenario) -> str:
-    return canonical_dumps(scenario_to_json(sc))
-
-
-def parse_scenario(text: str) -> Scenario:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioFormatError(f"not valid JSON: {exc}") from exc
-    return scenario_from_json(data)
 
 
 def load_scenario(path: str) -> Scenario:

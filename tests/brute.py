@@ -519,7 +519,8 @@ def finite_subsets_family(space) -> SetFamily:
 
 
 def brute_family_flags(space, members) -> dict:
-    """The four SetFamily flags straight from their definitions."""
+    """SetFamily's two flags, and whether every member is open / closed,
+    straight from their definitions."""
     opens, full = space.opens, space.full
     return {
         "ideal_base": all(

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from brute import brute_family_flags
 from selgames import (
     Player,
     build_point_open,
@@ -125,7 +126,8 @@ def test_criterion_04_predetermined_iff_cofinality():
 def test_criterion_05_full_win_iff_predetermined():
     with criterion(5, "full-information = script (all-open families)", 60.0) as failures:
         for space, fam_a, fam_b in _family_pair_sample(2024, 300):
-            assert fam_a.all_open  # discrete spaces: the hypothesis is free
+            # discrete spaces: the hypothesis is free
+            assert brute_family_flags(space, fam_a.members)["all_open"]
             for n in range(0, 5):
                 game = build_point_open(space, fam_a, fam_b, n)
                 one_wins = solve(game).winner is Player.ONE

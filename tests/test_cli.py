@@ -431,6 +431,8 @@ class TestUsageErrors:
             dict(base, space=dict(base["space"], subbasis=[[0], [True]])),
             # nor is a negative integer
             dict(base, families=dict(base["families"], a=[[-1], [0]])),
+            # params is an object, not an array of pairs that dict() would take
+            dict(base, flavor="point-open-window", params=[["w", 2]]),
         )
         commands = []
         for k, data in enumerate(scenarios):

@@ -1,6 +1,7 @@
 """Every name a library module imports is used in that module, every
-import sits at module level, and every private module-level name is used
-somewhere in the package.
+import sits at module level, every private module-level name is used
+somewhere in the package, and every public function, class and method
+has a caller outside the tests.
 
 The package's ``__init__`` is exempt from the first rule: its imports are
 the public names it re-exports.
@@ -8,8 +9,18 @@ the public names it re-exports.
 
 import ast
 from pathlib import Path
+from typing import Iterator
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "selgames"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "selgames"
+
+# public names no caller outside the tests reaches yet, each kept for the
+# ROADMAP item that will call it
+AWAITING_CALLERS = {
+    "ground: all_topologies": "items 2 and 7: the oracle and the census",
+    "ground: nonempty_opens_family": "item 7: the census",
+    "serialize: pack_to_json": "item 7: the census",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -74,6 +85,68 @@ def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
     return sorted(f"{module}: {name}" for module, name in defined.keys() - used)
 
 
+def _references(tree: ast.AST) -> Iterator[tuple[str, int]]:
+    """Each name read as a Name, an Attribute or an import alias, with its line."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name, node.lineno
+
+
+def _traced_names(tree: ast.AST) -> set[str]:
+    """The function names quoted in a ``TRACED`` table of
+    ``span -> (module, function, counts)``, which are looked up by getattr."""
+    return {
+        entry.elts[1].value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+        and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets)
+        for entry in node.value.values
+        if isinstance(entry, ast.Tuple) and isinstance(entry.elts[1], ast.Constant)
+    }
+
+
+def unreferenced_public_names(sources: dict[str, str], callers: list[str]) -> list[str]:
+    """The public module-level functions and classes of the package's
+    ``sources``, and the public methods of its classes, that nothing refers
+    to: not the package outside their own definition and the re-exports of
+    ``__init__``, and not the ``callers`` (the demos and the benchmark), as
+    ``module: name`` or ``module: Class.method``."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    defined = {}  # (module, name as written) -> (name, the lines of its definition)
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for item, written in [(node, node.name)] + [
+                (m, f"{node.name}.{m.name}") for m in members
+                if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+            ]:
+                if not item.name.startswith("_"):
+                    lines = range(item.lineno, item.end_lineno + 1)
+                    defined[module.removesuffix(".py"), written] = (item.name, lines)
+    used = set()
+    for source in callers:
+        tree = ast.parse(source)
+        used.update(name for name, _ in _references(tree))
+        used |= _traced_names(tree)
+    unused = {key for key, (name, _) in defined.items() if name not in used}
+    for module, tree in trees.items():
+        if module == "__init__.py":
+            continue
+        module = module.removesuffix(".py")
+        for name, line in _references(tree):
+            unused -= {
+                key for key in unused
+                if defined[key][0] == name and not (key[0] == module and line in defined[key][1])
+            }
+    return sorted(f"{module}: {written}" for module, written in unused)
+
+
 def test_library_modules_use_every_import():
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
     assert len(modules) > 10
@@ -126,3 +199,31 @@ def test_every_private_name_is_used():
         "    return 1\n"
     )})
     assert unreferenced_private_names(planted) == ["planted.py: _TABLE", "planted.py: _loop"]
+
+
+def test_every_public_name_has_a_caller():
+    # a public name only the tests call moves to tests/brute.py or goes; a
+    # planted function nothing calls, and a method only its own body calls,
+    # are found, while a function a demo calls, and the class and method
+    # that function calls, are not
+    modules = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    callers = [
+        p.read_text(encoding="utf-8")
+        for folder in ("demos", "perfbench") for p in sorted((ROOT / folder).glob("*.py"))
+    ]
+    assert len(modules) > 10 and len(callers) > 5
+    assert unreferenced_public_names(modules, callers) == sorted(AWAITING_CALLERS)
+    planted = dict(modules, **{"planted.py": (
+        "def orphan(n):\n"
+        "    return orphan(n - 1) if n else 0\n"
+        "def called():\n"
+        "    return Box().shown()\n"
+        "class Box:\n"
+        "    def shown(self):\n"
+        "        return 1\n"
+        "    def looping(self):\n"
+        "        return self.looping()\n"
+    )})
+    demo = "from selgames.planted import called\nprint(called())\n"
+    assert unreferenced_public_names(planted, [*callers, demo]) == sorted(
+        [*AWAITING_CALLERS, "planted: Box.looping", "planted: orphan"])

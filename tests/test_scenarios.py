@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 import random
@@ -7,32 +8,33 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from brute import cover_number, least_open
+from brute import cover_number, expand, least_open
 
 from selgames import (
     Kind,
     Player,
+    Search,
     build_game,
     build_point_open,
     build_rothberger,
     discrete_space,
-    emit_scenario,
     find_markov_two,
     find_predetermined_one,
     indiscrete_space,
     make_game,
-    parse_scenario,
     singleton_family,
     solve,
     verify,
     winner,
 )
 from selgames.errors import (
+    BudgetExceeded,
     CoverEnumerationTruncated,
     NoCovers,
     NoNeighborhood,
     ScenarioFormatError,
 )
+from selgames.fuzzing import _random_game
 from selgames.game import CoversFamily, ExplicitSet, FullOne, FullTwo, Not
 from selgames.ground import SetFamily, all_topologies, closure_family, family_of
 from selgames.scenarios import (
@@ -182,7 +184,7 @@ class TestScenarioFiles:
         shared = [sc for sc in corpus() if sc.name in files]
         assert shared
         for sc in shared:
-            assert files[sc.name].read_text() == emit_scenario(sc), sc.name
+            assert files[sc.name].read_text() == canonical_dumps(scenario_to_json(sc)), sc.name
 
     def test_every_file_is_canonical_and_decodes(self):
         # each file holds a scenario, a strategy, a pack, an order pair or
@@ -208,9 +210,10 @@ class TestScenarioFiles:
 
     def test_round_trip_corpus(self):
         for sc in corpus():
-            text = emit_scenario(sc)
-            assert parse_scenario(text) == sc
-            assert emit_scenario(parse_scenario(text)) == text
+            text = canonical_dumps(scenario_to_json(sc))
+            back = scenario_from_json(json.loads(text))
+            assert back == sc
+            assert canonical_dumps(scenario_to_json(back)) == text
 
     def test_round_trip_random(self):
         rng = random.Random(9)
@@ -229,7 +232,7 @@ class TestScenarioFiles:
                 params={"game": {"horizon": h, "kind": "single", "moves": [[[0]]] * h,
                                   "target": {"type": "explicit-set", "winning": []}}},
             )
-            assert parse_scenario(emit_scenario(sc)) == sc
+            assert scenario_from_json(json.loads(canonical_dumps(scenario_to_json(sc)))) == sc
 
     def test_unknown_flavor_rejected(self):
         # an unhashable flavor is a format error too, decoded or built
@@ -285,7 +288,8 @@ class TestScenarioFiles:
     def test_abstract_game_round_trips_through_build(self, d2, singles2):
         g = build_point_open(d2, singles2, singles2, 2)
         sc = abstract_scenario("wrapped", g)
-        rebuilt = build_game(parse_scenario(emit_scenario(sc)))
+        text = canonical_dumps(scenario_to_json(sc))
+        rebuilt = build_game(scenario_from_json(json.loads(text)))
         assert rebuilt == g
 
 
@@ -522,7 +526,75 @@ def test_scenario_codec_round_trips_random_families(data):
         horizon=data.draw(st.integers(min_value=0, max_value=4)),
         flavor="rothberger",
     )
-    assert parse_scenario(emit_scenario(sc)) == sc
+    assert scenario_from_json(json.loads(canonical_dumps(scenario_to_json(sc)))) == sc
+
+
+# malformed values put in place of one field of a strategy record's first row
+BAD_VALUES = ("x", None, ["x"], {"set": "x"}, -1)
+
+
+def _codec_strategies():
+    """(strategy, kind) for the witness, script, Markov table and the
+    witness's history table of fuzzing's random games 0..399."""
+    for s in range(400):
+        g = _random_game(random.Random(s))
+        search = Search(g)
+        witness = search.solve().witness
+        found = [witness, expand(g, witness), search.find_predetermined_one()]
+        try:
+            found.append(search.find_markov_two())
+        except BudgetExceeded:
+            pass
+        yield from ((strat, g.kind) for strat in found if strat is not None)
+
+
+def _malformed(data: dict):
+    """A fixed grid of malformed copies of a strategy record, by name."""
+    rows = "indices" if data["class"] == "pre-one" else "table"
+    yield "no-class", {k: v for k, v in data.items() if k != "class"}
+    yield "kind", dict(data, kind="bogus")
+    yield f"no-{rows}", {k: v for k, v in data.items() if k != rows}
+    for value in BAD_VALUES:
+        yield f"{rows}={value!r}", dict(data, **{rows: value})
+    if rows == "indices":
+        for value in BAD_VALUES:
+            yield f"indices[0]={value!r}", dict(data, indices=[value] + data[rows][1:])
+        return
+    first = data["table"][0]
+    rest = data["table"][1:]
+    yield "two-rows", dict(data, table=[first, first] + rest)
+    # with every field missing or mistyped, the first field read names the fault
+    yield "empty-row", dict(data, table=[{}] + rest)
+    yield "every-field='x'", dict(data, table=[dict.fromkeys(first, "x")] + rest)
+    for field in first:
+        yield f"no-{field}", dict(data, table=[
+            {k: v for k, v in first.items() if k != field}] + rest)
+        for value in BAD_VALUES:
+            yield f"{field}={value!r}", dict(data, table=[dict(first, **{field: value})] + rest)
+
+
+def test_strategy_codec_bytes_and_errors_are_pinned():
+    # each class's row order, field names and the order its decoder reads
+    # fields in (which decides the error text of a record with two faults)
+    digest = hashlib.sha256()
+    samples = {}
+    for strat, kind in _codec_strategies():
+        data = strategy_to_json(strat, kind)
+        assert strategy_from_json(data) == strat
+        digest.update(canonical_dumps(data).encode())
+        if data.get("table", data.get("indices")):
+            samples.setdefault((data["class"], kind), data)
+    # every class occurs at both kinds
+    assert len(samples) == 2 * len(set(REPEATED_ROWS) | {"pre-one"})
+    for (cls, kind), data in sorted(samples.items(), key=lambda s: (s[0][0], s[0][1].value)):
+        for case, bad in _malformed(data):
+            try:
+                out = canonical_dumps(strategy_to_json(strategy_from_json(bad), kind))
+            except ScenarioFormatError as exc:
+                out = f"{type(exc).__name__}: {exc}"
+            digest.update(f"{cls}/{kind.value}/{case}: {out}\n".encode())
+    assert digest.hexdigest() == (
+        "4727cbd688d4794f7e6cc76db044c4e0812a174f5b923b5143568eab7934d2b1")
 
 
 class TestCorpus:

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from brute import (
+    brute_family_flags,
     brute_history_witness,
     brute_least_pre_one,
     brute_markov_two,
@@ -917,7 +918,7 @@ class TestFiniteCharacterizations:
         # all-open first family: echo replies collapse full information
         space = build_topology(3, [0b001, 0b011])
         fam_a = SetFamily.build(space, [0b001, 0b011])
-        assert fam_a.all_open
+        assert brute_family_flags(space, fam_a.members)["all_open"]
         fam_b = SetFamily.build(space, [0b001, 0b010])
         for n in range(0, 4):
             g = build_point_open(space, fam_a, fam_b, n)
