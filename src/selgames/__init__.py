@@ -76,7 +76,6 @@ from .solver import (
     find_predetermined_one,
     solve,
     verify,
-    winner,
 )
 from .transforms import (
     Direction,

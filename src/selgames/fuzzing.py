@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import reduce
 from operator import or_
 from typing import Callable, Optional
@@ -135,23 +135,27 @@ def _random_explicit_target(rng: random.Random, items: list[int]):
     return ExplicitSet(winning=tuple(winning))
 
 
+def _offered(families) -> list[int]:
+    """The items the move sets of ``families`` offer, ascending."""
+    return sorted(set().union(*[set().union(*f) for f in families]))
+
+
 def _random_game(rng: random.Random) -> GameSpec:
     horizon = rng.choice(HORIZONS)
     kind = Kind.FINITE if rng.random() < 0.15 else Kind.SINGLE
-    def sample_move(items) -> frozenset:
-        cap = 2 if kind is Kind.FINITE else 3
-        return frozenset(rng.sample(items, rng.randint(1, min(cap, len(items)))))
+    cap = 2 if kind is Kind.FINITE else 3
+
+    def sample_family(items) -> tuple:
+        return tuple(
+            frozenset(rng.sample(items, rng.randint(1, min(cap, len(items)))))
+            for _ in range(rng.randint(1, 3))
+        )
 
     if rng.random() < 0.55:
         # abstract items with an explicit winning list
-        n = rng.randint(2, 6)
-        items = list(range(n))
-        families = [
-            tuple(sample_move(items) for _ in range(rng.randint(1, 3)))
-            for _ in range(horizon)
-        ]
-        used = sorted(set().union(*[set().union(*f) for f in families]))
-        target = _random_explicit_target(rng, used)
+        items = list(range(rng.randint(2, 6)))
+        families = [sample_family(items) for _ in range(horizon)]
+        target = _random_explicit_target(rng, _offered(families))
         if rng.random() < 0.3:
             target = Not(target)
     else:
@@ -162,13 +166,9 @@ def _random_game(rng: random.Random) -> GameSpec:
         if rng.random() < 0.5:
             # round-constant families make states collide across move
             # orders, which is where unsound memoization would show
-            family = tuple(sample_move(items) for _ in range(rng.randint(1, 3)))
-            families = [family] * horizon
+            families = [sample_family(items)] * horizon
         else:
-            families = [
-                tuple(sample_move(items) for _ in range(rng.randint(1, 3)))
-                for _ in range(horizon)
-            ]
+            families = [sample_family(items) for _ in range(horizon)]
         members = tuple(
             sorted(rng.sample(range(1, full + 1), rng.randint(1, 2)))
         )
@@ -210,7 +210,7 @@ def suite_determinacy(rng: random.Random, count: int,
 
         res.check(
             "determinacy/instance-bounds",
-            len(game.universe) <= 6 and game.horizon <= 4,
+            len(_offered(game.moves)) <= 6 and game.horizon <= 4,
             payload,
         )
         searches = Search(game)
@@ -253,9 +253,8 @@ def _translation_instance(rng: random.Random):
             fam_s.append(frozenset(rng.sample(range(n_src), rng.randint(1, 2))))
         dst_families.append(tuple(fam_d))
         src_families.append(tuple(fam_s))
-    src_items = sorted(set().union(*[set().union(*f) for f in src_families]))
-    dst_items = sorted(set().union(*[set().union(*f) for f in dst_families]))
-    src_target = _random_explicit_target(rng, src_items)
+    src_target = _random_explicit_target(rng, _offered(src_families))
+    dst_items = _offered(dst_families)
     winning_d = tuple(
         frozenset(t)
         for r in range(len(dst_items) + 1)
@@ -343,12 +342,11 @@ def _duality_instance(rng: random.Random):
         if cand not in fam:
             fam.append(cand)
     horizon = rng.choice([1, 2, 2, 3, 3, 4])
+    # the bound holds once only the ranges are left: there are at most 4
+    # (2 members of at most 2 items) and the horizon is at most 4
     while len(fam) * horizon > 16 and len(fam) > len(ranges):
         fam.pop()
-    while len(fam) * horizon > 16:
-        horizon -= 1
-    used = sorted(set().union(*fam) | set().union(*refl))
-    target = _random_explicit_target(rng, used)
+    target = _random_explicit_target(rng, _offered([fam, refl]))
     g_fam = make_game([tuple(fam)] * horizon, horizon, Kind.SINGLE, target)
     g_refl = make_game([tuple(refl)] * horizon, horizon, Kind.SINGLE, Not(target))
     return refl, fam, g_fam, g_refl
@@ -501,18 +499,9 @@ def suite_tukey(rng: random.Random, count: int,
         )
 
         cof = relative_cofinality(src)
-        grown_a = RelPair(
-            carrier=src.carrier,
-            up=src.up,
-            sub_a=tuple(range(len(src.carrier))),
-            sub_b=src.sub_b,
-        )
-        grown_b = RelPair(
-            carrier=src.carrier,
-            up=src.up,
-            sub_a=src.sub_a,
-            sub_b=tuple(range(len(src.carrier))),
-        )
+        every = tuple(range(len(src.carrier)))
+        grown_a = replace(src, sub_a=every)
+        grown_b = replace(src, sub_b=every)
 
         def at_most_of(v, w) -> bool:
             # v <= w with UNDEFINED as the top element
@@ -730,15 +719,12 @@ def suite_ground(rng: random.Random, count: int,
 
 
 def _union_closure(masks) -> list[int]:
-    """The masks closed under pairwise union, ascending."""
-    members = set(masks)
-    changed = True
-    while changed:
-        changed = False
-        for a, b in itertools.combinations(sorted(members), 2):
-            if a | b not in members:
-                members.add(a | b)
-                changed = True
+    """The masks closed under pairwise union, ascending.  One pass does:
+    a closed set with one mask added is closed once it holds the mask's
+    union with each member."""
+    members: set[int] = set()
+    for m in masks:
+        members |= {m | u for u in members} | {m}
     return sorted(members)
 
 

@@ -15,7 +15,7 @@ import enum
 import itertools
 from functools import reduce
 from operator import or_
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Mapping, Optional, Sequence, Union, get_args
 
 from ._bits import is_subset
@@ -242,19 +242,12 @@ class GameSpec:
     horizon: int
     kind: Kind
     target: Target
-    universe: frozenset[int]
 
     def truncated(self, h: int) -> "GameSpec":
         """The same game stopped after ``h`` rounds."""
         if not 0 <= h <= self.horizon:
             raise ValueError("bad truncation horizon")
-        return GameSpec(
-            moves=self.moves[:h],
-            horizon=h,
-            kind=self.kind,
-            target=self.target,
-            universe=self.universe,
-        )
+        return replace(self, moves=self.moves[:h], horizon=h)
 
 
 def advance(game: "GameSpec", state, x):
@@ -290,7 +283,6 @@ def make_game(
     if len(moves) != horizon:
         raise ValueError("moves must list one family per round")
     packed = []
-    universe: set[int] = set()
     for r, family in enumerate(moves):
         if r and family is moves[r - 1]:
             # the builders pass one family object for every round: it is
@@ -299,21 +291,10 @@ def make_game(
             continue
         if not family:
             raise EmptyMove(f"round {r} has no move sets")
-        fam = []
-        for ms in family:
-            fs = frozenset(ms)
-            if not fs:
-                raise EmptyMove(f"round {r} contains an empty move set")
-            fam.append(fs)
-            universe.update(fs)
-        packed.append(tuple(fam))
-    return GameSpec(
-        moves=tuple(packed),
-        horizon=horizon,
-        kind=kind,
-        target=target,
-        universe=frozenset(universe),
-    )
+        packed.append(tuple(map(frozenset, family)))
+        if not all(packed[-1]):
+            raise EmptyMove(f"round {r} contains an empty move set")
+    return GameSpec(moves=tuple(packed), horizon=horizon, kind=kind, target=target)
 
 
 # -- strategies --------------------------------------------------------

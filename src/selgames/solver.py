@@ -386,11 +386,6 @@ def solve(game: GameSpec) -> Determination:
     return Search(game).solve()
 
 
-def winner(game: GameSpec) -> Player:
-    """The winner alone: backward induction without reading a witness."""
-    return Search(game).winner()
-
-
 def find_predetermined_one(
     game: GameSpec, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> Optional[PreOne]:

@@ -360,27 +360,55 @@ def least_open(space, a: int) -> int:
     return functools.reduce(operator.and_, (u for u in space.opens if a & ~u == 0))
 
 
-def cover_number(space, fam_a, fam_b, m: int = 1):
-    """The closed form of the builder games: the least number of distinct
-    sets N(a), for a in ``fam_a``, that put each member of ``fam_b`` inside
-    at least ``m`` of them, or None when no choice does.  At m = 1 it is
-    k(A, B), the least number of the N(a) that cover B.
+def cover_number(space, fam_a, fam_b):
+    """k(A, B), the closed form of the builder cover games: the least
+    number of distinct sets N(a), for a in ``fam_a``, that cover every
+    member of ``fam_b``, or None when no choice does.
 
     The cover side (Two in Rothberger, One in point-open) wins at horizon
     h iff k <= h, and in point-open with window w <= h iff k <= w: every
     open set containing a contains N(a), so the cover side aims at k of
     them, and the other side holds it to the N(a) (One offering the
-    maximal N(a), a minimal cover of A; Two answering a with N(a)).  With
-    multiplicity m, Two wins Rothberger iff the number is at most h; that
-    rule rests on exhaustive checks alone.  Both builders refuse the
-    families exactly when some N(a) is the whole space.
+    maximal N(a), a minimal cover of A; Two answering a with N(a)).  Both
+    builders refuse the families exactly when some N(a) is the whole
+    space.  The rule is for m = 1 only; ``multiplicity_number`` is the
+    closed form with multiplicity.
     """
     hoods = sorted({least_open(space, a) for a in fam_a})
     for k in range(len(hoods) + 1):
         for chosen in itertools.combinations(hoods, k):
-            if all(sum(b & ~u == 0 for u in chosen) >= m for b in fam_b):
+            if all(any(b & ~u == 0 for u in chosen) for b in fam_b):
                 return k
     return None
+
+
+def multiplicity_number(space, fam_a, fam_b, m: int):
+    """The closed form of the builder Rothberger games with multiplicity
+    ``m``: the largest, over One's minimal covers C of ``fam_a``, of the
+    least number of members of C that put each member of ``fam_b`` inside
+    at least m of them, or None when some C has no such choice.
+
+    Two wins at horizon h iff the number is at most h, that is: One wins
+    iff some minimal cover, offered every round, wins.  That rule rests on
+    exhaustive checks alone; Two's half, that Two also beats covers that
+    vary from round to round, is not proved.  Counting the sets N(a) in
+    place of a cover's members, as ``cover_number`` does, is wrong from
+    m = 2: on 3 points with opens {0} and {0, 1}, A = {{0}, {1}} and
+    B = {{0}}, both N(a) hold {0}, but One's only minimal cover is
+    {{0, 1}}, so Two's picks hold {0} once and One wins at m = 2.
+    """
+    worst = 0
+    for cover in brute_min_covers(space, fam_a, space.opens):
+        least = next((
+            k
+            for k in range(len(cover) + 1)
+            for chosen in itertools.combinations(cover, k)
+            if all(sum(b & ~u == 0 for u in chosen) >= m for b in fam_b)
+        ), None)
+        if least is None:
+            return None
+        worst = max(worst, least)
+    return worst
 
 
 def brute_min_covers(space, fam_members, opens):
@@ -542,6 +570,16 @@ def brute_transitive_closure(rows: list[int]) -> list[int]:
                 if rel[i][k] and rel[k][j]:
                     rel[i][j] = True
     return [sum(1 << j for j in range(n) if rel[i][j]) for i in range(n)]
+
+
+def brute_union_closure(seeds) -> list[int]:
+    """Every union of a nonempty subset of the seeds, ascending."""
+    seeds = sorted(set(seeds))
+    return sorted({
+        functools.reduce(operator.or_, combo)
+        for k in range(1, len(seeds) + 1)
+        for combo in itertools.combinations(seeds, k)
+    })
 
 
 def brute_first_intransitive(carrier, up):

@@ -32,7 +32,6 @@ from selgames import (
     solve,
     strengthen_one_for_subsequences,
     verify,
-    winner,
 )
 from selgames.errors import BudgetExceeded, IllegalMove, InputNotWinning, TranslationFailed
 from selgames.fuzzing import fuzz
@@ -90,7 +89,7 @@ def _searches() -> dict:
     return {
         "solve two-won": lambda: solve(two_won),
         "solve one-won": lambda: solve(one_won),
-        "winner": lambda: winner(one_won),
+        "winner": lambda: Search(one_won).winner(),
         "script search, One wins": lambda: find_predetermined_one(one_won),
         "script search, Two wins": lambda: find_predetermined_one(two_won),
         "Markov synthesis, Two wins": lambda: find_markov_two(two_won),

@@ -23,7 +23,7 @@ from selgames.scenarios import (
     scenario_to_json,
 )
 from selgames.serialize import canonical_dumps, rel_pair_from_json, rel_pair_to_json
-from selgames.solver import Search, winner
+from selgames.solver import Search
 
 
 class TestFuzzContract:
@@ -328,7 +328,7 @@ def _force_gamma(patch, expected):
         # the least horizon One wins, found here by deciding each truncation
         least = next(
             h for h in range(1, game.horizon + 1)
-            if winner(game.truncated(h)) is Player.ONE
+            if Search(game.truncated(h)).winner() is Player.ONE
         )
         expected.append(dict(base_payload(), low=least))
         accepted.append(game)

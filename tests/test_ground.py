@@ -10,6 +10,7 @@ from brute import (
     brute_min_covers,
     brute_topologies,
     brute_topology,
+    brute_union_closure,
     finite_subsets_family,
 )
 from selgames import (
@@ -46,6 +47,15 @@ def test_all_topologies_match_the_subset_filter():
         spaces = all_topologies(size)
         assert len(spaces) == count
         assert spaces == brute_topologies(size)
+
+
+def test_union_closure_matches_every_union_of_seeds():
+    # the fuzz generators' one-pass closure against the unions of every
+    # nonempty subset of the seeds; repeats and the empty mask included
+    rng = random.Random(23)
+    for _ in range(400):
+        seeds = [rng.randrange(32) for _ in range(rng.randint(0, 6))]
+        assert _union_closure(seeds) == brute_union_closure(seeds), seeds
 
 
 class TestBuildTopology:

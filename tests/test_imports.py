@@ -9,7 +9,6 @@ the public names it re-exports.
 
 import ast
 from pathlib import Path
-from typing import Iterator
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "selgames"
@@ -85,22 +84,39 @@ def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
     return sorted(f"{module}: {name}" for module, name in defined.keys() - used)
 
 
-def _references(tree: ast.AST) -> Iterator[tuple[str, int]]:
-    """Each name read as a Name, an Attribute or an import alias, with its line."""
+def _bindings(tree: ast.AST, modules: set[str], exported: dict) -> tuple[dict, dict]:
+    """What the imports of ``tree`` bind: each local name bound to a
+    package module's function or class, as ``{local: (module, name)}``, and
+    each bound to a package module, as ``{local: module}``.  It reads
+    ``from .m import x``, ``from selgames.m import x``, and ``from . import
+    x`` or ``from selgames import x``, where ``x`` is a module or a name
+    the package ``exported`` from one."""
+    names, mods = {}, {}
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            yield node.id, node.lineno
-        elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
-        elif isinstance(node, ast.alias):
-            yield node.name, node.lineno
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 1:
+            source = node.module or ""
+        elif node.level == 0 and node.module and node.module.split(".")[0] == "selgames":
+            source = node.module.removeprefix("selgames").removeprefix(".")
+        else:
+            continue
+        for alias in node.names:
+            local = alias.asname or alias.name
+            if source in modules:
+                names[local] = (source, alias.name)
+            elif source == "" and alias.name in modules:
+                mods[local] = alias.name
+            elif source == "" and alias.name in exported:
+                names[local] = exported[alias.name]
+    return names, mods
 
 
-def _traced_names(tree: ast.AST) -> set[str]:
-    """The function names quoted in a ``TRACED`` table of
+def _traced(tree: ast.AST) -> set[tuple[str, str]]:
+    """The ``(module, function)`` pairs quoted in a ``TRACED`` table of
     ``span -> (module, function, counts)``, which are looked up by getattr."""
     return {
-        entry.elts[1].value
+        (entry.elts[0].value, entry.elts[1].value)
         for node in tree.body
         if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
         and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets)
@@ -112,10 +128,13 @@ def _traced_names(tree: ast.AST) -> set[str]:
 def unreferenced_public_names(sources: dict[str, str], callers: list[str]) -> list[str]:
     """The public module-level functions and classes of the package's
     ``sources``, and the public methods of its classes, that nothing refers
-    to: not the package outside their own definition and the re-exports of
-    ``__init__``, and not the ``callers`` (the demos and the benchmark), as
-    ``module: name`` or ``module: Class.method``."""
-    trees = {module: ast.parse(source) for module, source in sources.items()}
+    to, as ``module: name`` or ``module: Class.method``.  A function or class
+    is referred to by a load of a name its import binds, by an attribute
+    of its module, or by a load in its own module outside its definition;
+    a method by an attribute of its name.  The referring code is the
+    package outside ``__init__`` and the ``callers`` (the demos and the
+    benchmark, whose ``TRACED`` table counts too)."""
+    trees = {module.removesuffix(".py"): ast.parse(source) for module, source in sources.items()}
     defined = {}  # (module, name as written) -> (name, the lines of its definition)
     for module, tree in trees.items():
         for node in tree.body:
@@ -128,22 +147,36 @@ def unreferenced_public_names(sources: dict[str, str], callers: list[str]) -> li
             ]:
                 if not item.name.startswith("_"):
                     lines = range(item.lineno, item.end_lineno + 1)
-                    defined[module.removesuffix(".py"), written] = (item.name, lines)
-    used = set()
-    for source in callers:
-        tree = ast.parse(source)
-        used.update(name for name, _ in _references(tree))
-        used |= _traced_names(tree)
-    unused = {key for key, (name, _) in defined.items() if name not in used}
-    for module, tree in trees.items():
-        if module == "__init__.py":
+                    defined[module, written] = (item.name, lines)
+    modules = set(trees) - {"__init__"}
+    exported, _ = _bindings(trees["__init__"], modules, {})
+    used = set()  # (module, name) of functions and classes
+    attributes = []  # (module or None for a caller, attribute name, line)
+    for module, tree in [*trees.items(), *((None, ast.parse(c)) for c in callers)]:
+        if module == "__init__":
             continue
-        module = module.removesuffix(".py")
-        for name, line in _references(tree):
-            unused -= {
-                key for key in unused
-                if defined[key][0] == name and not (key[0] == module and line in defined[key][1])
-            }
+        names, mods = _bindings(tree, modules, exported)
+        used |= _traced(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                if node.id in names:
+                    used.add(names[node.id])
+                key = (module, node.id)
+                if key in defined and node.lineno not in defined[key][1]:
+                    used.add(key)
+            elif isinstance(node, ast.Attribute):
+                attributes.append((module, node.attr, node.lineno))
+                if isinstance(node.value, ast.Name) and node.value.id in mods:
+                    used.add((mods[node.value.id], node.attr))
+    unused = set()
+    for key, (name, lines) in defined.items():
+        module, written = key
+        if "." not in written:
+            if key not in used:
+                unused.add(key)
+        elif not any(attr == name and not (where == module and line in lines)
+                     for where, attr, line in attributes):
+            unused.add(key)
     return sorted(f"{module}: {written}" for module, written in unused)
 
 
@@ -203,9 +236,10 @@ def test_every_private_name_is_used():
 
 def test_every_public_name_has_a_caller():
     # a public name only the tests call moves to tests/brute.py or goes; a
-    # planted function nothing calls, and a method only its own body calls,
-    # are found, while a function a demo calls, and the class and method
-    # that function calls, are not
+    # planted function nothing calls, a method only its own body calls, and
+    # a function named like a method that is called, are found, while a
+    # function a demo calls, and the class and method that function calls,
+    # are not
     modules = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     callers = [
         p.read_text(encoding="utf-8")
@@ -223,7 +257,9 @@ def test_every_public_name_has_a_caller():
         "        return 1\n"
         "    def looping(self):\n"
         "        return self.looping()\n"
+        "def shown():\n"
+        "    return 2\n"
     )})
     demo = "from selgames.planted import called\nprint(called())\n"
     assert unreferenced_public_names(planted, [*callers, demo]) == sorted(
-        [*AWAITING_CALLERS, "planted: Box.looping", "planted: orphan"])
+        [*AWAITING_CALLERS, "planted: Box.looping", "planted: orphan", "planted: shown"])

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from brute import cover_number, expand, least_open
+from brute import cover_number, expand, least_open, multiplicity_number
 
 from selgames import (
     Kind,
@@ -21,11 +21,11 @@ from selgames import (
     find_markov_two,
     find_predetermined_one,
     indiscrete_space,
+    load_scenario,
     make_game,
     singleton_family,
     solve,
     verify,
-    winner,
 )
 from selgames.errors import (
     BudgetExceeded,
@@ -122,17 +122,56 @@ class TestBuilders:
 
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+MULTIPLICITY_SAMPLE = 2_000  # of the 102,650 games of multiplicity_games
+
+
+def multiplicity_games():
+    """Every builder Rothberger game with multiplicity on at most 3 points,
+    in a fixed order: each topology, A any 1-3 nonempty subsets, B any
+    1-2 and m = 2 or 3, as (space, A, B, m)."""
+    for n in (1, 2, 3):
+        for space in all_topologies(n):
+            subsets = range(1, space.full + 1)
+            for na, nb in itertools.product((1, 2, 3), (1, 2)):
+                for a, b in itertools.product(
+                    itertools.combinations(subsets, na), itertools.combinations(subsets, nb)
+                ):
+                    for m in (2, 3):
+                        yield space, a, b, m
+
+
+def check_multiplicity(space, a, b, m) -> int:
+    """The solver's winners of one game of ``multiplicity_games`` at h1-h5
+    against ``multiplicity_number``; the verdicts checked, 0 when the
+    builder refuses the families.  The whole slice, 110,900 verdicts,
+    runs outside the suite:
+
+        PYTHONPATH=src:tests python -c "import test_scenarios as t; \\
+            print(sum(t.check_multiplicity(*g) for g in t.multiplicity_games()))"
+    """
+    fam_a, fam_b = SetFamily.build(space, a), SetFamily.build(space, b)
+    if any(least_open(space, x) == space.full for x in a):
+        with pytest.raises(NoCovers):
+            build_rothberger(space, fam_a, fam_b, 1, multiplicity=m)
+        return 0
+    km = multiplicity_number(space, fam_a.members, fam_b.members, m)
+    multi = build_rothberger(space, fam_a, fam_b, 5, multiplicity=m)
+    for h in range(1, 6):
+        two = Search(multi.truncated(h)).winner() is Player.TWO
+        assert two == (km is not None and km <= h), (space.opens, a, b, m, h)
+    return 5
 
 
 def test_builder_games_follow_the_cover_number():
-    # the closed form in tests/brute.py against the solver, on every
+    # the closed forms in tests/brute.py against the solver.  Every
     # topology on at most 4 points with singletons, closures of singletons
     # and 2-point sets: cover games at h1-h6; on at most 3 points, also
     # with the empty family second, window games w = 1..3 at w <= h <= 5
     # (h <= 6 on 2 points) and multiplicities 2 and 3 (and 1 for the
     # empty family) at h1-h5.  Among them are discrete 2 and 3 with
     # singletons, where k = n: the plain and window values differ exactly
-    # when w < n <= h
+    # when w < n <= h.  Then multiplicities on a seeded sample of the
+    # arbitrary families of multiplicity_games
     refused = decided = 0
     for n in range(1, 5):
         for space in all_topologies(n):
@@ -154,8 +193,8 @@ def test_builder_games_follow_the_cover_number():
                 point_open = build_point_open(space, fam_a, fam_b, 6)
                 for h in range(1, 7):
                     covers = k is not None and k <= h
-                    assert (winner(rothberger.truncated(h)) is Player.TWO) == covers
-                    assert (winner(point_open.truncated(h)) is Player.ONE) == covers
+                    assert (Search(rothberger.truncated(h)).winner() is Player.TWO) == covers
+                    assert (Search(point_open.truncated(h)).winner() is Player.ONE) == covers
                 decided += 12
                 if n > 3:
                     continue
@@ -163,17 +202,28 @@ def test_builder_games_follow_the_cover_number():
                 for w in (1, 2, 3):
                     window = build_point_open(space, fam_a, fam_b, last, window=w)
                     for h in range(w, last + 1):
-                        one = winner(window.truncated(h)) is Player.ONE
+                        one = Search(window.truncated(h)).winner() is Player.ONE
                         assert one == (k is not None and k <= w), (w, h)
                         decided += 1
                 for m in (1, 2, 3) if not fam_b.members else (2, 3):
-                    km = cover_number(space, fam_a.members, fam_b.members, m)
-                    multi = build_rothberger(space, fam_a, fam_b, 5, multiplicity=m)
-                    for h in range(1, 6):
-                        two = winner(multi.truncated(h)) is Player.TWO
-                        assert two == (km is not None and km <= h), (m, h)
-                        decided += 1
+                    decided += check_multiplicity(space, fam_a.members, fam_b.members, m)
+    games = list(multiplicity_games())
+    for game in random.Random(31).sample(games, MULTIPLICITY_SAMPLE):
+        decided += check_multiplicity(*game)
     assert refused and decided > 10_000
+
+
+def test_lambda_counterexample_one_wins():
+    # a 3-point game where counting the N(a) misjudges multiplicity:
+    # both N(a) hold {0}, so that count says Two wins at h = 2, but One's
+    # only minimal cover is {{0, 1}} and One wins by offering it twice
+    sc = load_scenario(SCENARIO_DIR / "rothberger-lambda-one-wins.json")
+    game = build_game(sc)
+    hoods = {least_open(sc.space, a) for a in sc.fam_a}
+    assert len(hoods) == 2 and all(b & ~u == 0 for u in hoods for b in sc.fam_b)
+    assert multiplicity_number(sc.space, sc.fam_a, sc.fam_b, 2) is None
+    assert solve(game).winner is Player.ONE
+    assert find_predetermined_one(game).indices == (0, 0)
 
 
 class TestScenarioFiles:

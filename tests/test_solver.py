@@ -47,15 +47,14 @@ from selgames import (
     singleton_family,
     solve,
     verify,
-    winner,
 )
 from selgames.errors import BudgetExceeded, IllegalMove
-from selgames.fuzzing import _random_game
+from selgames.fuzzing import _offered, _random_game
 from selgames.game import MarkovTwo, StateOne, StateTwo, advance, two_choices
 from selgames.ground import SetFamily
 from selgames.scenarios import build_game, corpus
 from selgames.serialize import canonical_dumps, strategy_from_json, strategy_to_json
-from selgames.solver import MAX_EXHIBITS
+from selgames.solver import MAX_EXHIBITS, Search
 from selgames.transforms import _transfer
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -158,7 +157,7 @@ class TestSolve:
         singles = singleton_family(space)
         g = build_point_open(space, singles, singles, 5)
         solve(g)
-        assert calls[0] <= len(g.universe)
+        assert calls[0] <= len(_offered(g.moves))
         calls[0] = 0
         solve(g)
         assert calls[0] == 0
@@ -167,7 +166,7 @@ class TestSolve:
         rng = random.Random(19)
         for _ in range(25):
             g = _random_game(rng)
-            assert winner(g) == solve(g).winner
+            assert Search(g).winner() == solve(g).winner
 
 
 class TestFindPredeterminedOne:
@@ -215,7 +214,7 @@ class TestFindPredeterminedOne:
         # the prune, 1,578 when scripts are enumerated)
         g = build_point_open(d3, singles3, singles3, 6, window=2)
         calls = _counting_steps(monkeypatch, WindowCover)
-        assert winner(g) is Player.TWO
+        assert Search(g).winner() is Player.TWO
         determining = calls["step"]
         calls["step"] = 0
         assert find_predetermined_one(g) is None
@@ -253,7 +252,7 @@ class TestFindMarkovTwo:
             Kind.SINGLE,
             ExplicitSet(winning=tuple(frozenset([1, k]) for k in range(2, 10, 2))),
         )
-        assert winner(g) is Player.TWO
+        assert Search(g).winner() is Player.TWO
         markov = find_markov_two(g)
         assert markov is not None and len(markov.table) == 10
         assert verify(g, markov).valid
@@ -301,7 +300,7 @@ class TestFindMarkovTwo:
         singles4 = singleton_family(d4)
         for h in (1, 2, 3):
             rothberger = build_rothberger(d4, singles4, singles4, h)
-            assert winner(rothberger) is Player.ONE
+            assert Search(rothberger).winner() is Player.ONE
             assert find_markov_two(rothberger) is None
             point_open = build_point_open(d4, singles4, singles4, h)
             assert check_duality(rothberger, point_open).all_hold
@@ -737,7 +736,7 @@ def _illegal_strategies(g):
     full_two = expand(g, least)
     deepest_one = [h for h in full_one.table if len(h) == last][-1]
     deepest_two = list(full_two.table)[-1]
-    outside = max(g.universe) + 1
+    outside = max(_offered(g.moves)) + 1
     bad_items = [outside] if g.kind is Kind.SINGLE else [
         frozenset([outside]), frozenset()
     ]

@@ -47,7 +47,7 @@ from selgames.errors import (
     TranslationFailed,
     WitnessMissing,
 )
-from selgames.fuzzing import _translation_instance
+from selgames.fuzzing import _offered, _translation_instance
 from selgames.ground import family_of
 from selgames.solver import Search
 from selgames.transforms import _transfer
@@ -71,7 +71,7 @@ def identity_pack(game):
             {
                 (x, j): x
                 for j in range(len(game.moves[r]))
-                for x in game.universe
+                for x in _offered(game.moves)
             }
         )
     return TranslationPack(t_one=tuple(t_one), t_two=tuple(t_two))
@@ -112,7 +112,7 @@ class TestAxioms:
             for legal in (True, False):
                 r = rng.randrange(src.horizon)
                 key = rng.choice(sorted(pack.t_two[r]))
-                pool = dst.moves[r][key[1]] if legal else dst.universe | {-1}
+                pool = dst.moves[r][key[1]] if legal else _offered(dst.moves) + [-1]
                 t_two = list(pack.t_two)
                 t_two[r] = dict(t_two[r])
                 t_two[r][key] = rng.choice(sorted(pool))
@@ -275,7 +275,7 @@ class TestApplyTranslation:
         # sets; the identity pack carries the cover game's witness across
         for h, direction in ((1, Direction.FULL_TWO), (2, Direction.FULL_ONE_PULLBACK)):
             cover = build_point_open(d2, singles2, singles2, h)
-            items = sorted(cover.universe)
+            items = _offered(cover.moves)
             listed = make_game(cover.moves, h, Kind.SINGLE, ExplicitSet(winning=tuple(
                 frozenset(c)
                 for k in range(len(items) + 1)
@@ -371,7 +371,7 @@ class TestMinimalCoverJustification:
         t_two = {
             (x, j): x
             for j in range(len(unrestricted.moves[0]))
-            for x in minimal.universe
+            for x in _offered(minimal.moves)
         }
         pack = TranslationPack(
             t_one=(t_one,) * 2, t_two=(t_two,) * 2
