@@ -47,7 +47,7 @@ from .solver import (
     solve,
     verify,
 )
-from .transforms import Direction, _require_axioms, _transfer, _winning_input
+from .transforms import Direction, apply_translation
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -163,11 +163,7 @@ def _cmd_duality(args) -> int:
     payload = {
         "left": left.name,
         "right": right.name,
-        "clauses": {
-            "one-left-iff-two-right": report.one_fam_iff_two_refl,
-            "pre-left-iff-markov-right": report.pre_fam_iff_markov_refl,
-            "pre-right-iff-markov-left": report.pre_refl_iff_markov_fam,
-        },
+        "clauses": report.clauses,
         "facts": report.facts,
         "all_hold": report.all_hold,
     }
@@ -184,19 +180,15 @@ def _cmd_duality(args) -> int:
 
 def _cmd_translate(args) -> int:
     pack = pack_from_json(load_json(args.pack))
-    src = Search(build_game(load_scenario(args.src)))
-    dst = Search(build_game(load_scenario(args.dst)))
+    src = build_game(load_scenario(args.src))
+    dst = build_game(load_scenario(args.dst))
     direction = Direction(args.direction)
-    _require_axioms(pack, src.game, dst.game)
-    if args.input:
-        strategy = strategy_from_json(load_json(args.input))
-    else:
-        strategy = _winning_input(direction, src, dst, args.budget)
-        if strategy is None:
-            _emit({"transferred": None, "reason": "no winning input strategy"},
-                  args.json, ["nothing to transfer: no winning input strategy"])
-            return EXIT_OK
-    out = _transfer(pack, src, dst, direction, strategy)
+    strategy = strategy_from_json(load_json(args.input)) if args.input else None
+    out = apply_translation(pack, src, dst, direction, strategy, args.budget)
+    if out is None:
+        _emit({"transferred": None, "reason": "no winning input strategy"},
+              args.json, ["nothing to transfer: no winning input strategy"])
+        return EXIT_OK
     # the axioms hold only between single-kind games
     payload = {"direction": direction.value, "transferred": strategy_to_json(out)}
     _emit(payload, args.json,

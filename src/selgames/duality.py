@@ -89,13 +89,15 @@ class DualityReport:
     over the reflecting family with target Not(T).  The strategic clause
     compares full-information winners; the limited clauses compare One's
     predetermined scripts against Two's Markov tables crosswise.
+    ``clauses`` maps each clause's name to whether it holds.
     """
 
-    one_fam_iff_two_refl: bool
-    pre_fam_iff_markov_refl: bool
-    pre_refl_iff_markov_fam: bool
-    all_hold: bool
+    clauses: dict
     facts: dict
+
+    @property
+    def all_hold(self) -> bool:
+        return all(self.clauses.values())
 
 
 def check_duality(game_over_fam: GameSpec, game_over_refl: GameSpec,
@@ -127,14 +129,12 @@ def check_duality(game_over_fam: GameSpec, game_over_refl: GameSpec,
     pre_refl = refl.find_predetermined_one(node_budget) is not None
     markov_fam = fam.find_markov_two(node_budget) is not None
     markov_refl = refl.find_markov_two(node_budget) is not None
-    strategic = one_fam != one_refl
-    limited_fam = pre_fam == markov_refl
-    limited_refl = pre_refl == markov_fam
     return DualityReport(
-        one_fam_iff_two_refl=strategic,
-        pre_fam_iff_markov_refl=limited_fam,
-        pre_refl_iff_markov_fam=limited_refl,
-        all_hold=strategic and limited_fam and limited_refl,
+        clauses={
+            "one-left-iff-two-right": one_fam != one_refl,
+            "pre-left-iff-markov-right": pre_fam == markov_refl,
+            "pre-right-iff-markov-left": pre_refl == markov_fam,
+        },
         facts={
             "one_wins_family_game": one_fam,
             "one_wins_reflection_game": one_refl,

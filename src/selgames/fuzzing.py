@@ -65,7 +65,6 @@ from .solver import DEFAULT_NODE_BUDGET, Search, verify
 from .transforms import (
     Direction,
     _transfer,
-    _winning_input,
     check_translation_axioms,
     intersect_predetermined,
     is_filter_base,
@@ -289,28 +288,22 @@ def suite_translation(rng: random.Random, count: int,
             payload,
         ):
             continue
-        # each game is searched only for the directions still short of
-        # count, so every input found is transferred and budget_exceeded
-        # counts only the syntheses that ran; the transfers reuse the contexts
+        # only directions still short of count are searched, so
+        # budget_exceeded counts only the syntheses that ran; the pack passed
+        # its axiom check above, so anything else _transfer raises (it
+        # refuses an output that loses) is a violation
         contexts = Search(src), Search(dst)
-        inputs = {}
+        progressed = False
         for direction in (Direction.FULL_TWO, Direction.MARKOV_TWO,
                           Direction.FULL_ONE_PULLBACK, Direction.PRE_ONE_PULLBACK):
             if done[direction] >= count:
                 continue
             try:
-                strategy = _winning_input(direction, *contexts, node_budget)
+                if _transfer(pack, *contexts, direction, None, node_budget) is None:
+                    continue
             except BudgetExceeded:
                 res.budget_exceeded += 1
                 continue
-            if strategy is not None:
-                inputs[direction] = strategy
-        progressed = False
-        for direction, strategy in inputs.items():
-            # the pack passed its axiom check above; _transfer refuses an
-            # output that loses, so a violation is anything it raises
-            try:
-                _transfer(pack, *contexts, direction, strategy)
             except Exception as exc:  # noqa: BLE001 - any failure is a finding
                 res.violate(
                     f"translation/{direction.value}-raised:{type(exc).__name__}",

@@ -371,10 +371,10 @@ def strategy_lookup(strategy, side: Optional[Player] = None) -> tuple[Player, Ca
     index after Two's selections, or Two's selection after One's indices
     (the current one last).  A missing row raises IllegalMove; the answer
     is not checked against the move sets.  A plain sequence, as ``play``
-    takes, plays ``side`` and answers its r-th entry."""
+    takes, is a script for ``side``, read as a PreOne's indices are."""
     found = _LOOKUPS.get(type(strategy))
     if found is None and side is not None:
-        found, rows = (side, None, _LOOKUPS[PreOne][2]), strategy
+        found, rows = (side, *_LOOKUPS[PreOne][1:]), dict(enumerate(strategy))
     elif found is None or side not in (None, found[0]):
         raise TypeError(f"not a {side.value + ' ' if side else ''}strategy: {strategy!r}")
     else:

@@ -11,9 +11,11 @@ predetermined One pull back.  The full-information transfers take a
 history table or the state-keyed witness ``solve`` returns (a StateTwo
 pushed forward, a StateOne pulled back) and build the history table of
 the other game in one walk that carries the input game's target state.
-Each transfer is built exactly as in its existence proof, given the
-games' search contexts: its input is verified once on its game's, and
-its output on the other's before it is returned.
+``apply_translation`` checks the axioms, builds one search context per
+game and, given no strategy, transfers the winning input it finds on
+them; the fuzz suite checks each pack once and transfers on its own
+contexts.  Each transfer is built exactly as in its existence proof: its
+input is verified once on its game's context, its output on the other's.
 
 The module also hosts the two strengthening constructions for One over
 filter-base move families: the full-information one (a script or a
@@ -57,7 +59,7 @@ from .game import (
     strategy_lookup,
 )
 from .ground import SetFamily
-from .solver import Search, verify
+from .solver import DEFAULT_NODE_BUDGET, Search, verify
 
 
 @dataclass(frozen=True)
@@ -82,9 +84,12 @@ class AxiomCheck:
 
 
 def _require_single(*games: GameSpec) -> None:
+    """The games a pack joins: single-selection games of one horizon."""
     for g in games:
         if g.kind is not Kind.SINGLE:
             raise ValueError("translation machinery covers single-selection games")
+    if len({g.horizon for g in games}) > 1:
+        raise ValueError("games must share a horizon")
 
 
 def check_translation_axioms(
@@ -103,8 +108,6 @@ def check_translation_axioms(
     target accepts and the target game's target rejects: (js, xs).
     """
     _require_single(src, dst)
-    if src.horizon != dst.horizon:
-        raise ValueError("games must share a horizon")
     h = src.horizon
     if len(pack.t_one) != h or len(pack.t_two) != h:
         raise ValueError("pack must carry one map pair per round")
@@ -176,51 +179,43 @@ def apply_translation(
     src: GameSpec,
     dst: GameSpec,
     direction: Direction,
-    strategy: Union[MarkovTwo, FullTwo, StateTwo, FullOne, StateOne, PreOne],
+    strategy: Union[MarkovTwo, FullTwo, StateTwo, FullOne, StateOne, PreOne, None] = None,
+    node_budget: int = DEFAULT_NODE_BUDGET,
 ):
-    """Transfer a winning strategy along a pack that satisfies the axioms.
+    """Check the pack's axioms, build one search context per game and
+    transfer ``strategy`` or, given none, the winning input found on its
+    game's context: the witness for a full direction, the Markov table or
+    script synthesized under ``node_budget`` for a limited one.  Returns
+    None when that game's side loses or no limited strategy exists.
 
     MARKOV_TWO takes a MarkovTwo and FULL_TWO a FullTwo or StateTwo, for
     the source game; FULL_ONE_PULLBACK takes a FullOne or StateOne and
     PRE_ONE_PULLBACK a PreOne, for the target game.  The output plays the
     other game; the full directions return a FullTwo or FullOne, with the
     same rows for a state-keyed input as for the history table it stands
-    for.  Raises AxiomsFail, ValueError
-    for a class the direction does not take, InputNotWinning for an input
-    that loses and TranslationFailed for an output that loses.
+    for.  Raises AxiomsFail, BudgetExceeded, ValueError for a class the
+    direction does not take, InputNotWinning for an input that loses and
+    TranslationFailed for an output that loses.
     """
-    _require_axioms(pack, src, dst)
-    return _transfer(pack, Search(src), Search(dst), direction, strategy)
-
-
-def _require_axioms(pack: TranslationPack, src: GameSpec, dst: GameSpec) -> None:
-    """Raise AxiomsFail, naming the first failure, unless the axioms hold."""
     check = check_translation_axioms(pack, src, dst)
     if not check:
         raise AxiomsFail(f"pack violates {check.failure[0]} at {check.failure[1]}")
-
-
-def _winning_input(direction: Direction, src: Search, dst: Search, node_budget: int):
-    """A winning input strategy for ``direction``, found on the context of
-    the game it takes one for, or None when that game's side loses or no
-    limited one exists: the synthesized script or Markov table for the
-    limited directions (BudgetExceeded past ``node_budget``), the
-    witness for the full ones."""
-    _, pushes, synthesize = _DIRECTIONS[direction]
-    search, side = (src, Player.TWO) if pushes else (dst, Player.ONE)
-    if search.winner() is not side:
-        return None
-    return search.solve().witness if synthesize is None else synthesize(search, node_budget)
+    return _transfer(pack, Search(src), Search(dst), direction, strategy, node_budget)
 
 
 def _transfer(pack: TranslationPack, src_search: Search, dst_search: Search,
-              direction: Direction, strategy):
-    """``apply_translation`` for a pack whose axioms already hold, given
-    the two games' search contexts: the input is verified on its game's
-    context and the output on the other game's."""
-    takes, pushes, _ = _DIRECTIONS[direction]
+              direction: Direction, strategy, node_budget: int = DEFAULT_NODE_BUDGET):
+    """``apply_translation`` on the games' contexts, for a pack whose axioms hold."""
+    takes, pushes, synthesize = _DIRECTIONS[direction]
     in_search, out_search = (src_search, dst_search) if pushes else (dst_search, src_search)
     side = "source" if pushes else "target"
+    if strategy is None:
+        if in_search.winner() is not (Player.TWO if pushes else Player.ONE):
+            return None
+        strategy = (in_search.solve().witness if synthesize is None
+                    else synthesize(in_search, node_budget))
+        if strategy is None:
+            return None
     if not isinstance(strategy, takes):
         names = " or ".join(cls.__name__ for cls in takes)
         raise ValueError(f"{direction.value} takes a {names} for the {side} game")
@@ -297,8 +292,6 @@ def lift_item_map(
     preimage in item order.
     """
     _require_single(src, dst)
-    if src.horizon != dst.horizon:
-        raise ValueError("games must share a horizon")
     t_one = []
     t_two = []
     for r in range(dst.horizon):

@@ -1,6 +1,8 @@
+import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -293,6 +295,26 @@ class TestTranslate:
                 assert err == ("translation axioms fail:"
                                " pack violates legality at (0, 0, None)\n"), direction
 
+    def test_malformed_input_is_reported_before_the_axioms(self, capsys, tmp_path):
+        # the --input file is decoded before the pack's axioms are checked:
+        # a malformed file is a usage error even beside a pack that fails
+        tiny = str(SCENARIOS / "tiny-abstract.json")
+        pack = tmp_path / "pack.json"
+        pack.write_text(json.dumps({"t_one": [[], []], "t_two": [[], []]}))
+        bad = tmp_path / "input.json"
+        for text in ("{", json.dumps({"class": "no-such-class"})):
+            bad.write_text(text)
+            code, out, err = run(capsys, "translate", str(pack), tiny, tiny,
+                                 "--direction", "markov-two", "--input", str(bad))
+            assert code == 1, text
+            assert out == ""
+            assert err.startswith("error: ") and len(err.splitlines()) == 1, text
+        # a well-formed input leaves the pack's failure to be reported
+        bad.write_text(json.dumps({"class": "markov-two", "kind": "single", "table": []}))
+        code, out, err = run(capsys, "translate", str(pack), tiny, tiny,
+                             "--direction", "markov-two", "--input", str(bad))
+        assert code == 2 and err.startswith("translation axioms fail: ")
+
 
 class TestCofinality:
     def test_pairs_over_singletons(self, capsys):
@@ -578,3 +600,19 @@ def test_pinned_pullback_bytes(capsys, tmp_path):
         assert json.loads(out)["transferred"] is not None, extra
         outs.append(out)
     assert hashlib.sha256("".join(outs).encode()).hexdigest() == PULLBACK_SHA256
+
+
+def test_readme_synopsis_lists_every_option():
+    # each command's line in the README's command-line synopsis names every
+    # long option its subparser takes
+    readme = (SCENARIOS.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    lines = {line.split()[1]: line for line in block.splitlines() if line.strip()}
+    (commands,) = [a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    assert set(lines) == set(commands.choices)
+    for name, sub in commands.choices.items():
+        for action in sub._actions:
+            for option in action.option_strings:
+                if option.startswith("--") and option != "--help":
+                    assert option in re.findall(r"--[a-z-]+", lines[name]), (name, option)

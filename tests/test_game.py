@@ -147,6 +147,18 @@ class TestPlay:
                 play(g, one, [0])
             assert (exc.value.round_index, str(exc.value)) == (0, "move index 3 out of range")
 
+    def test_short_sequence_is_a_short_script(self, d2, singles2):
+        # a plain sequence is a script for either side: one that ends before
+        # the horizon raises IllegalMove at the first round it lacks, as a
+        # short PreOne does
+        g = build_point_open(d2, singles2, singles2, 2)
+        for one, two, r in (([0], [1, 2], 1), (PreOne((0,)), [1, 2], 1),
+                            ([0, 1], [1], 1), ((), (), 0), ([0, 1], (), 0)):
+            with pytest.raises(IllegalMove) as exc:
+                play(g, one, two)
+            assert (exc.value.round_index, str(exc.value)) == (
+                r, "predetermined script too short"), (one, two)
+
     def test_replay_reproduces_record(self, d3, singles3):
         g = build_point_open(d3, singles3, singles3, 2)
         rec = play(g, (0, 1), [1, 3])

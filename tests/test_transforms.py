@@ -8,6 +8,7 @@ from brute import (
     brute_subsequences_are_plays,
     brute_translation_axioms,
     brute_verify,
+    brute_winner,
     expand,
     preservation_fails,
     pulled_plays,
@@ -38,6 +39,7 @@ from selgames import (
     strengthen_one_for_subsequences,
     verify,
 )
+from selgames import fuzzing
 from selgames.errors import (
     AxiomsFail,
     ImageNotMove,
@@ -47,7 +49,7 @@ from selgames.errors import (
     TranslationFailed,
     WitnessMissing,
 )
-from selgames.fuzzing import _offered, _translation_instance
+from selgames.fuzzing import _offered, _translation_instance, fuzz
 from selgames.ground import family_of
 from selgames.solver import Search
 from selgames.transforms import _transfer
@@ -315,6 +317,50 @@ class TestApplyTranslation:
                 identity_pack(src), src, dst, Direction.PRE_ONE_PULLBACK,
                 PreOne(indices=(0,)),
             )
+
+    def test_without_input_transfers_the_input_it_finds(self, monkeypatch):
+        # on every instance the translation suite draws for seeds 0-39, in
+        # every direction: given no strategy, apply_translation returns what
+        # passing the input synthesized apart from it returns, or None
+        # exactly when the input game's side loses or no script or Markov
+        # table wins it
+        drawn = []
+        draw = fuzzing._translation_instance
+
+        def recording(rng):
+            drawn.append(draw(rng))
+            return drawn[-1]
+
+        monkeypatch.setattr(fuzzing, "_translation_instance", recording)
+        for seed in range(40):
+            fuzz(seed=seed, count=20, suites=("translation",))
+        monkeypatch.undo()
+        pushed = (Direction.MARKOV_TWO, Direction.FULL_TWO)
+        found = {
+            Direction.MARKOV_TWO: find_markov_two,
+            Direction.FULL_TWO: lambda g: solve(g).witness,
+            Direction.FULL_ONE_PULLBACK: lambda g: solve(g).witness,
+            Direction.PRE_ONE_PULLBACK: find_predetermined_one,
+        }
+        transferred = dict.fromkeys(Direction, 0)
+        nothing = dict.fromkeys(Direction, 0)
+        for pack, src, dst in drawn:
+            for direction in Direction:
+                game, side = (src, Player.TWO) if direction in pushed else (dst, Player.ONE)
+                strategy = found[direction](game) if brute_winner(game) is side else None
+                out = apply_translation(pack, src, dst, direction)
+                if strategy is None:
+                    assert out is None
+                    nothing[direction] += 1
+                else:
+                    assert out == apply_translation(pack, src, dst, direction, strategy)
+                    transferred[direction] += 1
+        # both kinds of None occur: some winning sides have no limited strategy
+        assert min(transferred.values()) >= 500 and min(nothing.values()) >= 500, (
+            transferred, nothing)
+        assert transferred[Direction.MARKOV_TWO] < transferred[Direction.FULL_TWO]
+        assert (transferred[Direction.PRE_ONE_PULLBACK]
+                < transferred[Direction.FULL_ONE_PULLBACK])
 
 
 class TestMinimalCoverJustification:
