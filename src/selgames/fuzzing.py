@@ -270,9 +270,11 @@ def _translation_instance(rng: random.Random):
 def suite_translation(rng: random.Random, count: int,
                       node_budget: int = DEFAULT_NODE_BUDGET) -> SuiteResult:
     res = SuiteResult()
-    done = {d: 0 for d in Direction}
+    directions = (Direction.FULL_TWO, Direction.MARKOV_TWO,
+                  Direction.FULL_ONE_PULLBACK, Direction.PRE_ONE_PULLBACK)
+    done = [0] * len(directions)  # transfers per direction, by position
     max_attempts = 80 * count + 400
-    while any(v < count for v in done.values()) and res.attempts < max_attempts:
+    while min(done) < count and res.attempts < max_attempts:
         res.attempts += 1
         pack, src, dst = _translation_instance(rng)
 
@@ -294,9 +296,8 @@ def suite_translation(rng: random.Random, count: int,
         # refuses an output that loses) is a violation
         contexts = Search(src), Search(dst)
         progressed = False
-        for direction in (Direction.FULL_TWO, Direction.MARKOV_TWO,
-                          Direction.FULL_ONE_PULLBACK, Direction.PRE_ONE_PULLBACK):
-            if done[direction] >= count:
+        for k, direction in enumerate(directions):
+            if done[k] >= count:
                 continue
             try:
                 if _transfer(pack, *contexts, direction, None, node_budget) is None:
@@ -309,12 +310,12 @@ def suite_translation(rng: random.Random, count: int,
                     f"translation/{direction.value}-raised:{type(exc).__name__}",
                     payload,
                 )
-            done[direction] += 1
+            done[k] += 1
             progressed = True
         if progressed:
             res.instances += 1
     res.findings.append(
-        {"transferred-per-direction": {d.value: n for d, n in sorted(done.items(), key=lambda kv: kv[0].value)}}
+        {"transferred-per-direction": dict(sorted((d.value, n) for d, n in zip(directions, done)))}
     )
     return res
 
@@ -386,10 +387,11 @@ def _cof_families(rng: random.Random, size: int):
 def suite_cofinality(rng: random.Random, count: int,
                      node_budget: int = DEFAULT_NODE_BUDGET) -> SuiteResult:
     res = SuiteResult()
+    spaces = {size: discrete_space(size) for size in SPACE_SIZES}
     while res.instances < count:
         res.attempts += 1
         size = rng.choice(SPACE_SIZES)
-        space = discrete_space(size)
+        space = spaces[size]
         fam_a_masks, fam_b_masks = _cof_families(rng, size)
         fam_a = SetFamily.build(space, fam_a_masks)
         fam_b = SetFamily.build(space, fam_b_masks)
@@ -586,10 +588,11 @@ def _ideal_base_family(rng: random.Random, space) -> SetFamily:
 def suite_gamma(rng: random.Random, count: int,
                 node_budget: int = DEFAULT_NODE_BUDGET) -> SuiteResult:
     res = SuiteResult()
+    spaces = {size: discrete_space(size) for size in (2, 3)}
     while res.instances < count:
         res.attempts += 1
         size = rng.choice([2, 2, 3])
-        space = discrete_space(size)
+        space = spaces[size]
         fam_a = _ideal_base_family(rng, space)
         if any(m == space.full for m in fam_a.members):
             fam_a = SetFamily.build(space, [m for m in fam_a.members if m != space.full])
@@ -670,10 +673,11 @@ def suite_gamma(rng: random.Random, count: int,
 def suite_ground(rng: random.Random, count: int,
                  node_budget: int = DEFAULT_NODE_BUDGET) -> SuiteResult:
     res = SuiteResult()
+    spaces = {size: discrete_space(size) for size in (2, 3, 4)}
     while res.instances < count:
         res.attempts += 1
         size = rng.choice([2, 3, 3, 4])
-        space = discrete_space(size)
+        space = spaces[size]
         fam = _ideal_base_family(rng, space)
         if rng.random() < 0.6 and not fam.covers_universe:
             extra = space.full & ~reduce(or_, fam.members, 0)

@@ -15,7 +15,7 @@ import enum
 import itertools
 from functools import reduce
 from operator import or_
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Optional, Sequence, Union, get_args
 
 from ._bits import is_subset
@@ -247,7 +247,7 @@ class GameSpec:
         """The same game stopped after ``h`` rounds."""
         if not 0 <= h <= self.horizon:
             raise ValueError("bad truncation horizon")
-        return replace(self, moves=self.moves[:h], horizon=h)
+        return GameSpec(moves=self.moves[:h], horizon=h, kind=self.kind, target=self.target)
 
 
 def advance(game: "GameSpec", state, x):
@@ -394,11 +394,9 @@ def two_choices(game: GameSpec, move_set: MoveSet) -> Iterator:
     """Two's legal selections from one move set, in canonical order."""
     items = sorted(move_set)
     if game.kind is Kind.SINGLE:
-        yield from items
-    else:
-        for r in range(1, len(items) + 1):
-            for combo in itertools.combinations(items, r):
-                yield frozenset(combo)
+        return iter(items)
+    return (frozenset(combo) for r in range(1, len(items) + 1)
+            for combo in itertools.combinations(items, r))
 
 
 def legal_selection(game: GameSpec, r: int, move_set: MoveSet, x):

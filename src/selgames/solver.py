@@ -21,7 +21,8 @@ answer (``game.strategy_lookup``) once, asks it once per node, and
 records the moves into the children that hold a loss, so counter-plays
 are read off those losses as the witness is read off the rows.  A
 Search, the search context of one game, answers every question asked of
-it; the module-level functions build one for a single question.
+it from plain dicts, stepping a transition where a lookup misses it;
+the module-level functions build one for a single question.
 
 A recursive helper nested in a search refers to itself through its
 closure cell, a reference cycle that would keep it and every table it
@@ -61,25 +62,7 @@ DEFAULT_NODE_BUDGET = 10**7
 MAX_EXHIBITS = 16
 
 
-class _Table(dict):
-    """A dict that fills a missing key with ``fill(key)`` on first lookup."""
-
-    def __init__(self, fill):
-        super().__init__()
-        self.fill = fill
-
-    def __missing__(self, key):
-        value = self[key] = self.fill(key)
-        return value
-
-
-class _Steps(_Table):
-    """A _Table keyed by (state, selection) that fills a missing key with
-    ``fill(state, selection)``: the target is stepped with no frame between."""
-
-    def __missing__(self, key):
-        value = self[key] = self.fill(*key)
-        return value
+_UNSTEPPED = object()  # a transition not stepped yet: None is a target state
 
 
 @dataclass(frozen=True)
@@ -106,12 +89,13 @@ class VerificationReport:
 class Search:
     """The search context of one game, for every question asked of it.
 
-    It holds the (state, selection) -> next state cache, Two's selections
-    from each move set as a tuple in canonical order (listed on first
-    use: a finite-kind move set of k items has 2^k - 1 of them) and the
-    (round, state) determination memo, whose entry is the winner's row
-    there; the determination, the script search, Markov synthesis and
-    verification read selections and step the target only through those
+    It holds three plain dicts: ``selections``, Two's selections from each
+    move set the game offers as a tuple in canonical order, listed when it
+    is built (a finite-kind move set of k items has 2^k - 1 of them);
+    ``transitions``, the (state, selection) -> next state cache, filled
+    where a search's lookup misses; and ``rows``, the (round, state)
+    determination memo, whose entry is the winner's row there.  Every
+    search reads selections and steps the target only through those
     tables, the witness is read off the rows, and both synthesizers read
     their prune off the memo.  A caller asking several questions of one
     game builds one and passes it on: no answer depends on what was asked
@@ -121,16 +105,17 @@ class Search:
 
     def __init__(self, game: GameSpec):
         self.game = game
-        # each transition is stepped once, however often the searches meet
-        # it: a single-kind selection is one item, stepped by the target
+        # a single-kind selection is one item, stepped by the target
         # itself, and a finite-kind one goes through ``advance``
-        self.transitions = _Steps(
-            game.target.step if game.kind is Kind.SINGLE else functools.partial(advance, game)
-        )
-        self.selections = _Table(lambda ms: tuple(two_choices(game, ms)))
-        # (round, state) -> the winner's row there: a tuple of Two's first
-        # winning reply to each move set, or One's first index (an int)
-        # with no winning reply
+        self.step = game.target.step if game.kind is Kind.SINGLE else functools.partial(advance, game)
+        self.transitions: dict = {}  # each stepped once, however often met
+        self.selections = selections = {}
+        for family in game.moves:
+            for ms in family:
+                if ms not in selections:
+                    selections[ms] = tuple(two_choices(game, ms))
+        # (round, state) -> the winner's row there: Two's first winning reply
+        # to each move set (a tuple), or One's first index with none (an int)
         self.rows: dict = {}
         self.nodes = 0
         self.hits = 0
@@ -153,7 +138,8 @@ class Search:
         row = []
         for ms in game.moves[r]:
             for x in selections[ms]:
-                nxt = transitions[state, x]
+                if (nxt := transitions.get((state, x), _UNSTEPPED)) is _UNSTEPPED:
+                    nxt = transitions[state, x] = self.step(state, x)
                 if accept(nxt) if last else self.two_wins(r + 1, nxt):
                     row.append(x)
                     break
@@ -188,6 +174,7 @@ class Search:
                 table[r, state] = row
                 replies = selections[game.moves[r][row]]
             if r + 1 < game.horizon:
+                # the determination stepped every move its rows make
                 for x in replies:
                     nxt = (r + 1, transitions[state, x])
                     if nxt not in seen:
@@ -216,8 +203,9 @@ class Search:
             if key in memo:
                 return memo[key]
             memo[key] = None
-            if any(two_wins(r, state) == one_side for state in states):
-                return None
+            for state in states:
+                if two_wins(r, state) == one_side:
+                    return None
             if r == horizon:
                 memo[key] = ()
                 return ()
@@ -248,9 +236,12 @@ class Search:
                 for state in states:
                     nexts = reached.get((state, ms))
                     if nexts is None:
-                        nexts = reached[state, ms] = frozenset(
-                            transitions[state, x] for x in selections[ms]
-                        )
+                        nexts = []
+                        for x in selections[ms]:
+                            if (nxt := transitions.get((state, x), _UNSTEPPED)) is _UNSTEPPED:
+                                nxt = transitions[state, x] = self.step(state, x)
+                            nexts.append(nxt)
+                        nexts = reached[state, ms] = frozenset(nexts)
                     out |= nexts
                 yield i, frozenset(out)
 
@@ -268,7 +259,12 @@ class Search:
             for ms in moves[r]:
                 images = []
                 for x in selections[ms]:
-                    image = frozenset([transitions[state, x] for state in states])
+                    image = []
+                    for state in states:
+                        if (nxt := transitions.get((state, x), _UNSTEPPED)) is _UNSTEPPED:
+                            nxt = transitions[state, x] = self.step(state, x)
+                        image.append(nxt)
+                    image = frozenset(image)
                     if all(two_wins(r + 1, nxt) for nxt in image):
                         images.append((x, image))
                 grown: dict = {}
@@ -335,7 +331,8 @@ class Search:
                 if not 0 <= i < len(moves[r]):
                     raise IllegalMove(r, f"move index {i} out of range")
                 for x in selections[moves[r][i]]:
-                    nxt = transitions[state, x]
+                    if (nxt := transitions.get((state, x), _UNSTEPPED)) is _UNSTEPPED:
+                        nxt = transitions[state, x] = self.step(state, x)
                     mem = memory + (x,) if keep else ()
                     got = tally.get((r + 1, nxt, mem)) or count(r + 1, nxt, mem)
                     plays += got[0]
@@ -346,7 +343,8 @@ class Search:
                 for i, ms in enumerate(moves[r]):
                     idx = memory + (i,)
                     x = legal_selection(game, r, ms, answer(idx, r, state))
-                    nxt = transitions[state, x]
+                    if (nxt := transitions.get((state, x), _UNSTEPPED)) is _UNSTEPPED:
+                        nxt = transitions[state, x] = self.step(state, x)
                     mem = idx if keep else ()
                     got = tally.get((r + 1, nxt, mem)) or count(r + 1, nxt, mem)
                     plays += got[0]

@@ -657,6 +657,37 @@ def test_solve_after_winner_reads_the_recorded_rows():
     assert sides == {Player.ONE, Player.TWO}
 
 
+def test_transitions_into_none_are_stepped_once(d3, singles3, monkeypatch):
+    # None is a target state (the full set listed, or a window missing a
+    # member), so a table lookup must tell a transition not stepped yet
+    # from one into None: here 12 of the 15 transitions winner() steps
+    # lead into None, and no later search on the context steps one again
+    g = build_point_open(d3, singles3, singles3, 4, window=2)
+    calls = _counting_steps(monkeypatch, WindowCover)
+    searches = Search(g)
+    searches.winner()
+    assert len(searches.transitions) == 15
+    assert sum(nxt is None for nxt in searches.transitions.values()) == 12
+    det = searches.solve()
+    searches.find_predetermined_one()
+    searches.find_markov_two()
+    assert searches.verify(det.witness).valid
+    assert calls["step"] == len(searches.transitions)
+
+
+def test_selections_list_every_offered_move_set(d3, singles3):
+    # Two's selections from each move set the game offers, in canonical
+    # order, for a single-kind game and a finite-kind one whose families
+    # vary by round
+    finite = make_game(
+        [(frozenset({1, 2}), frozenset({2, 4, 5})), (frozenset({3, 6}), frozenset({1, 2}))],
+        2, Kind.FINITE, CoversFamily(full=7, members=(1, 2, 4)),
+    )
+    for g in (build_point_open(d3, singles3, singles3, 3), finite):
+        offered = {ms for family in g.moves for ms in family}
+        assert Search(g).selections == {ms: tuple(two_choices(g, ms)) for ms in offered}
+
+
 def _oracle_games():
     """Corpus games, point-open discrete d3/d4, and seeded random games
     (some finite-kind, some with negated or explicit targets)."""
