@@ -113,7 +113,7 @@ class CoverEnumerationTruncated(SelGamesError):
 
 
 class InvalidCount(SelGamesError):
-    """Fuzz instance count must be at least 1."""
+    """Fuzz instance count must be an integer of at least 1."""
 
 
 class ScenarioFormatError(SelGamesError):

@@ -2,11 +2,17 @@
 
 Each suite draws instances from its own deterministic generator, checks
 one family of properties, and records violations as scenario payloads
-that can be replayed by hand.  A check takes a builder with no
-arguments and builds the payload only when it fails.  Budget exhaustion
-inside a synthesizer is counted separately from both success and
-violation.  Reports serialize canonically: two runs with the same seed
-are byte-identical.
+that can be replayed by hand.  Each draw names its payload builder once,
+and a check builds the payload only when it fails.
+
+Every draw counts as an attempt.  A draw the suite rejects adds no
+instance; any other adds one, and a synthesis that runs out of budget
+ends its draw as one instance and one ``budget_exceeded``.  In the
+cofinality suite a budget hit skips one horizon, not the draw.  The
+translation suite keeps its own loop: it stops once every direction has
+``count`` transfers or at a cap on attempts, and a budget hit there
+skips one direction.  Reports serialize canonically: two runs with the
+same seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -84,14 +90,17 @@ class SuiteResult:
     budget_exceeded: int = 0
     violations: list = field(default_factory=list)  # [{"property", "instance"}]
     findings: list = field(default_factory=list)
+    # each draw sets this to the builder of its replayable instance; it is
+    # not annotated, so not a field, and reports never show it
+    payload = None
 
-    def violate(self, prop: str, payload: Callable[[], object]) -> None:
-        """Record a violation; ``payload()`` builds its replayable instance."""
-        self.violations.append({"property": prop, "instance": payload()})
+    def violate(self, prop: str) -> None:
+        """Record a violation; ``self.payload()`` builds its replayable instance."""
+        self.violations.append({"property": prop, "instance": self.payload()})
 
-    def check(self, prop: str, ok: bool, payload: Callable[[], object]) -> bool:
+    def check(self, prop: str, ok: bool) -> bool:
         if not ok:
-            self.violate(prop, payload)
+            self.violate(prop)
         return ok
 
 
@@ -197,43 +206,48 @@ def _discrete_payload(name: str, fam_a: SetFamily, fam_b: SetFamily, horizon: in
 # -- suites ----------------------------------------------------------------
 
 
-def suite_determinacy(rng: random.Random, count: int,
-                      node_budget: int = DEFAULT_NODE_BUDGET) -> SuiteResult:
+def _run(count: int, attempt: Callable[[SuiteResult], Optional[bool]]) -> SuiteResult:
+    """Run ``attempt`` on one result until it holds ``count`` instances,
+    counting as the module docstring says; False from ``attempt`` rejects
+    its draw."""
     res = SuiteResult()
     while res.instances < count:
         res.attempts += 1
-        game = _random_game(rng)
-
-        def payload(k=res.instances) -> dict:
-            return scenario_to_json(abstract_scenario(f"determinacy-{k}", game))
-
-        res.check(
-            "determinacy/instance-bounds",
-            len(_offered(game.moves)) <= 6 and game.horizon <= 4,
-            payload,
-        )
-        searches = Search(game)
-        det = searches.solve()
-        res.check("determinacy/witness-verifies", searches.verify(det.witness).valid, payload)
         try:
-            pre = searches.find_predetermined_one(node_budget)
-            markov = searches.find_markov_two(node_budget)
+            if attempt(res) is False:
+                continue
         except BudgetExceeded:
             res.budget_exceeded += 1
-            res.instances += 1
-            continue
-        if pre is not None:
-            res.check("hierarchy/pre-implies-one-wins", det.winner is Player.ONE, payload)
-            res.check("hierarchy/pre-verifies", searches.verify(pre).valid, payload)
-        if markov is not None:
-            res.check("hierarchy/markov-implies-two-wins", det.winner is Player.TWO, payload)
-            res.check("hierarchy/markov-verifies", searches.verify(markov).valid, payload)
-        if det.winner is Player.ONE:
-            res.check("determinacy/loser-side-markov-none", markov is None, payload)
-        else:
-            res.check("determinacy/loser-side-pre-none", pre is None, payload)
         res.instances += 1
     return res
+
+
+def suite_determinacy(rng: random.Random, count: int,
+                      node_budget: int = DEFAULT_NODE_BUDGET) -> SuiteResult:
+    def attempt(res: SuiteResult) -> None:
+        game = _random_game(rng)
+        res.payload = lambda k=res.instances: scenario_to_json(
+            abstract_scenario(f"determinacy-{k}", game)
+        )
+        res.check("determinacy/instance-bounds",
+                  len(_offered(game.moves)) <= 6 and game.horizon <= 4)
+        searches = Search(game)
+        det = searches.solve()
+        res.check("determinacy/witness-verifies", searches.verify(det.witness).valid)
+        pre = searches.find_predetermined_one(node_budget)
+        markov = searches.find_markov_two(node_budget)
+        if pre is not None:
+            res.check("hierarchy/pre-implies-one-wins", det.winner is Player.ONE)
+            res.check("hierarchy/pre-verifies", searches.verify(pre).valid)
+        if markov is not None:
+            res.check("hierarchy/markov-implies-two-wins", det.winner is Player.TWO)
+            res.check("hierarchy/markov-verifies", searches.verify(markov).valid)
+        if det.winner is Player.ONE:
+            res.check("determinacy/loser-side-markov-none", markov is None)
+        else:
+            res.check("determinacy/loser-side-pre-none", pre is None)
+
+    return _run(count, attempt)
 
 
 def _translation_instance(rng: random.Random):
@@ -277,18 +291,12 @@ def suite_translation(rng: random.Random, count: int,
     while min(done) < count and res.attempts < max_attempts:
         res.attempts += 1
         pack, src, dst = _translation_instance(rng)
-
-        def payload() -> dict:
-            return {
-                "src": scenario_to_json(abstract_scenario("translation-src", src)),
-                "dst": scenario_to_json(abstract_scenario("translation-dst", dst)),
-            }
-
-        if not res.check(
-            "translation/lifted-pack-satisfies-axioms",
-            bool(check_translation_axioms(pack, src, dst)),
-            payload,
-        ):
+        res.payload = lambda: {
+            "src": scenario_to_json(abstract_scenario("translation-src", src)),
+            "dst": scenario_to_json(abstract_scenario("translation-dst", dst)),
+        }
+        if not res.check("translation/lifted-pack-satisfies-axioms",
+                         bool(check_translation_axioms(pack, src, dst))):
             continue
         # only directions still short of count are searched, so
         # budget_exceeded counts only the syntheses that ran; the pack passed
@@ -306,10 +314,7 @@ def suite_translation(rng: random.Random, count: int,
                 res.budget_exceeded += 1
                 continue
             except Exception as exc:  # noqa: BLE001 - any failure is a finding
-                res.violate(
-                    f"translation/{direction.value}-raised:{type(exc).__name__}",
-                    payload,
-                )
+                res.violate(f"translation/{direction.value}-raised:{type(exc).__name__}")
             done[k] += 1
             progressed = True
         if progressed:
@@ -348,29 +353,20 @@ def _duality_instance(rng: random.Random):
 
 def suite_duality(rng: random.Random, count: int,
                   node_budget: int = DEFAULT_NODE_BUDGET) -> SuiteResult:
-    res = SuiteResult()
-    while res.instances < count:
-        res.attempts += 1
+    def attempt(res: SuiteResult) -> Optional[bool]:
         refl, fam, g_fam, g_refl = _duality_instance(rng)
-
-        def payload() -> dict:
-            return {
-                "family-game": scenario_to_json(abstract_scenario("duality-fam", g_fam)),
-                "reflection-game": scenario_to_json(abstract_scenario("duality-refl", g_refl)),
-            }
-
+        res.payload = lambda: {
+            "family-game": scenario_to_json(abstract_scenario("duality-fam", g_fam)),
+            "reflection-game": scenario_to_json(abstract_scenario("duality-refl", g_refl)),
+        }
         report = is_reflection(refl, fam)
-        if not res.check("duality/constructed-reflection", report.is_reflection, payload):
-            continue
-        try:
-            dual = check_duality(g_fam, g_refl, node_budget)
-        except BudgetExceeded:
-            res.budget_exceeded += 1
-            res.instances += 1
-            continue
-        res.check("duality/all-clauses-hold", dual.all_hold, payload)
-        res.instances += 1
-    return res
+        if not res.check("duality/constructed-reflection", report.is_reflection):
+            return False
+        dual = check_duality(g_fam, g_refl, node_budget)
+        res.check("duality/all-clauses-hold", dual.all_hold)
+        return None
+
+    return _run(count, attempt)
 
 
 def _cof_families(rng: random.Random, size: int):
@@ -386,40 +382,32 @@ def _cof_families(rng: random.Random, size: int):
 
 def suite_cofinality(rng: random.Random, count: int,
                      node_budget: int = DEFAULT_NODE_BUDGET) -> SuiteResult:
-    res = SuiteResult()
     spaces = {size: discrete_space(size) for size in SPACE_SIZES}
-    while res.instances < count:
-        res.attempts += 1
+
+    def attempt(res: SuiteResult) -> None:
         size = rng.choice(SPACE_SIZES)
         space = spaces[size]
         fam_a_masks, fam_b_masks = _cof_families(rng, size)
         fam_a = SetFamily.build(space, fam_a_masks)
         fam_b = SetFamily.build(space, fam_b_masks)
         cof = relative_cofinality(inclusion_pair(fam_a.members, fam_b.members))
-
-        def payload(k=res.instances) -> dict:  # at the horizon checked
-            return _discrete_payload(f"cofinality-{k}", fam_a, fam_b, horizon)
-
+        res.payload = lambda k=res.instances: _discrete_payload(  # at the horizon checked
+            f"cofinality-{k}", fam_a, fam_b, horizon
+        )
         for horizon in sorted(rng.sample(range(0, 5), 2)):
             game = build_point_open(space, fam_a, fam_b, horizon)
             searches = Search(game)
             try:
                 pre = searches.find_predetermined_one(node_budget)
-            except BudgetExceeded:
+            except BudgetExceeded:  # skips this horizon; the draw still counts
                 res.budget_exceeded += 1
                 continue
-            res.check(
-                "cofinality/pre-iff-cof-at-most-horizon",
-                (pre is not None) == cof.at_most(horizon),
-                payload,
-            )
-            res.check(
-                "cofinality/full-win-iff-pre-win",
-                (searches.winner() is Player.ONE) == (pre is not None),
-                payload,
-            )
-        res.instances += 1
-    return res
+            res.check("cofinality/pre-iff-cof-at-most-horizon",
+                      (pre is not None) == cof.at_most(horizon))
+            res.check("cofinality/full-win-iff-pre-win",
+                      (searches.winner() is Player.ONE) == (pre is not None))
+
+    return _run(count, attempt)
 
 
 def _random_order_pair(rng: random.Random) -> RelPair:
@@ -473,25 +461,17 @@ def _permuted_copy(rng: random.Random, pair: RelPair):
 
 def suite_tukey(rng: random.Random, count: int,
                 node_budget: int = DEFAULT_NODE_BUDGET) -> SuiteResult:
-    res = SuiteResult()
-    while res.instances < count:
-        res.attempts += 1
+    def attempt(res: SuiteResult) -> None:
         src = _random_order_pair(rng)
         dst = _random_order_pair(rng)
         phi = {a: rng.choice(dst.sub_a) for a in src.sub_a}
-
-        def payload() -> dict:
-            return {
-                "src": rel_pair_to_json(src),
-                "dst": rel_pair_to_json(dst),
-                "phi": sorted([a, c] for a, c in phi.items()),
-            }
-
-        res.check(
-            "tukey/criterion-matches-oracle",
-            check_tukey_map(phi, src, dst) == brute_tukey_oracle(phi, src, dst),
-            payload,
-        )
+        res.payload = lambda: {
+            "src": rel_pair_to_json(src),
+            "dst": rel_pair_to_json(dst),
+            "phi": sorted([a, c] for a, c in phi.items()),
+        }
+        res.check("tukey/criterion-matches-oracle",
+                  check_tukey_map(phi, src, dst) == brute_tukey_oracle(phi, src, dst))
 
         cof = relative_cofinality(src)
         every = tuple(range(len(src.carrier)))
@@ -502,28 +482,15 @@ def suite_tukey(rng: random.Random, count: int,
             # v <= w with UNDEFINED as the top element
             return w.is_undefined or (v.is_finite and w.is_finite and v.n <= w.n)
 
-        res.check(
-            "cofinality/enlarging-candidates-never-increases",
-            at_most_of(relative_cofinality(grown_a), cof),
-            payload,
-        )
-        res.check(
-            "cofinality/enlarging-obligations-never-decreases",
-            at_most_of(cof, relative_cofinality(grown_b)),
-            payload,
-        )
+        res.check("cofinality/enlarging-candidates-never-increases",
+                  at_most_of(relative_cofinality(grown_a), cof))
+        res.check("cofinality/enlarging-obligations-never-decreases",
+                  at_most_of(cof, relative_cofinality(grown_b)))
 
         copy, fwd, back = _permuted_copy(rng, src)
-        if res.check(
-            "tukey/permuted-copy-maps-both-ways",
-            check_tukey_map(fwd, src, copy) and check_tukey_map(back, copy, src),
-            payload,
-        ):
-            res.check(
-                "cofinality/invariant-under-two-way-maps",
-                cof == relative_cofinality(copy),
-                payload,
-            )
+        if res.check("tukey/permuted-copy-maps-both-ways",
+                     check_tukey_map(fwd, src, copy) and check_tukey_map(back, copy, src)):
+            res.check("cofinality/invariant-under-two-way-maps", cof == relative_cofinality(copy))
 
         # product projection and the symbolic counter lift
         g = rng.randint(2, 3)
@@ -540,28 +507,14 @@ def suite_tukey(rng: random.Random, count: int,
              relative_cofinality(prod))
             for prod in prods
         ]
-        res.check(
-            "tukey/projection-validates-at-every-truncation",
-            all(ok for ok, _ in stabilized),
-            payload,
-        )
-        res.check(
-            "tukey/truncated-cofinality-stabilizes",
-            len(set(stabilized)) == 1,
-            payload,
-        )
-        res.check(
-            "tukey/truncation-agrees-with-base",
-            stabilized[0][1] == base_cof,
-            payload,
-        )
+        res.check("tukey/projection-validates-at-every-truncation",
+                  all(ok for ok, _ in stabilized))
+        res.check("tukey/truncated-cofinality-stabilizes", len(set(stabilized)) == 1)
+        res.check("tukey/truncation-agrees-with-base", stabilized[0][1] == base_cof)
         # base.sub_b is every index of the base carrier, so never empty
-        res.check(
-            "tukey/symbolic-lift-table",
-            lift_omega_cof(base_cof, b_empty=False)
-            == (UNDEFINED if base_cof.is_undefined else OMEGA),
-            payload,
-        )
+        res.check("tukey/symbolic-lift-table",
+                  lift_omega_cof(base_cof, b_empty=False)
+                  == (UNDEFINED if base_cof.is_undefined else OMEGA))
         if base_cof.is_finite:
             # No fixed finite family survives raising the counter bound:
             # every trunc-2 candidate embeds into trunc-3, where obligations
@@ -570,13 +523,9 @@ def suite_tukey(rng: random.Random, count: int,
             prod2, prod3 = prods[:2]
             pos3 = {prod3.carrier[i]: i for i in prod3.sub_a}
             embedded = [pos3[prod2.carrier[i]] for i in prod2.sub_a]
-            res.check(
-                "tukey/fixed-family-goes-stale",
-                not is_cofinal(prod3, embedded),
-                payload,
-            )
-        res.instances += 1
-    return res
+            res.check("tukey/fixed-family-goes-stale", not is_cofinal(prod3, embedded))
+
+    return _run(count, attempt)
 
 
 def _ideal_base_family(rng: random.Random, space) -> SetFamily:
@@ -587,17 +536,16 @@ def _ideal_base_family(rng: random.Random, space) -> SetFamily:
 
 def suite_gamma(rng: random.Random, count: int,
                 node_budget: int = DEFAULT_NODE_BUDGET) -> SuiteResult:
-    res = SuiteResult()
     spaces = {size: discrete_space(size) for size in (2, 3)}
-    while res.instances < count:
-        res.attempts += 1
+
+    def attempt(res: SuiteResult) -> Optional[bool]:
         size = rng.choice([2, 2, 3])
         space = spaces[size]
         fam_a = _ideal_base_family(rng, space)
         if any(m == space.full for m in fam_a.members):
             fam_a = SetFamily.build(space, [m for m in fam_a.members if m != space.full])
             if not fam_a.members or not fam_a.ideal_base:
-                continue
+                return False
         full = space.full
         fam_b = SetFamily.build(space, rng.sample(range(1, full), rng.randint(1, 2)))
         n = rng.choice([2, 3] if size == 3 else [2, 3, 4])
@@ -610,36 +558,26 @@ def suite_gamma(rng: random.Random, count: int,
                 out["low"] = low
             return out
 
-        res.check(
-            "gamma/neighborhoods-of-ideal-base-form-filter-base",
-            is_filter_base(game.moves[0]),
-            payload,
-        )
+        res.payload = payload
+        res.check("gamma/neighborhoods-of-ideal-base-form-filter-base",
+                  is_filter_base(game.moves[0]))
         # One's move sets form a finite filter base, so its least member lies
         # inside every other: One offering it every round wins the n-round
         # game iff One wins the one-round game, and one round decides it.
         searches = Search(game.truncated(1))
         if searches.winner() is Player.TWO:
-            continue  # constructions need a winning horizon; try again
+            return False  # constructions need a winning horizon; try again
         low = 1
 
-        try:
-            pre = searches.find_predetermined_one(node_budget)
-        except BudgetExceeded:
-            res.budget_exceeded += 1
-            res.instances += 1
-            continue
-        if not res.check("gamma/full-win-gives-script-on-discrete",
-                         pre is not None, payload):
-            res.instances += 1
-            continue
+        pre = searches.find_predetermined_one(node_budget)
+        if not res.check("gamma/full-win-gives-script-on-discrete", pre is not None):
+            return None
         script = PreOne(indices=pre.indices + (0,) * (n - low))
         try:
             sigma = strengthen_one_for_subsequences(script, game, low)
         except Exception as exc:  # noqa: BLE001
-            res.violate(f"gamma/strengthen-raised:{type(exc).__name__}", payload)
-            res.instances += 1
-            continue
+            res.violate(f"gamma/strengthen-raised:{type(exc).__name__}")
+            return None
         core_target = Not(
             EverySubsequence(
                 inner=CoversFamily(full=full, members=fam_b.members), m=low
@@ -648,34 +586,25 @@ def suite_gamma(rng: random.Random, count: int,
         core_game = make_game(
             [game.moves[0]] * n, n, Kind.SINGLE, core_target
         )
-        res.check(
-            "gamma/strengthened-wins-subsequence-core",
-            verify(core_game, sigma).valid,
-            payload,
-        )
+        res.check("gamma/strengthened-wins-subsequence-core", verify(core_game, sigma).valid)
 
         try:
             upgraded = intersect_predetermined(script, fam_a)
         except Exception as exc:  # noqa: BLE001
-            res.violate(f"gamma/intersect-raised:{type(exc).__name__}", payload)
-            res.instances += 1
-            continue
+            res.violate(f"gamma/intersect-raised:{type(exc).__name__}")
+            return None
         window_game = build_point_open(space, fam_a, fam_b, n, window=low)
-        res.check(
-            "gamma/intersected-script-wins-window",
-            verify(window_game, upgraded).valid,
-            payload,
-        )
-        res.instances += 1
-    return res
+        res.check("gamma/intersected-script-wins-window", verify(window_game, upgraded).valid)
+        return None
+
+    return _run(count, attempt)
 
 
 def suite_ground(rng: random.Random, count: int,
                  node_budget: int = DEFAULT_NODE_BUDGET) -> SuiteResult:
-    res = SuiteResult()
     spaces = {size: discrete_space(size) for size in (2, 3, 4)}
-    while res.instances < count:
-        res.attempts += 1
+
+    def attempt(res: SuiteResult) -> None:
         size = rng.choice([2, 3, 3, 4])
         space = spaces[size]
         fam = _ideal_base_family(rng, space)
@@ -683,20 +612,14 @@ def suite_ground(rng: random.Random, count: int,
             extra = space.full & ~reduce(or_, fam.members, 0)
             fam = SetFamily.build(space, fam.members + (extra | fam.members[0],))
             fam = SetFamily.build(space, _union_closure(fam.members))
-
-        def payload() -> dict:
-            return {
-                "space": {"size": size, "subbasis": [list(items_of(1 << i)) for i in range(size)]},
-                "family": [list(items_of(m)) for m in fam.members],
-            }
-
+        res.payload = lambda: {
+            "space": {"size": size, "subbasis": [list(items_of(1 << i)) for i in range(size)]},
+            "family": [list(items_of(m)) for m in fam.members],
+        }
         if fam.ideal_base and fam.covers_universe:
             result = min_covers(space, fam)
-            res.check(
-                "ground/ideal-base-covering-has-no-covers",
-                result.covers == () and not result.truncated,
-                payload,
-            )
+            res.check("ground/ideal-base-covering-has-no-covers",
+                      result.covers == () and not result.truncated)
         # permutation asymmetry: the plain verdict and the multiplicity are
         # order-blind, the window width is not
         opens = sorted(space.opens)
@@ -705,14 +628,14 @@ def suite_ground(rng: random.Random, count: int,
         rng.shuffle(perm)
         before = classify_cover(space, fam, listed)
         after = classify_cover(space, fam, perm)
-        res.check(
-            "ground/permutations-preserve-cover-and-multiplicity",
-            (before.covers_all, before.multiplicity)
-            == (after.covers_all, after.multiplicity),
-            lambda: dict(payload(), listed=[list(items_of(u)) for u in listed]),
+        res.payload = lambda draw=res.payload: dict(
+            draw(), listed=[list(items_of(u)) for u in listed]
         )
-        res.instances += 1
-    return res
+        res.check("ground/permutations-preserve-cover-and-multiplicity",
+                  (before.covers_all, before.multiplicity)
+                  == (after.covers_all, after.multiplicity))
+
+    return _run(count, attempt)
 
 
 def _union_closure(masks) -> list[int]:
@@ -744,6 +667,8 @@ def fuzz(
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> FuzzReport:
     """Run the selected suites deterministically; same seed, same bytes."""
+    if type(count) is not int:  # a bool is not a count
+        raise InvalidCount(f"count must be an integer, got {count!r}")
     if count < 1:
         raise InvalidCount(f"count must be at least 1, got {count}")
     chosen = tuple(dict.fromkeys(suites)) if suites else GATED_SUITES  # a repeated suite runs once

@@ -276,7 +276,12 @@ def make_game(
     kind: Kind,
     target: Target,
 ) -> GameSpec:
-    """Validate the move families, and the target as built from the six classes above."""
+    """Validate the kind, the integer horizon, the move families, and the
+    target as built from the six classes above."""
+    if not isinstance(kind, Kind):
+        raise TypeError(f"kind must be a Kind, got {kind!r}")
+    if type(horizon) is not int:  # a bool is not a horizon
+        raise TypeError(f"horizon must be an integer, got {horizon!r}")
     _check_target(target)
     if not 0 <= horizon <= HORIZON_CAP:
         raise ValueError(f"horizon outside 0..{HORIZON_CAP}")

@@ -550,6 +550,25 @@ def test_pinned_output_bytes(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == CORPUS_RUN_SHA256
 
 
+# sha256 of `fuzz --seed S --count 6 --budget B --json` over seeds 0-3 and
+# budgets 0, 3 and 40, each stdout led by "S/B/exit code:".  The default
+# budget never runs out on the pinned seeds; this grid runs out in every
+# suite that synthesizes, and reaches gamma's rejected draws and the
+# translation suite's attempt cap, so it fixes each suite's instances,
+# attempts and budget_exceeded under a partial budget
+BUDGET_GRID_SHA256 = "4d844626fd9a7a9bff12a4291b0be00870d8a2bbf62e3068a41bf4a371f4334b"
+
+
+def test_pinned_budget_grid(capsys):
+    digest = hashlib.sha256()
+    for seed in range(4):
+        for budget in (0, 3, 40):
+            code, out, _ = run(capsys, "fuzz", "--seed", str(seed), "--count", "6",
+                               "--budget", str(budget), "--json")
+            digest.update(f"{seed}/{budget}/{code}:{out}".encode())
+    assert digest.hexdigest() == BUDGET_GRID_SHA256
+
+
 # sha256 of the `translate --json` stdout of the identity pack on the tiny
 # game in all four directions, then of `full-two` with the `solve`
 # witness as `--input`, concatenated in that order

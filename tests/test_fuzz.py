@@ -42,6 +42,13 @@ class TestFuzzContract:
         with pytest.raises(InvalidCount):
             fuzz(seed=1, count=0)
 
+    @pytest.mark.parametrize("count", [1.5, True, "3"])
+    def test_non_int_count_rejected(self, count):
+        # unchecked, a float count runs, and its report echoes it beside
+        # two instances per suite
+        with pytest.raises(InvalidCount):
+            fuzz(seed=0, count=count)
+
     def test_unknown_suite_rejected(self):
         # the retired exploratory suite is as unknown as any other name
         for name in ("nope", "open-question-gamma-two"):

@@ -103,6 +103,17 @@ class TestMakeGame:
             with pytest.raises(TypeError):
                 make_game([family, family], 2, Kind.SINGLE, target)
 
+    def test_kind_must_be_a_kind(self):
+        # unchecked, a kind given by its value plays as a finite-kind
+        # game and fails only when the game is dumped
+        with pytest.raises(TypeError):
+            make_game([[frozenset({0})]], 1, "single", ExplicitSet(winning=()))
+
+    @pytest.mark.parametrize("horizon", [1.0, True])
+    def test_horizon_must_be_an_int(self, horizon):
+        with pytest.raises(TypeError):
+            make_game([[frozenset({0})]], horizon, Kind.SINGLE, ExplicitSet(winning=()))
+
 
 class TestPlay:
     def test_forced_moves(self):
